@@ -1,5 +1,6 @@
 """Background model behavior, morphology (with brute-force oracle), areas."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from sleepmon.background import (DEPTH_PARAMS, LUMA_PARAMS, BackgroundModel, Gmm
                                  dilate3, foreground_area, luma, morph_smooth, new_model,
                                  open3)
 
+_F = np.float32
 ALPHA = DEPTH_PARAMS.learning_rate
 T = DEPTH_PARAMS.background_fraction
 
@@ -53,6 +55,186 @@ def smooth_ref(mask):
 
 
 masks_8x8 = hnp.arrays(bool, (8, 8))
+
+
+class SeedModel:
+    """The per-plane kernel the stacked one replaced, kept verbatim as the oracle."""
+
+    def __init__(self, params, first_frame, channel="depth"):
+        self.params = params
+        self.channel = channel
+        self.shape = first_frame.shape
+        k = params.components
+        x0 = first_frame.astype(_F)
+        self._w = [np.ones(self.shape, _F)] + [np.zeros(self.shape, _F) for _ in range(k - 1)]
+        self._mu = [x0.copy()] + [np.zeros(self.shape, _F) for _ in range(k - 1)]
+        self._var = [np.full(self.shape, params.initial_variance, _F) for _ in range(k)]
+        if channel == "depth":
+            self._never_observed = np.asarray(first_frame) == 0
+            self._has_never = bool(self._never_observed.any())
+        else:
+            self._never_observed = np.zeros(self.shape, bool)
+            self._has_never = False
+
+    @property
+    def weights(self):
+        return np.stack(self._w, axis=2)
+
+    @property
+    def means(self):
+        return np.stack(self._mu, axis=2)
+
+    @property
+    def variances(self):
+        return np.stack(self._var, axis=2)
+
+    @property
+    def never_observed(self):
+        return self._never_observed.copy()
+
+    def update_and_classify(self, frame):
+        p = self.params
+        k = p.components
+        w, mu, var = self._w, self._mu, self._var
+        alpha = _F(p.learning_rate)
+        one_minus = _F(1.0 - p.learning_rate)
+        mk2 = _F(p.match_k * p.match_k)
+
+        skip = None
+        saved = None
+        if self.channel == "depth":
+            zeros = np.asarray(frame) == 0
+            if zeros.any():
+                skip = zeros
+                saved = ([a.copy() for a in w], [a.copy() for a in mu],
+                         [a.copy() for a in var])
+        reseed = None
+        if self._has_never:
+            reseed = self._never_observed.copy()
+            if skip is not None:
+                reseed &= ~skip
+            if not reseed.any():
+                reseed = None
+
+        x = frame.astype(_F, copy=False)
+
+        matched = []
+        taken = None
+        for i in range(k):
+            d = x - mu[i]
+            near = d * d <= mk2 * var[i]
+            if taken is None:
+                f = near
+                taken = near.copy()
+            else:
+                f = near & ~taken
+                taken |= near
+            matched.append(f)
+        any_match = taken
+        none_match = ~any_match
+
+        w_pre = matched[0] * w[0]
+        for i in range(1, k):
+            w_pre = w_pre + matched[i] * w[i]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rho = np.clip(alpha / w_pre, alpha, _F(1.0)).astype(_F, copy=False)
+
+        floor = _F(p.variance_floor)
+        for i in range(k):
+            np.multiply(w[i], one_minus, out=w[i], where=any_match)
+            np.add(w[i], alpha, out=w[i], where=matched[i])
+            np.add(mu[i], rho * (x - mu[i]), out=mu[i], where=matched[i])
+            d = x - mu[i]
+            vn = var[i] + rho * (d * d - var[i])
+            np.copyto(var[i], np.maximum(vn, floor), where=matched[i])
+
+        np.copyto(w[k - 1], _F(p.replacement_weight), where=none_match)
+        np.copyto(mu[k - 1], x, where=none_match)
+        np.copyto(var[k - 1], _F(p.initial_variance), where=none_match)
+
+        total = w[0].copy()
+        for i in range(1, k):
+            total += w[i]
+        for i in range(k):
+            w[i] /= total
+
+        metric = [w[i] * w[i] / var[i] for i in range(k)]
+        rank = [np.zeros(self.shape, np.int8) for _ in range(k)]
+        for i in range(k):
+            for j in range(k):
+                if j < i:
+                    rank[i] += metric[j] >= metric[i]
+                elif j > i:
+                    rank[i] += metric[j] > metric[i]
+        order_changed = any(bool((rank[i] != i).any()) for i in range(k))
+
+        matched_rank = matched[0] * rank[0]
+        for i in range(1, k):
+            matched_rank = matched_rank + matched[i] * rank[i]
+
+        if order_changed:
+            for planes in (w, mu, var):
+                old = [a for a in planes]
+                for dest in range(k):
+                    acc = old[k - 1]
+                    for src in range(k - 2, -1, -1):
+                        acc = np.where(rank[src] == dest, old[src], acc)
+                    planes[dest] = acc
+
+        prefix = np.zeros(self.shape, _F)
+        acc = np.zeros(self.shape, _F)
+        for r in range(1, k):
+            acc = acc + w[r - 1]
+            prefix = np.where(matched_rank == r, acc, prefix)
+        foreground = none_match | (prefix > _F(p.background_fraction))
+
+        if reseed is not None:
+            for i in range(k):
+                np.copyto(self._w[i], _F(1.0 if i == 0 else 0.0), where=reseed)
+                np.copyto(self._mu[i], x if i == 0 else _F(0.0), where=reseed)
+                np.copyto(self._var[i], _F(p.initial_variance), where=reseed)
+            foreground &= ~reseed
+            self._never_observed &= ~reseed
+            self._has_never = bool(self._never_observed.any())
+        if skip is not None:
+            sw, smu, svar = saved
+            for i in range(k):
+                np.copyto(self._w[i], sw[i], where=skip)
+                np.copyto(self._mu[i], smu[i], where=skip)
+                np.copyto(self._var[i], svar[i], where=skip)
+            foreground &= ~skip
+        self._w, self._mu, self._var = w, mu, var
+        return foreground
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, np.float32).view(np.uint32)
+
+
+def _oracle_frames(rng, channel, shape, n, hole_p):
+    """Frames mixing repeats, constant frames, small noise and big jumps.
+
+    Depth frames get zero holes with probability ``hole_p`` per pixel, frame 0
+    included, so pixels start never-observed and are re-seeded later.
+    """
+    top = 2047 if channel == "depth" else 255
+    levels = rng.integers(1, top + 1, 4)
+    frames = [np.full(shape, levels[0], np.float32)]
+    for _ in range(n):
+        mode = rng.integers(4)
+        if mode == 0:
+            f = frames[-1].copy()
+        elif mode == 1:
+            f = np.full(shape, rng.choice(levels), np.float32)
+        elif mode == 2:
+            f = rng.choice(levels, shape) + rng.integers(-3, 4, shape)
+        else:
+            f = rng.integers(1, top + 1, shape)
+        frames.append(np.clip(f, 1, top).astype(np.float32))
+    if channel == "depth":
+        for f in frames:
+            f[rng.random(shape) < hole_p] = 0.0
+    return frames
 
 
 class TestModelInit:
@@ -182,6 +364,31 @@ class TestModelUpdate:
             m = BackgroundModel(DEPTH_PARAMS, frames[0], "depth")
             runs.append([m.update_and_classify(f).copy() for f in frames])
         assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+class TestStackedKernelOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(channel=st.sampled_from(["depth", "luma"]),
+           components=st.integers(1, 4),
+           shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+           n=st.integers(1, 25),
+           rate=st.sampled_from([0.01, 0.2, 0.7]),
+           fraction=st.sampled_from([0.3, 0.7, 1.0]),
+           hole_p=st.sampled_from([0.0, 0.1, 0.5]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_equal_to_seed_kernel(self, channel, components, shape, n, rate,
+                                          fraction, hole_p, seed):
+        base = DEPTH_PARAMS if channel == "depth" else LUMA_PARAMS
+        params = dataclasses.replace(base, components=components, learning_rate=rate,
+                                     background_fraction=fraction)
+        frames = _oracle_frames(np.random.default_rng(seed), channel, shape, n, hole_p)
+        m = BackgroundModel(params, frames[0], channel)
+        ref = SeedModel(params, frames[0], channel)
+        for f in frames[1:]:
+            assert np.array_equal(m.update_and_classify(f), ref.update_and_classify(f))
+            for attr in ("weights", "means", "variances"):
+                assert np.array_equal(_bits(getattr(m, attr)), _bits(getattr(ref, attr))), attr
+            assert np.array_equal(m.never_observed, ref.never_observed)
 
 
 class TestLuma:
