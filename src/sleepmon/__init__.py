@@ -12,8 +12,7 @@ from .actigraphy import (cole_sleep_wake, compare_efficiencies, counts_from_scor
                          sadeh_sleep_wake)
 from .analysis import (ClassThresholds, EpochClass, SleepReport, build_report,
                        classify_epochs, sleep_efficiency, sleep_wake)
-from .background import (BackgroundModel, GmmParams, foreground_area, luma,
-                         morph_smooth, new_model)
+from .background import BackgroundModel, GmmParams, foreground_area, luma, morph_smooth
 from .config import Config, read_config, write_config
 from .errors import (AudioUnderrunError, CorruptSessionError, InvalidDepthError,
                      ManifestMismatchError, PipelineError, RoiBoundsError)
@@ -36,7 +35,7 @@ __all__ = [
     "audio_score", "build_report", "chunk_audio", "classify_epochs",
     "cole_sleep_wake", "compare_efficiencies", "counts_from_scores", "crop_roi",
     "detect_events", "epochize", "epoch_peaks", "foreground_area", "generate",
-    "load_session", "luma", "morph_smooth", "new_model", "preset",
+    "load_session", "luma", "morph_smooth", "preset",
     "read_config", "record_clips", "run_detector", "sadeh_sleep_wake",
     "score_session", "sessions_equal", "sleep_efficiency", "sleep_wake",
     "visual_score", "write_config", "write_session",

@@ -7,11 +7,14 @@ classifies the pixel against the high-weight prefix of the mixture.  The two
 channels share no state, so depth masks are immune to lighting changes by
 construction.
 
-State is stored as per-component (H, W) float32 planes and every step is
-plane arithmetic, which keeps a 320x350 grid well above real-time rate on a
-single core.  Updates are per-pixel independent (no cross-pixel reads), so
-the result is bitwise independent of any data-parallel schedule; updating one
-model from two frames concurrently is not supported.
+State is stored as stacked (K, H, W) float32 arrays and a frame is a fixed
+sequence of whole-stack ufuncs into work buffers the model owns, which keeps
+a 320x350 grid well above real-time rate on a single core.  Masked updates
+are arithmetic selects on 0/1 masks, exact while squared residuals stay
+finite (any 16-bit depth or 8-bit luma frame).  Updates are per-pixel
+independent (no cross-pixel reads), so the result is bitwise independent of
+any data-parallel schedule; updating one model from two frames concurrently
+is not supported.
 
 Depth pixels holding 0 mean "no reading" from the sensor: they are classified
 background and leave the model untouched.  A pixel whose very first
@@ -70,9 +73,15 @@ LUMA_PARAMS = GmmParams(initial_variance=30.0 ** 2)
 
 def luma(color_frame: np.ndarray) -> np.ndarray:
     """Collapse an (H, W, 3) rgb frame to rounded luma, as float32."""
-    c = color_frame.astype(np.float64)
-    y = 0.299 * c[..., 0] + 0.587 * c[..., 1] + 0.114 * c[..., 2]
-    return np.rint(y).astype(_F)
+    # The float64 sums of a whole-frame cast from one block a third its size;
+    # as the largest per-frame allocation it keeps frame-loop memory recycled.
+    y, t = np.empty((2,) + color_frame.shape[:2])
+    np.multiply(color_frame[..., 0], 0.299, out=y, dtype=np.float64)
+    np.multiply(color_frame[..., 1], 0.587, out=t, dtype=np.float64)
+    y += t
+    np.multiply(color_frame[..., 2], 0.114, out=t, dtype=np.float64)
+    y += t
+    return np.rint(y, out=y).astype(_F)
 
 
 class BackgroundModel:
@@ -87,30 +96,34 @@ class BackgroundModel:
         self.params = params
         self.channel = channel
         self.shape = first_frame.shape
-        k = params.components
-        x0 = first_frame.astype(_F)
-        self._w = [np.ones(self.shape, _F)] + [np.zeros(self.shape, _F) for _ in range(k - 1)]
-        self._mu = [x0.copy()] + [np.zeros(self.shape, _F) for _ in range(k - 1)]
-        self._var = [np.full(self.shape, params.initial_variance, _F) for _ in range(k)]
+        stack = (params.components,) + self.shape
+        self._w = np.zeros(stack, _F)
+        self._w[0] = 1.0
+        self._mu = np.zeros(stack, _F)
+        self._mu[0] = first_frame
+        self._var = np.full(stack, params.initial_variance, _F)
+        self._never_observed = np.zeros(self.shape, bool)
         if channel == DEPTH_CHANNEL:
-            self._never_observed = np.asarray(first_frame) == 0
-            self._has_never = bool(self._never_observed.any())
-        else:
-            self._never_observed = np.zeros(self.shape, bool)
-            self._has_never = False
+            np.equal(first_frame, 0, out=self._never_observed)
+        # Work buffers reused every frame: fresh (K, H, W) temporaries page-fault in anew.
+        self._x, self._rho, self._plane = (np.empty(self.shape, _F) for _ in range(3))
+        self._skip, self._valid, self._seen, self._test = (np.empty(self.shape, bool)
+                                                           for _ in range(4))
+        self._d, self._t, self._r = (np.empty(stack, _F) for _ in range(3))
+        self._near, self._up = np.empty(stack, bool), np.empty((stack[0] - 1,) + self.shape, bool)
 
-    # Read-only views of the mixture, stacked (H, W, K); for inspection/tests.
+    # Copies of the mixture, stacked (H, W, K); for inspection/tests.
     @property
     def weights(self) -> np.ndarray:
-        return np.stack(self._w, axis=2)
+        return np.moveaxis(self._w, 0, 2).copy()
 
     @property
     def means(self) -> np.ndarray:
-        return np.stack(self._mu, axis=2)
+        return np.moveaxis(self._mu, 0, 2).copy()
 
     @property
     def variances(self) -> np.ndarray:
-        return np.stack(self._var, axis=2)
+        return np.moveaxis(self._var, 0, 2).copy()
 
     @property
     def never_observed(self) -> np.ndarray:
@@ -132,129 +145,110 @@ class BackgroundModel:
         p = self.params
         k = p.components
         w, mu, var = self._w, self._mu, self._var
+        x, rho, plane = self._x, self._rho, self._plane
+        d, t, r, near, seen, test = self._d, self._t, self._r, self._near, self._seen, self._test
         alpha = _F(p.learning_rate)
-        one_minus = _F(1.0 - p.learning_rate)
-        mk2 = _F(p.match_k * p.match_k)
 
-        skip = None
-        saved = None
-        if self.channel == DEPTH_CHANNEL:
-            zeros = np.asarray(frame) == 0
-            if zeros.any():
-                skip = zeros
-                saved = ([a.copy() for a in w], [a.copy() for a in mu],
-                         [a.copy() for a in var])
-        reseed = None
-        if self._has_never:
-            reseed = self._never_observed.copy()
-            if skip is not None:
-                reseed &= ~skip
-            if not reseed.any():
-                reseed = None
+        # Skipped pixels ("no reading") match nothing, are never replaced and
+        # are normalized by 1, so every update below leaves them as they are.
+        skip = valid = reseed = None
+        if self.channel == DEPTH_CHANNEL and not frame.all():
+            skip = np.equal(frame, 0, out=self._skip)
+            valid = np.logical_not(skip, out=self._valid)
+        if self._never_observed.any():
+            reseed = self._never_observed.copy() if valid is None else self._never_observed & valid
+            reseed = reseed if reseed.any() else None
 
-        x = frame.astype(_F, copy=False)
+        np.copyto(x, frame, casting="unsafe")
 
-        # First matching component in rank order, per pixel.
-        matched = []
-        taken = None
-        for i in range(k):
-            d = x - mu[i]
-            near = d * d <= mk2 * var[i]
-            if taken is None:
-                f = near
-                taken = near.copy()
-            else:
-                f = near & ~taken
-                taken |= near
-            matched.append(f)
-        any_match = taken
-        none_match = ~any_match
-
-        w_pre = matched[0] * w[0]
+        # First matching component in rank order: ``near`` becomes one-hot
+        # per matched pixel and ``seen`` marks the pixels with a match.
+        np.subtract(x, mu, out=d)
+        np.multiply(d, d, out=t)
+        np.multiply(var, _F(p.match_k * p.match_k), out=r)
+        np.less_equal(t, r, out=near)
+        if valid is not None:
+            near &= valid
+        np.copyto(seen, near[0])
         for i in range(1, k):
-            w_pre = w_pre + matched[i] * w[i]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            rho = np.clip(alpha / w_pre, alpha, _F(1.0)).astype(_F, copy=False)
+            np.greater(near[i], seen, out=near[i])
+            seen |= near[i]
+        none = ~seen
+        if valid is not None:
+            none &= valid
 
-        floor = _F(p.variance_floor)
-        for i in range(k):
-            np.multiply(w[i], one_minus, out=w[i], where=any_match)
-            np.add(w[i], alpha, out=w[i], where=matched[i])
-            np.add(mu[i], rho * (x - mu[i]), out=mu[i], where=matched[i])
-            d = x - mu[i]
-            vn = var[i] + rho * (d * d - var[i])
-            np.copyto(var[i], np.maximum(vn, floor), where=matched[i])
+        # ``r`` holds the match as 0/1.  At most one component matches, so
+        # the sum is the matched weight or 0.
+        np.copyto(r, near)
+        np.multiply(r, w, out=t)
+        np.add.reduce(t, axis=0, out=rho)
+        with np.errstate(divide="ignore"):
+            np.divide(alpha, rho, out=rho)
+        np.clip(rho, alpha, _F(1.0), out=rho)
 
-        np.copyto(w[k - 1], _F(p.replacement_weight), where=none_match)
-        np.copyto(mu[k - 1], x, where=none_match)
-        np.copyto(var[k - 1], _F(p.initial_variance), where=none_match)
+        # Masked updates as exact arithmetic selects: an unmatched component
+        # sees only x1 and +0, which leave finite values bit-exact (variances
+        # already sit at or above the floor).  Weights decay by 1 - alpha
+        # where any component matched.
+        np.multiply(seen, _F(1.0 - p.learning_rate), out=plane)
+        plane += ~seen
+        w *= plane
+        np.multiply(r, alpha, out=t)
+        w += t
+        r *= rho
+        np.multiply(r, d, out=t)
+        mu += t
+        np.subtract(x, mu, out=d)
+        d *= d
+        d -= var
+        d *= r
+        var += d
+        np.maximum(var, _F(p.variance_floor), out=var)
 
-        total = w[0].copy()
-        for i in range(1, k):
-            total += w[i]
-        for i in range(k):
-            w[i] /= total
+        if none.any():
+            np.copyto(w[k - 1], _F(p.replacement_weight), where=none)
+            np.copyto(mu[k - 1], x, where=none)
+            np.copyto(var[k - 1], _F(p.initial_variance), where=none)
+
+        np.add.reduce(w, axis=0, out=plane)
+        if skip is not None:
+            plane *= valid
+            plane += skip
+        w /= plane
 
         # Rank by weight/sqrt(variance) descending via the equivalent
         # weight**2/variance (weights are non-negative); ties keep the
-        # earlier component first.
-        metric = [w[i] * w[i] / var[i] for i in range(k)]
-        rank = [np.zeros(self.shape, np.int8) for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                if j < i:
-                    rank[i] += metric[j] >= metric[i]
-                elif j > i:
-                    rank[i] += metric[j] > metric[i]
-        order_changed = any(bool((rank[i] != i).any()) for i in range(k))
+        # earlier component first.  A pixel whose metric never rises along
+        # the components is already in that order, so only the rest sort.
+        np.multiply(w, w, out=t)
+        t /= var
+        np.greater(t[1:], t[:-1], out=self._up)
+        moved = np.flatnonzero(np.logical_or.reduce(self._up, axis=0))
+        if moved.size:
+            order = np.argsort(-t.reshape(k, -1)[:, moved], axis=0, kind="stable")
+            for a in (w, mu, var, near):
+                flat = a.reshape(k, -1)
+                flat[:, moved] = np.take_along_axis(flat[:, moved], order, axis=0)
 
-        matched_rank = matched[0] * rank[0]
+        # Background iff the weight of the components ranked above the
+        # matched one does not exceed the fraction threshold.
+        foreground = none
+        plane.fill(0.0)
         for i in range(1, k):
-            matched_rank = matched_rank + matched[i] * rank[i]
-
-        if order_changed:
-            for planes in (w, mu, var):
-                old = [a for a in planes]
-                for dest in range(k):
-                    acc = old[k - 1]
-                    for src in range(k - 2, -1, -1):
-                        acc = np.where(rank[src] == dest, old[src], acc)
-                    planes[dest] = acc
-
-        # Exclusive prefix weight of the matched component's final rank;
-        # background iff that prefix does not exceed the fraction threshold.
-        prefix = np.zeros(self.shape, _F)
-        acc = np.zeros(self.shape, _F)
-        for r in range(1, k):
-            acc = acc + w[r - 1]
-            prefix = np.where(matched_rank == r, acc, prefix)
-        foreground = none_match | (prefix > _F(p.background_fraction))
+            plane += w[i - 1]
+            np.greater(plane, _F(p.background_fraction), out=test)
+            test &= near[i]
+            foreground |= test
 
         if reseed is not None:
-            for i in range(k):
-                np.copyto(self._w[i], _F(1.0 if i == 0 else 0.0), where=reseed)
-                np.copyto(self._mu[i], x if i == 0 else _F(0.0), where=reseed)
-                np.copyto(self._var[i], _F(p.initial_variance), where=reseed)
+            np.copyto(w, _F(0.0), where=reseed)
+            np.copyto(w[0], _F(1.0), where=reseed)
+            np.copyto(mu, _F(0.0), where=reseed)
+            np.copyto(mu[0], x, where=reseed)
+            np.copyto(var, _F(p.initial_variance), where=reseed)
             foreground &= ~reseed
             self._never_observed &= ~reseed
-            self._has_never = bool(self._never_observed.any())
-        if skip is not None:
-            sw, smu, svar = saved
-            for i in range(k):
-                np.copyto(self._w[i], sw[i], where=skip)
-                np.copyto(self._mu[i], smu[i], where=skip)
-                np.copyto(self._var[i], svar[i], where=skip)
-            foreground &= ~skip
-        self._w, self._mu, self._var = w, mu, var
         return foreground
-
-
-def new_model(dims: tuple[int, int], params: GmmParams, first_frame: np.ndarray,
-              channel: str = DEPTH_CHANNEL) -> BackgroundModel:
-    """Create a model of the given grid size seeded from the first observation."""
-    if tuple(first_frame.shape) != tuple(dims):
-        raise ValueError(f"dimension mismatch: frame {first_frame.shape} vs dims {dims}")
-    return BackgroundModel(params, first_frame, channel)
 
 
 def _erode3(mask: np.ndarray) -> np.ndarray:

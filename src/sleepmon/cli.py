@@ -96,6 +96,11 @@ def cmd_report(args) -> int:
 
 
 def _match_spans(detected, truth, tolerance: int) -> tuple[int, int, int]:
+    """Greedily pair each detected span with the first unused overlapping one.
+
+    Greedy pairing can undercount a maximum matching: a detected span that
+    overlaps two truth spans may take the one a later detected span needed.
+    """
     matched = 0
     used = [False] * len(truth)
     for ev in detected:

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sleepmon.background import (DEPTH_PARAMS, LUMA_PARAMS, BackgroundModel, GmmParams,
-                                 dilate3, foreground_area, luma, morph_smooth, new_model,
-                                 open3)
+                                 dilate3, foreground_area, luma, morph_smooth, open3)
 
 _F = np.float32
 ALPHA = DEPTH_PARAMS.learning_rate
@@ -240,7 +239,7 @@ def _oracle_frames(rng, channel, shape, n, hole_p):
 class TestModelInit:
     def test_constant_frame_seeds_single_component(self):
         frame = np.full((5, 7), 1000.0, np.float32)
-        m = new_model((5, 7), DEPTH_PARAMS, frame)
+        m = BackgroundModel(DEPTH_PARAMS, frame, "depth")
         assert np.allclose(m.weights[:, :, 0], 1.0)
         assert np.allclose(m.weights[:, :, 1:], 0.0)
         assert np.allclose(m.means[:, :, 0], 1000.0)
@@ -268,10 +267,10 @@ class TestModelInit:
         assert not m.never_observed[2, 2]
         assert m.means[2, 2, 0] == 1500.0
 
-    def test_dims_mismatch(self):
-        frame = np.full((4, 4), 1.0, np.float32)
+    def test_update_rejects_frame_of_wrong_shape(self):
+        m = BackgroundModel(DEPTH_PARAMS, np.full((4, 4), 1.0, np.float32), "depth")
         with pytest.raises(ValueError, match="dimension mismatch"):
-            new_model((5, 5), DEPTH_PARAMS, frame)
+            m.update_and_classify(np.full((5, 5), 1.0, np.float32))
 
 
 class TestModelUpdate:
@@ -400,6 +399,13 @@ class TestLuma:
         frame = np.zeros((1, 1, 3), np.uint8)
         frame[0, 0] = (255, 0, 0)
         assert luma(frame)[0, 0] == np.rint(0.299 * 255)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2).map(lambda s: s + (3,))))
+    def test_equals_whole_frame_float64_cast(self, frame):
+        c = frame.astype(np.float64)
+        ref = np.rint(0.299 * c[..., 0] + 0.587 * c[..., 1] + 0.114 * c[..., 2]).astype(_F)
+        assert np.array_equal(_bits(luma(frame)), _bits(ref))
 
 
 class TestMorphSmooth:
