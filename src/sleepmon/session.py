@@ -26,11 +26,17 @@ frame slot has a complete audio chunk.
 
 Frame stores only need ``len()`` and integer indexing, so sessions may be
 backed by eager ndarrays, memory maps, or lazily generated frames; observable
-behavior is identical either way.
+behavior is identical either way.  ``load_session`` returns read-only frames:
+each is a view into a window of whole frames mapped from the stream file, so
+a loaded session holds about ``WINDOW_BYTES`` per stream in memory however
+long the recording is.  A frame the caller holds keeps its own window mapped,
+so later reads never overwrite it.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +48,8 @@ from .kvtext import read_pairs, write_pairs
 
 MANIFEST_NAME = "manifest.txt"
 DEPTH_MAX = 2047
+# Bytes of whole frames a loaded stream maps at a time (at least one frame).
+WINDOW_BYTES = 4 << 20
 
 _MANIFEST_KEYS = (
     "depth_width", "depth_height", "color_width", "color_height",
@@ -129,30 +137,51 @@ def sessions_equal(a: Session, b: Session) -> bool:
     return True
 
 
-def validate_session(session: Session) -> None:
-    """Check every type invariant; raises before any I/O happens on write."""
-    man = session.manifest
-    n = man.frame_count
-    if len(session.depth) != n or len(session.color) != n:
-        raise ManifestMismatchError(
-            f"manifest mismatch: stream holds {len(session.depth)} depth / "
-            f"{len(session.color)} color frames, manifest declares {n}")
-    audio = np.asarray(session.audio)
-    if audio.ndim != 1 or audio.dtype != np.int16:
-        raise ManifestMismatchError("manifest mismatch: audio must be 1-D int16")
-    if audio.size < man.min_audio_samples:
-        raise ManifestMismatchError(
-            f"manifest mismatch: audio holds {audio.size} samples, "
-            f"need at least {man.min_audio_samples}")
-    for i in range(n):
-        d = session.depth_frame(i)
-        if d.shape != (man.depth_height, man.depth_width):
-            raise ManifestMismatchError(f"manifest mismatch: depth frame {i} has shape {d.shape}")
-        if d.max(initial=0) > DEPTH_MAX:
-            raise InvalidDepthError(f"invalid depth sample in frame {i}: value > {DEPTH_MAX}")
-        c = session.color_frame(i)
-        if c.shape != (man.color_height, man.color_width, 3):
-            raise ManifestMismatchError(f"manifest mismatch: color frame {i} has shape {c.shape}")
+class _MappedFrames:
+    """Read-only frames of a raw stream, mapped one window of frames at a time.
+
+    Indexing returns a view into the window that holds the frame, and maps a
+    new window only when the index falls outside the current one.  A view
+    keeps its own window mapped, so no frame a caller holds is ever reused.
+    """
+
+    def __init__(self, path: Path, dtype: str, frame_shape: tuple[int, ...], count: int):
+        self._path = path
+        self._dtype = np.dtype(dtype)
+        self._frame_shape = frame_shape
+        self._count = count
+        self._frame_bytes = self._dtype.itemsize * math.prod(frame_shape)
+        self.window_frames = max(1, WINDOW_BYTES // self._frame_bytes)
+        # (first frame, frames) of the current window, replaced as one value
+        # so that a reader never pairs one window's start with another's frames.
+        self._window = (0, np.empty((0,) + frame_shape, self._dtype))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i) -> np.ndarray:
+        i = operator.index(i)
+        if i < 0:
+            i += self._count
+        if not 0 <= i < self._count:
+            raise IndexError(f"frame index out of range: {i}")
+        start, frames = self._window
+        if not start <= i < start + len(frames):
+            start = i - i % self.window_frames
+            frames = self._frames_at(start)
+            self._window = (start, frames)
+        return frames[i - start]
+
+    def _frames_at(self, start: int) -> np.ndarray:
+        """Map the window of frames that begins at frame ``start``.
+
+        The window is a plain ndarray view of the map, so arrays computed from
+        a frame are ndarrays too, not ``np.memmap`` instances.
+        """
+        count = min(self.window_frames, self._count - start)
+        return np.memmap(self._path, dtype=self._dtype, mode="r",
+                         offset=start * self._frame_bytes,
+                         shape=(count,) + self._frame_shape).view(np.ndarray)
 
 
 def crop_roi(frame: np.ndarray, roi: tuple[int, int, int, int]) -> np.ndarray:
@@ -206,27 +235,64 @@ def _manifest_from_pairs(pairs: list[tuple[str, str]]) -> SessionManifest:
 
 
 def write_session(session: Session, path: str | os.PathLike) -> None:
-    """Write manifest and streams; rejects invalid sessions before any I/O.
+    """Write manifest and streams, checking each frame as it is written.
 
-    Two writes of the same session produce byte-identical files.
+    An invalid session leaves no file behind: the streams are written to
+    ``<name>.partial`` files, renamed into place once every frame has passed,
+    and the manifest is written last.  Each frame is read once.  Two writes
+    of the same session produce byte-identical files.
     """
-    validate_session(session)
+    man = session.manifest
+    n = man.frame_count
+    if len(session.depth) != n or len(session.color) != n:
+        raise ManifestMismatchError(
+            f"manifest mismatch: stream holds {len(session.depth)} depth / "
+            f"{len(session.color)} color frames, manifest declares {n}")
+    audio = np.asarray(session.audio)
+    if audio.ndim != 1 or audio.dtype != np.int16:
+        raise ManifestMismatchError("manifest mismatch: audio must be 1-D int16")
+    if audio.size < man.min_audio_samples:
+        raise ManifestMismatchError(
+            f"manifest mismatch: audio holds {audio.size} samples, "
+            f"need at least {man.min_audio_samples}")
+
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    man = session.manifest
+    names = (man.depth_file, man.color_file, man.audio_file)
+    partials = [out / (name + ".partial") for name in names]
+    try:
+        with open(partials[0], "wb") as fd, open(partials[1], "wb") as fc:
+            for i in range(n):
+                d = session.depth_frame(i)
+                if d.shape != (man.depth_height, man.depth_width):
+                    raise ManifestMismatchError(
+                        f"manifest mismatch: depth frame {i} has shape {d.shape}")
+                if d.max(initial=0) > DEPTH_MAX:
+                    raise InvalidDepthError(
+                        f"invalid depth sample in frame {i}: value > {DEPTH_MAX}")
+                c = session.color_frame(i)
+                if c.shape != (man.color_height, man.color_width, 3):
+                    raise ManifestMismatchError(
+                        f"manifest mismatch: color frame {i} has shape {c.shape}")
+                fd.write(np.ascontiguousarray(d, dtype="<u2"))
+                fc.write(np.ascontiguousarray(c, dtype=np.uint8))
+        partials[2].write_bytes(np.ascontiguousarray(audio, dtype="<i2"))
+        for partial, name in zip(partials, names):
+            os.replace(partial, out / name)
+    except BaseException:
+        for partial in partials:
+            partial.unlink(missing_ok=True)
+        raise
     write_pairs(out / MANIFEST_NAME, _manifest_to_pairs(man))
-    with open(out / man.depth_file, "wb") as fh:
-        for i in range(man.frame_count):
-            fh.write(np.ascontiguousarray(session.depth_frame(i), dtype="<u2").tobytes())
-    with open(out / man.color_file, "wb") as fh:
-        for i in range(man.frame_count):
-            fh.write(np.ascontiguousarray(session.color_frame(i), dtype=np.uint8).tobytes())
-    with open(out / man.audio_file, "wb") as fh:
-        fh.write(np.ascontiguousarray(session.audio, dtype="<i2").tobytes())
 
 
 def load_session(path: str | os.PathLike) -> Session:
-    """Load a session directory, verifying sizes and the depth value range."""
+    """Load a session directory, verifying sizes and the depth value range.
+
+    The depth range is checked window by window over the whole stream here,
+    so a bad sample anywhere raises ``InvalidDepthError`` at load; frames are
+    then mapped on demand (see the module docstring).
+    """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -255,11 +321,12 @@ def load_session(path: str | os.PathLike) -> Session:
             f"manifest mismatch: audio file holds {audio_size // 2} samples, "
             f"need at least {man.min_audio_samples}")
 
-    depth = np.fromfile(paths["depth_file"], dtype="<u2").reshape(
-        n, man.depth_height, man.depth_width).astype(np.uint16, copy=False)
-    if depth.size and depth.max() > DEPTH_MAX:
-        raise InvalidDepthError(f"invalid depth sample: value > {DEPTH_MAX}")
-    color = np.fromfile(paths["color_file"], dtype=np.uint8).reshape(
-        n, man.color_height, man.color_width, 3)
+    depth = _MappedFrames(paths["depth_file"], "<u2", (man.depth_height, man.depth_width), n)
+    for start in range(0, n, depth.window_frames):
+        frames = depth._frames_at(start)
+        if frames.max() > DEPTH_MAX:
+            bad = start + int(np.argmax(frames.max(axis=(1, 2)) > DEPTH_MAX))
+            raise InvalidDepthError(f"invalid depth sample in frame {bad}: value > {DEPTH_MAX}")
+    color = _MappedFrames(paths["color_file"], "u1", (man.color_height, man.color_width, 3), n)
     audio = np.fromfile(paths["audio_file"], dtype="<i2").astype(np.int16, copy=False)
     return Session(manifest=man, depth=depth, color=color, audio=audio)

@@ -1,5 +1,9 @@
 """Session format: manifests, raw streams, round trips, and error paths."""
 
+import gc
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +11,54 @@ from hypothesis import strategies as st
 
 from sleepmon.errors import (CorruptSessionError, InvalidDepthError,
                              ManifestMismatchError, RoiBoundsError)
-from sleepmon.session import (MANIFEST_NAME, SessionManifest, crop_roi, load_session,
-                              sessions_equal, write_session)
+from sleepmon.session import (DEPTH_MAX, MANIFEST_NAME, WINDOW_BYTES, Session,
+                              SessionManifest, crop_roi, load_session, sessions_equal,
+                              write_session)
 
 from conftest import build_session
+
+
+class GeneratedFrames:
+    """Frame store that builds frame ``i`` from ``i`` and counts reads per index."""
+
+    def __init__(self, count, shape, dtype):
+        self.count, self.shape, self.dtype = count, shape, np.dtype(dtype)
+        self.reads = [0] * count
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, i):
+        self.reads[i] += 1
+        return self.frame(i)
+
+    def frame(self, i):
+        top = 2048 if self.dtype == np.uint16 else 256
+        return ((np.arange(np.prod(self.shape)) + 7 * i) % top).astype(self.dtype).reshape(
+            self.shape)
+
+
+def generated_session(frame_count, width=320, height=240):
+    man = SessionManifest(depth_width=width, depth_height=height, color_width=width,
+                          color_height=height, frame_count=frame_count, roi=(0, 0, 4, 4))
+    return Session(manifest=man,
+                   depth=GeneratedFrames(frame_count, (height, width), np.uint16),
+                   color=GeneratedFrames(frame_count, (height, width, 3), np.uint8),
+                   audio=np.zeros(man.min_audio_samples, np.int16))
+
+
+def several_windows_session():
+    """A session whose depth and color streams each span five or more windows."""
+    depth_frame_bytes = 240 * 320 * 2
+    return generated_session(5 * (WINDOW_BYTES // depth_frame_bytes) + 3)
+
+
+@pytest.fixture(scope="module")
+def long_session(tmp_path_factory):
+    out = tmp_path_factory.mktemp("long")
+    s = several_windows_session()
+    write_session(s, out)
+    return s, out
 
 
 class TestManifest:
@@ -107,6 +155,51 @@ class TestLoadErrors:
             load_session(tmp_path)
 
 
+class TestMappedLoad:
+    def test_reading_every_frame_stays_far_below_stream_size(self, long_session):
+        s, out = long_session
+        stream_bytes = sum(os.path.getsize(out / name) for name in ("depth.raw", "color.raw"))
+        tracemalloc.start()
+        try:
+            loaded = load_session(out)
+            corners = [(int(loaded.depth_frame(i)[-1, -1]),
+                        int(loaded.color_frame(i)[-1, -1, -1])) for i in range(len(loaded.depth))]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stream_bytes / 20
+        assert corners == [(int(s.depth.frame(i)[-1, -1]), int(s.color.frame(i)[-1, -1, -1]))
+                           for i in range(len(s.depth))]
+
+    def test_out_of_range_depth_in_last_frame_rejected_at_load(self, tmp_path):
+        s = several_windows_session()
+        write_session(s, tmp_path)
+        with open(tmp_path / "depth.raw", "r+b") as fh:
+            fh.seek(-2, os.SEEK_END)
+            fh.write((2048).to_bytes(2, "little"))
+        with pytest.raises(InvalidDepthError,
+                           match=f"invalid depth sample in frame {len(s.depth) - 1}"):
+            load_session(tmp_path)
+
+    def test_loaded_frames_are_read_only(self, long_session):
+        loaded = load_session(long_session[1])
+        for frame in (loaded.depth_frame(0), loaded.color_frame(len(loaded.color) - 1)):
+            assert not frame.flags.writeable
+            with pytest.raises(ValueError):
+                frame[0, 0] = 1
+
+    def test_frame_held_across_window_change_keeps_values(self, long_session):
+        s, out = long_session
+        loaded = load_session(out)
+        held_depth, held_color = loaded.depth_frame(0), loaded.color_frame(0)
+        for i in range(1, len(loaded.depth)):
+            loaded.depth_frame(i), loaded.color_frame(i)
+        gc.collect()
+        assert np.array_equal(held_depth, s.depth.frame(0))
+        assert np.array_equal(held_color, s.color.frame(0))
+        assert sessions_equal(s, loaded)
+
+
 class TestWriteValidation:
     def test_depth_over_range_rejected_before_io(self, tmp_path):
         s = build_session()
@@ -121,6 +214,38 @@ class TestWriteValidation:
         s.depth = s.depth[:2]
         with pytest.raises(ManifestMismatchError, match="manifest mismatch"):
             write_session(s, tmp_path / "bad")
+
+    @pytest.mark.parametrize("defect", ["frame_count", "audio_dtype", "audio_length"])
+    def test_cheap_checks_run_before_any_file_is_created(self, tmp_path, defect):
+        s = build_session(frame_count=3)
+        if defect == "frame_count":
+            s.color = s.color[:2]
+        elif defect == "audio_dtype":
+            s.audio = s.audio.astype(np.int32)
+        else:
+            s.audio = s.audio[:-1]
+        with pytest.raises(ManifestMismatchError, match="manifest mismatch"):
+            write_session(s, tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("defect, error", [("depth_range", InvalidDepthError),
+                                               ("color_shape", ManifestMismatchError)])
+    def test_invalid_last_frame_leaves_no_file(self, tmp_path, defect, error):
+        s = build_session(frame_count=3)
+        if defect == "depth_range":
+            s.depth[-1, 0, 0] = DEPTH_MAX + 1
+        else:
+            s.color = list(s.color)
+            s.color[-1] = s.color[-1][:, :-1]
+        out = tmp_path / "bad"
+        with pytest.raises(error, match="frame 2"):
+            write_session(s, out)
+        assert not list(out.glob("*"))
+
+    def test_each_frame_is_read_once(self, tmp_path):
+        s = generated_session(5, width=8, height=6)
+        write_session(s, tmp_path)
+        assert s.depth.reads == [1] * 5 and s.color.reads == [1] * 5
 
 
 class TestCropRoi:
