@@ -1,18 +1,22 @@
-"""Golden outputs: sha256 pins of the detection and report artifacts.
+"""Golden outputs: sha256 pins of the synthesized streams and the artifacts.
 
 Criterion 8 checks determinism within one run; these pins hold the bytes of
 ``events.log``, ``scores.csv``, ``epochs.csv`` and ``report.txt`` fixed
-across commits.  A change that alters any of them changes behaviour and must
-say so; it is not fixed by re-pinning.
+across commits, and the bytes of the ``depth.raw``, ``color.raw`` and
+``audio.raw`` streams the synthesizer writes for three small scenarios.  A
+change that alters any of them changes behaviour and must say so; it is not
+fixed by re-pinning.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sleepmon import synth
 from sleepmon.cli import main
+from sleepmon.session import write_session
 
 ARTIFACTS = ("events.log", "scores.csv", "epochs.csv", "report.txt")
 
@@ -80,3 +84,60 @@ def test_artifact_hashes(tmp_path, case, build):
     got = {name: hashlib.sha256((det / name).read_bytes()).hexdigest()
            for name in ARTIFACTS}
     assert got == GOLDEN[case]
+
+
+STREAMS = ("depth.raw", "color.raw", "audio.raw")
+
+T = synth.TimelineItem
+# Every item kind, incl. an absence with a light on/off inside it.
+EVERY_KIND = synth.Scenario(duration=40, seed=77, timeline=(
+    T(0, 12, synth.CALM, 0.0), T(12, 14, synth.TINY_TWITCH, 0.3),
+    T(15, 17, synth.LIMB_MOVE, 0.6), T(18, 20, synth.FULL_TURN, 0.9),
+    T(21, 23, synth.LEAVE_BED, 1.0), T(25, 26, synth.LIGHT_ON, 0.5),
+    T(29, 30, synth.LIGHT_OFF, 0.5), T(35, 37, synth.RETURN_BED, 1.0),
+    T(38, 40, synth.TALK, 0.4)))
+
+STREAM_SCENARIOS = {
+    "every_kind": EVERY_KIND,
+    "off_centre": synth.Scenario(
+        duration=15, seed=2 ** 63 + 5, frame_width=72, frame_height=40,
+        roi=(37, 3, 27, 34), video_rate=12,
+        timeline=(T(12, 15, synth.FULL_TURN, 0.25),)),
+    "noiseless": replace(EVERY_KIND, depth_noise=0.0, luma_noise=0.0),
+}
+
+STREAM_GOLDEN = {
+    "every_kind": {
+        "depth.raw":
+            "9c77df6c4cb1920a3228db56554dee2e00986dd8d8653344424ebff91c310265",
+        "color.raw":
+            "fbe31e5d353b13ca0c5143d2f980acf9f340ad7b496e9b9d59faec8651b202c8",
+        "audio.raw":
+            "340b8673cb262ffc83e9a4a5ff4c56be9642fd77022b2c02be61fcef5f797912",
+    },
+    "off_centre": {
+        "depth.raw":
+            "e69f81b99d5289c1f7be349da1fd08ecdc58b7e1225035d06f2a5c7c8c8d05b1",
+        "color.raw":
+            "3e746385e7fd05e099e36c818ada8f108f6d40a8c9fb3000b948786fdd9d0dca",
+        "audio.raw":
+            "3a10939927428cf32fb09c608ee56362cedf155a1c7b06204ff28d19d0a1e73d",
+    },
+    "noiseless": {
+        "depth.raw":
+            "0f59ac1be5515f8c2230e5b74acd5c1375cd228303d5f7d4bcb9da5ff9f7cfaf",
+        "color.raw":
+            "e3d1de5ba8e90e18ac78c8450b4daf5c6efc549c97cff6f87af31bfbf93baeb0",
+        "audio.raw":
+            "340b8673cb262ffc83e9a4a5ff4c56be9642fd77022b2c02be61fcef5f797912",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_SCENARIOS))
+def test_stream_hashes(tmp_path, case):
+    session, _ = synth.generate(STREAM_SCENARIOS[case])
+    write_session(session, tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in STREAMS}
+    assert got == STREAM_GOLDEN[case]
