@@ -267,12 +267,12 @@ def _dilate3(mask: np.ndarray) -> np.ndarray:
     return rows[:, :-2] | rows[:, 1:-1] | rows[:, 2:]
 
 
-def open3(mask: np.ndarray) -> np.ndarray:
+def _open3(mask: np.ndarray) -> np.ndarray:
     """Binary opening with a 3x3 square element; out-of-grid is background."""
     return _dilate3(_erode3(mask))
 
 
-def close3(mask: np.ndarray) -> np.ndarray:
+def _close3(mask: np.ndarray) -> np.ndarray:
     """Binary closing with a 3x3 square element; out-of-grid is background."""
     return _erode3(_dilate3(mask))
 
@@ -284,12 +284,7 @@ def morph_smooth(mask: np.ndarray) -> np.ndarray:
     a 3x3 block) intact; never creates foreground in a neighborhood that was
     entirely background.
     """
-    return close3(open3(np.asarray(mask, bool)))
-
-
-def dilate3(mask: np.ndarray) -> np.ndarray:
-    """Binary dilation with a 3x3 square element (exposed for diagnostics)."""
-    return _dilate3(np.asarray(mask, bool))
+    return _close3(_open3(np.asarray(mask, bool)))
 
 
 def foreground_area(mask: np.ndarray) -> int:

@@ -35,12 +35,17 @@ detector and classification thresholds; the validator rejects timelines the
 default pipeline could not reproduce faithfully (items inside the warm-up
 interval, absences too short to classify, and so on).
 
-Frame stores are lazy (built one second at a time), so hour-long desk-scale
-sessions stay small in memory.
+Frame stores are lazy: a second of frames is built when one of its frames is
+read, and each second is drawn frame by frame into one float64 scratch plane
+per channel, then rounded and cast into that second's fresh output array.  A
+store's memory is the two cached seconds of output (plus one frame of
+scratch), not whole-second float64 temporaries, so hour-long sessions and
+640x480 frames stay small in memory.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -250,7 +255,14 @@ def validate_scenario(scenario: Scenario) -> None:
 
 
 class _LazyFrames:
-    """Frame store computing one second of frames at a time (LRU of 2)."""
+    """Frame store computing one second of frames at a time.
+
+    It caches the two seconds built last; building a third evicts the one
+    built first (FIFO, not LRU).  Every build returns a fresh array, and each
+    frame is a view into it, so a frame a caller holds never changes.  Indexing
+    accepts what ``operator.index`` does, negatives counting from the end, like
+    the frames of a loaded session.
+    """
 
     def __init__(self, n_frames: int, fps: int, build_second):
         self._n = n_frames
@@ -261,9 +273,12 @@ class _LazyFrames:
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, i: int) -> np.ndarray:
+    def __getitem__(self, i) -> np.ndarray:
+        i = operator.index(i)
+        if i < 0:
+            i += self._n
         if not 0 <= i < self._n:
-            raise IndexError(i)
+            raise IndexError(f"frame index out of range: {i}")
         sec = i // self._fps
         if sec not in self._cache:
             if len(self._cache) >= 2:
@@ -377,46 +392,65 @@ def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
             body_present[absence_from:item.start] = False
             absence_from = None
 
+    # The depth scene while the body is in bed; without it, the bed is flat.
+    body_plane = np.full((fh, fw), float(BED_DEPTH))
+    t, l, bh, bw = body
+    body_plane[t:t + bh, l:l + bw] = BODY_DEPTH
+
     def disturbance(sec: int):
-        """(rect, active flags, chaos values) for the depth item this second."""
+        """(rect, per-frame chaos depth or None) for the depth item this second."""
         entry = depth_item[sec]
         if entry is None:
-            return None, None, None
+            return None, [None] * fps
         idx, item = entry
-        rect = _blob_rect(item.kind, item.magnitude, roi, idx)
-        locals_ = fps * sec + np.arange(fps) - fps * item.start
-        active = np.array([_chaos_active(item.kind, lf) for lf in locals_])
-        values = np.array([_chaos_value(lf) for lf in locals_])
-        return rect, active, values
+        first = fps * (sec - item.start)
+        return (_blob_rect(item.kind, item.magnitude, roi, idx),
+                [_chaos_value(lf) if _chaos_active(item.kind, lf) else None
+                 for lf in range(first, first + fps)])
+
+    def draw_frame(z, rng, sigma, base, rect, value):
+        """Next noisy frame of ``rng``'s stream, rounded, in place in ``z``.
+
+        The scene is ``base`` with ``value`` (unless None) in ``rect``.  Bit-equal
+        to the rounded sum of the scene and this frame's share of
+        ``rng.normal(0, sigma, (fps, fh, fw))``: that draws ``0 + sigma * z`` in
+        the same order, and the sign of a zero it may differ in is lost when the
+        positive scene is added.
+        """
+        rng.standard_normal(out=z)
+        z *= sigma
+        if value is not None:
+            t, l, h, w = rect
+            patch = z[t:t + h, l:l + w] + value
+        z += base
+        if value is not None:
+            z[t:t + h, l:l + w] = patch
+        return np.rint(z, out=z)
 
     def build_depth(sec: int) -> np.ndarray:
-        base = np.full((fh, fw), float(BED_DEPTH))
-        if body_present[sec]:
-            t, l, bh, bw = body
-            base[t:t + bh, l:l + bw] = BODY_DEPTH
-        frames = np.repeat(base[None, :, :], fps, axis=0)
-        rect, active, values = disturbance(sec)
-        if rect is not None:
-            t, l, bh, bw = rect
-            for j in range(fps):
-                if active[j]:
-                    frames[j, t:t + bh, l:l + bw] = values[j]
-        noise = np.random.default_rng([scenario.seed, 0, sec]).normal(
-            0.0, scenario.depth_noise, (fps, fh, fw))
-        return np.clip(np.rint(frames + noise), 0, 2047).astype(np.uint16)
+        rng = np.random.default_rng([scenario.seed, 0, sec])
+        base = body_plane if body_present[sec] else float(BED_DEPTH)
+        rect, values = disturbance(sec)
+        z = np.empty((fh, fw))
+        frames = np.empty((fps, fh, fw), np.uint16)
+        for j in range(fps):
+            draw_frame(z, rng, scenario.depth_noise, base, rect, values[j])
+            frames[j] = np.clip(z, 0, 2047, out=z)
+        return frames
 
     def build_color(sec: int) -> np.ndarray:
-        frames = np.full((fps, fh, fw), light_level[sec])
-        rect, active, _ = disturbance(sec)
-        if rect is not None:
-            t, l, bh, bw = rect
-            for j in range(fps):
-                if active[j]:
-                    frames[j, t:t + bh, l:l + bw] += BLOB_LUMA_OFFSET
-        noise = np.random.default_rng([scenario.seed, 1, sec]).normal(
-            0.0, scenario.luma_noise, (fps, fh, fw))
-        gray = np.clip(np.rint(frames + noise), 0, 255).astype(np.uint8)
-        return np.repeat(gray[:, :, :, None], 3, axis=3)
+        rng = np.random.default_rng([scenario.seed, 1, sec])
+        level = light_level[sec]
+        rect, values = disturbance(sec)
+        z = np.empty((fh, fw))
+        frames = np.empty((fps, fh, fw, 3), np.uint8)
+        for j in range(fps):
+            blob = None if values[j] is None else level + BLOB_LUMA_OFFSET
+            draw_frame(z, rng, scenario.luma_noise, level, rect, blob)
+            np.clip(z, 0, 255, out=z)
+            for c in range(3):
+                frames[j, :, :, c] = z
+        return frames
 
     ar = scenario.audio_rate
     square = np.tile(np.concatenate([np.ones(20), -np.ones(20)]), ar // 40)

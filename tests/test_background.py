@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sleepmon.background import (DEPTH_PARAMS, LUMA_PARAMS, BackgroundModel, GmmParams,
-                                 dilate3, foreground_area, luma, morph_smooth, open3)
+                                 _dilate3, _open3, foreground_area, luma, morph_smooth)
 
 _F = np.float32
 ALPHA = DEPTH_PARAMS.learning_rate
@@ -431,13 +431,13 @@ class TestMorphSmooth:
     @settings(max_examples=100, deadline=None)
     @given(masks_8x8)
     def test_opening_is_idempotent(self, mask):
-        once = open3(mask)
-        assert np.array_equal(open3(once), once)
+        once = _open3(mask)
+        assert np.array_equal(_open3(once), once)
 
     @settings(max_examples=100, deadline=None)
     @given(masks_8x8)
     def test_smoothed_area_bounded_by_dilation(self, mask):
-        assert foreground_area(morph_smooth(mask)) <= foreground_area(dilate3(mask))
+        assert foreground_area(morph_smooth(mask)) <= foreground_area(_dilate3(mask))
 
     @settings(max_examples=100, deadline=None)
     @given(masks_8x8)

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sleepmon import events
 from sleepmon.analysis import EpochClass
-from sleepmon.session import sessions_equal
-from sleepmon.synth import (CALM, FULL_TURN, LEAVE_BED, LIGHT_OFF, LIGHT_ON, LIMB_MOVE,
+from sleepmon.session import load_session, sessions_equal, write_session
+from sleepmon.synth import (AMBIENT_LUMA, BED_DEPTH, BLOB_LUMA_OFFSET, BODY_DEPTH, CALM,
+                            FULL_TURN, LEAVE_BED, LIGHT_OFF, LIGHT_ON, LIGHT_STEP, LIMB_MOVE,
                             PRESETS, RETURN_BED, TALK, TINY_TWITCH, Scenario, TimelineItem,
+                            _blob_rect, _body_rect, _chaos_active, _chaos_value, _DEPTH_KINDS,
                             generate, preset, read_scenario, validate_scenario, with_seed,
                             write_scenario)
 
@@ -241,3 +245,168 @@ class TestScenarioFile:
         path.write_text("duration=10\n")
         with pytest.raises(ValueError, match="missing keys"):
             read_scenario(path)
+
+
+class SeedSynth:
+    """The whole-second float64 depth and color builders the per-frame ones
+    replaced, kept verbatim (with the per-second setup of ``generate``) as the
+    oracle."""
+
+    def __init__(self, scenario):
+        self.scenario = scenario
+        dur = scenario.duration
+        self.fps = scenario.video_rate
+        self.fh, self.fw = scenario.frame_height, scenario.frame_width
+        self.roi = tuple(scenario.roi)
+        self.body = _body_rect(self.roi)
+        self.depth_item = [None] * dur
+        self.light_level = np.full(dur, AMBIENT_LUMA, np.float64)
+        level = AMBIENT_LUMA
+        for idx, item in enumerate(scenario.timeline):
+            if item.kind in _DEPTH_KINDS and item.kind != CALM:
+                for s in range(item.start, item.end):
+                    self.depth_item[s] = (idx, item)
+            elif item.kind == LIGHT_ON:
+                level += LIGHT_STEP
+                self.light_level[item.start:] = level
+            elif item.kind == LIGHT_OFF:
+                level -= LIGHT_STEP
+                self.light_level[item.start:] = level
+        self.body_present = np.ones(dur, bool)
+        absence_from = None
+        for item in scenario.timeline:
+            if item.kind == LEAVE_BED:
+                absence_from = item.start
+            elif item.kind == RETURN_BED:
+                self.body_present[absence_from:item.start] = False
+                absence_from = None
+
+    def disturbance(self, sec: int):
+        """(rect, active flags, chaos values) for the depth item this second."""
+        fps, roi = self.fps, self.roi
+        entry = self.depth_item[sec]
+        if entry is None:
+            return None, None, None
+        idx, item = entry
+        rect = _blob_rect(item.kind, item.magnitude, roi, idx)
+        locals_ = fps * sec + np.arange(fps) - fps * item.start
+        active = np.array([_chaos_active(item.kind, lf) for lf in locals_])
+        values = np.array([_chaos_value(lf) for lf in locals_])
+        return rect, active, values
+
+    def build_depth(self, sec: int) -> np.ndarray:
+        scenario, fps, fh, fw, body = self.scenario, self.fps, self.fh, self.fw, self.body
+        base = np.full((fh, fw), float(BED_DEPTH))
+        if self.body_present[sec]:
+            t, l, bh, bw = body
+            base[t:t + bh, l:l + bw] = BODY_DEPTH
+        frames = np.repeat(base[None, :, :], fps, axis=0)
+        rect, active, values = self.disturbance(sec)
+        if rect is not None:
+            t, l, bh, bw = rect
+            for j in range(fps):
+                if active[j]:
+                    frames[j, t:t + bh, l:l + bw] = values[j]
+        noise = np.random.default_rng([scenario.seed, 0, sec]).normal(
+            0.0, scenario.depth_noise, (fps, fh, fw))
+        return np.clip(np.rint(frames + noise), 0, 2047).astype(np.uint16)
+
+    def build_color(self, sec: int) -> np.ndarray:
+        scenario, fps, fh, fw = self.scenario, self.fps, self.fh, self.fw
+        frames = np.full((fps, fh, fw), self.light_level[sec])
+        rect, active, _ = self.disturbance(sec)
+        if rect is not None:
+            t, l, bh, bw = rect
+            for j in range(fps):
+                if active[j]:
+                    frames[j, t:t + bh, l:l + bw] += BLOB_LUMA_OFFSET
+        noise = np.random.default_rng([scenario.seed, 1, sec]).normal(
+            0.0, scenario.luma_noise, (fps, fh, fw))
+        gray = np.clip(np.rint(frames + noise), 0, 255).astype(np.uint8)
+        return np.repeat(gray[:, :, :, None], 3, axis=3)
+
+
+# Every item kind; a movement, a light on and talk start together just after
+# the return, so a disturbance also meets the body plane and a lit scene.
+ORACLE_TIMELINE = (
+    TimelineItem(0, 12, CALM, 0.0), TimelineItem(12, 13, TINY_TWITCH, 0.2),
+    TimelineItem(13, 14, LIMB_MOVE, 0.7), TimelineItem(14, 15, FULL_TURN, 1.0),
+    TimelineItem(15, 17, LEAVE_BED, 1.0), TimelineItem(17, 18, LIGHT_ON, 0.5),
+    TimelineItem(21, 22, LIGHT_OFF, 0.5), TimelineItem(29, 31, RETURN_BED, 1.0),
+    TimelineItem(31, 33, LIMB_MOVE, 0.4), TimelineItem(31, 32, LIGHT_ON, 0.5),
+    TimelineItem(31, 32, TALK, 0.5))
+
+
+@st.composite
+def oracle_scenarios(draw):
+    fw, fh = draw(st.integers(16, 40)), draw(st.integers(16, 40))
+    w, h = draw(st.integers(16, fw)), draw(st.integers(16, fh))
+    noise = st.sampled_from([0.0, 0.5, 2.0, 37.5])
+    return Scenario(duration=33, seed=draw(st.integers(0, 2 ** 64 - 1)),
+                    timeline=ORACLE_TIMELINE, depth_noise=draw(noise),
+                    luma_noise=draw(noise), frame_width=fw, frame_height=fh,
+                    roi=(draw(st.integers(0, fw - w)), draw(st.integers(0, fh - h)), w, h),
+                    video_rate=draw(st.sampled_from([1, 7, 30])))
+
+
+class TestPerFrameSynthOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(oracle_scenarios())
+    def test_every_frame_bit_equal_to_seed_synth(self, sc):
+        session, _ = generate(sc)
+        ref = SeedSynth(sc)
+        fps = sc.video_rate
+        for sec in range(sc.duration):
+            depth, color = ref.build_depth(sec), ref.build_color(sec)
+            for j in range(fps):
+                d, c = session.depth[sec * fps + j], session.color[sec * fps + j]
+                assert d.dtype == np.uint16 and c.dtype == np.uint8
+                assert np.array_equal(d, depth[j]), (sec, j)
+                assert np.array_equal(c, color[j]), (sec, j)
+
+
+def _short_session():
+    return generate(Scenario(duration=4, seed=11, frame_width=20, frame_height=18,
+                             roi=(2, 1, 16, 16), video_rate=5))[0]
+
+
+class TestGeneratedFrameStore:
+    def test_indices_agree_with_loaded_store(self, tmp_path):
+        gen = _short_session()
+        write_session(gen, tmp_path / "s")
+        loaded = load_session(tmp_path / "s")
+        n = gen.manifest.frame_count
+        for name in ("depth", "color"):
+            g, m = getattr(gen, name), getattr(loaded, name)
+            for i in range(-n, n):
+                assert np.array_equal(g[i], m[i]), (name, i)
+            assert np.array_equal(g[np.int64(-1)], m[n - 1])
+            for store in (g, m):
+                for bad in (-n - 1, n):
+                    with pytest.raises(IndexError):
+                        store[bad]
+                with pytest.raises(TypeError):
+                    store[1.0]
+
+    def test_held_frames_survive_later_seconds(self):
+        gen = _short_session()
+        fps = gen.manifest.video_rate
+        depth, color = gen.depth[fps + 2], gen.color[fps + 2]
+        want = depth.copy(), color.copy()
+        for sec in (2, 3):
+            gen.depth[sec * fps]
+            gen.color[sec * fps]
+        assert np.array_equal(depth, want[0])
+        assert np.array_equal(color, want[1])
+
+    @pytest.mark.parametrize("order", ["backwards", "shuffled"])
+    def test_read_order_does_not_change_bytes(self, order):
+        n = _short_session().manifest.frame_count
+        idx = list(range(n))[::-1] if order == "backwards" else \
+            list(np.random.default_rng(3).permutation(n))
+        in_order, other = _short_session(), _short_session()
+        for name in ("depth", "color"):
+            want = [getattr(in_order, name)[i].copy() for i in range(n)]
+            got = {int(i): getattr(other, name)[i].copy() for i in idx}
+            for i in range(n):
+                assert np.array_equal(got[i], want[i]), (name, i)
