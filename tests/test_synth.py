@@ -401,10 +401,10 @@ class TestGeneratedFrameStore:
 
     @pytest.mark.parametrize("order", ["backwards", "shuffled"])
     def test_read_order_does_not_change_bytes(self, order):
-        n = _short_session().manifest.frame_count
-        idx = list(range(n))[::-1] if order == "backwards" else \
-            list(np.random.default_rng(3).permutation(n))
         in_order, other = _short_session(), _short_session()
+        n = in_order.manifest.frame_count
+        idx = (range(n - 1, -1, -1) if order == "backwards"
+               else np.random.default_rng(3).permutation(n))
         for name in ("depth", "color"):
             want = [getattr(in_order, name)[i].copy() for i in range(n)]
             got = {int(i): getattr(other, name)[i].copy() for i in idx}
