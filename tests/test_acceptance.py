@@ -6,12 +6,13 @@ module-scoped fixtures.
 """
 
 import filecmp
+import hashlib
 import time
 
 import numpy as np
 import pytest
 
-from sleepmon import actigraphy, analysis, events, synth
+from sleepmon import actigraphy, analysis, events, scoring, synth
 from sleepmon.cli import main
 
 from test_events import detect_ref
@@ -32,6 +33,28 @@ def _analyze(name):
     comparison = actigraphy.compare_efficiencies(report.efficiency, cole, sadeh)
     return {"truth": truth, "result": result, "classes": classes,
             "report": report, "comparison": comparison}
+
+
+# sha256 of the formatted detect artifacts of the two long presets, pinned
+# like tests/test_golden.py: a change that moves them changes behaviour.
+LONG_PRESET_GOLDEN = {
+    "trouble_sleeping": {
+        "events.log":
+            "f5c2c49035f0c3799c3c70bb1f4e4cdf11fec971c394ab1c7871be36ec535d9a",
+        "scores.csv":
+            "b62dd075ce68eafadd5e893bda805d8594efec8698d58ae4bfe54d68bd5ed4d0",
+        "epochs.csv":
+            "b05a3940d825c4f53ffa6524e900abf6b4d85af3dcc094308ca9da1b456e6b03",
+    },
+    "successful_sleeping": {
+        "events.log":
+            "a6d9857b91824f2c6aa50159a4daef57dcb833c0490f0ee7f423cfce4b2adec3",
+        "scores.csv":
+            "77162fa82bb1623bd2e0b6cb036b2e391227d930af1ab6558fe392da08218c1f",
+        "epochs.csv":
+            "8a41f652ba1a2e03116bbe037b344d24e1b7fc01066a171143b27c52f587d074",
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +85,22 @@ def test_criterion_1_posture_change_protocol(tmp_path):
     assert elapsed < 60.0
     print(f"\nACCEPTANCE 1 PASS: posture test -> 4 motion events, 0 light, 0 noise, "
           f"detect ran in {elapsed:.1f}s (< 60s)")
+
+
+def test_long_preset_artifact_hashes(trouble_run, successful_run):
+    """The hour-long runs' events.log, scores.csv and epochs.csv hold their bytes."""
+    for name, run in (("trouble_sleeping", trouble_run),
+                      ("successful_sleeping", successful_run)):
+        result = run["result"]
+        texts = {
+            "events.log": events.format_event_log(result.events),
+            "scores.csv": scoring.format_scores_csv(
+                result.scores[scoring.DEPTH], result.scores[scoring.COLOR],
+                result.scores[scoring.AUDIO]),
+            "epochs.csv": events.format_epochs_csv(result.epochs),
+        }
+        got = {k: hashlib.sha256(t.encode()).hexdigest() for k, t in texts.items()}
+        assert got == LONG_PRESET_GOLDEN[name], name
 
 
 def test_criterion_2_sleep_efficiency_identity(trouble_run, successful_run):
