@@ -20,10 +20,15 @@ Depth pixels holding 0 mean "no reading" from the sensor: they are classified
 background and leave the model untouched.  A pixel whose very first
 observation is 0 is flagged never-observed and is re-seeded from its first
 valid reading instead of treating that reading as foreground.
+
+Masks are smoothed as one Python-integer bitset with a zero guard bit after
+each row: shifts bring in zeros at the guard and past the first and last rows,
+and dilations are masked to the grid, so out-of-grid pixels stay background.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,7 +233,7 @@ class BackgroundModel:
             order = np.argsort(-t.reshape(k, -1)[:, moved], axis=0, kind="stable")
             for a in (w, mu, var, near):
                 flat = a.reshape(k, -1)
-                flat[:, moved] = np.take_along_axis(flat[:, moved], order, axis=0)
+                flat[:, moved] = flat[order, moved]
 
         # Background iff the weight of the components ranked above the
         # matched one does not exceed the fraction threshold.
@@ -251,40 +256,35 @@ class BackgroundModel:
         return foreground
 
 
-def _erode3(mask: np.ndarray) -> np.ndarray:
-    h, w = mask.shape
-    p = np.zeros((h + 2, w + 2), bool)
-    p[1:-1, 1:-1] = mask
-    rows = p[:-2] & p[1:-1] & p[2:]
-    return rows[:, :-2] & rows[:, 1:-1] & rows[:, 2:]
-
-
-def _dilate3(mask: np.ndarray) -> np.ndarray:
-    h, w = mask.shape
-    p = np.zeros((h + 2, w + 2), bool)
-    p[1:-1, 1:-1] = mask
-    rows = p[:-2] | p[1:-1] | p[2:]
-    return rows[:, :-2] | rows[:, 1:-1] | rows[:, 2:]
-
-
-def _open3(mask: np.ndarray) -> np.ndarray:
-    """Binary opening with a 3x3 square element; out-of-grid is background."""
-    return _dilate3(_erode3(mask))
-
-
-def _close3(mask: np.ndarray) -> np.ndarray:
-    """Binary closing with a 3x3 square element; out-of-grid is background."""
-    return _erode3(_dilate3(mask))
+@functools.lru_cache(maxsize=16)
+def _grid(h: int, w: int) -> int:
+    """Bitset of the in-grid pixels of an (h, w) mask packed at row stride w + 1."""
+    return ((1 << w) - 1) * ((1 << (w + 1) * h) - 1) // ((1 << w + 1) - 1)
 
 
 def morph_smooth(mask: np.ndarray) -> np.ndarray:
-    """Opening then closing with a 3x3 square element.
+    """Opening then closing with a 3x3 square element; out-of-grid is background.
 
     Removes isolated speckle while leaving solid regions (anything containing
     a 3x3 block) intact; never creates foreground in a neighborhood that was
     entirely background.
     """
-    return _close3(_open3(np.asarray(mask, bool)))
+    h, w = np.shape(mask)
+    s = w + 1
+    padded = np.zeros((h, s), bool)
+    padded[:, :w] = mask
+    x = int.from_bytes(np.packbits(padded, bitorder="little").tobytes(), "little")
+    grid = _grid(h, w)
+    x &= (x << 1) & (x >> 1)
+    x &= (x << s) & (x >> s)
+    for _ in range(2):
+        x |= x << 1 | x >> 1  # strays in the guard column stay there until & grid
+        x = (x | x << s | x >> s) & grid
+    x &= (x << 1) & (x >> 1)
+    x &= (x << s) & (x >> s)
+    bits = np.unpackbits(np.frombuffer(x.to_bytes((h * s + 7) // 8, "little"), np.uint8),
+                         count=h * s, bitorder="little")
+    return bits.reshape(h, s)[:, :w].astype(bool)
 
 
 def foreground_area(mask: np.ndarray) -> int:

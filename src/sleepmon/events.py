@@ -31,7 +31,6 @@ NOISE = "noise"
 EVENT_CHANNELS = (MOTION, LIGHT, NOISE)
 
 SCORE_TO_EVENT = {DEPTH: MOTION, COLOR: LIGHT, AUDIO: NOISE}
-EVENT_TO_SCORE = {v: k for k, v in SCORE_TO_EVENT.items()}
 
 CLIP_MARGIN_SECONDS = 1
 

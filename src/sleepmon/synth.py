@@ -45,6 +45,7 @@ scratch), not whole-second float64 temporaries, so hour-long sessions and
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, replace
 
@@ -183,8 +184,8 @@ def validate_scenario(scenario: Scenario) -> None:
     if not (0 <= scenario.seed < 2 ** 64):
         raise ValueError("seed must be an unsigned 64-bit integer")
     for noise in (scenario.depth_noise, scenario.luma_noise, scenario.audio_noise):
-        if noise < 0:
-            raise ValueError("noise levels must be >= 0")
+        if not (math.isfinite(noise) and noise >= 0):
+            raise ValueError("noise levels must be finite and >= 0")
     SessionManifest(depth_width=scenario.frame_width, depth_height=scenario.frame_height,
                     color_width=scenario.frame_width, color_height=scenario.frame_height,
                     video_rate=scenario.video_rate, audio_rate=scenario.audio_rate,

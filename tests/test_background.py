@@ -5,12 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sleepmon.background import (DEPTH_PARAMS, LUMA_PARAMS, BackgroundModel, GmmParams,
-                                 _dilate3, _open3, foreground_area, luma, morph_smooth)
+                                 foreground_area, luma, morph_smooth)
 
 _F = np.float32
 ALPHA = DEPTH_PARAMS.learning_rate
@@ -56,6 +56,62 @@ def smooth_ref(mask):
 masks_8x8 = hnp.arrays(bool, (8, 8))
 
 
+# The zero-padded array morphology the bitset one replaced, kept verbatim as
+# the oracle (``array_morph_smooth`` is the former ``morph_smooth``).
+def _erode3(mask: np.ndarray) -> np.ndarray:
+    h, w = mask.shape
+    p = np.zeros((h + 2, w + 2), bool)
+    p[1:-1, 1:-1] = mask
+    rows = p[:-2] & p[1:-1] & p[2:]
+    return rows[:, :-2] & rows[:, 1:-1] & rows[:, 2:]
+
+
+def _dilate3(mask: np.ndarray) -> np.ndarray:
+    h, w = mask.shape
+    p = np.zeros((h + 2, w + 2), bool)
+    p[1:-1, 1:-1] = mask
+    rows = p[:-2] | p[1:-1] | p[2:]
+    return rows[:, :-2] | rows[:, 1:-1] | rows[:, 2:]
+
+
+def _open3(mask: np.ndarray) -> np.ndarray:
+    """Binary opening with a 3x3 square element; out-of-grid is background."""
+    return _dilate3(_erode3(mask))
+
+
+def _close3(mask: np.ndarray) -> np.ndarray:
+    """Binary closing with a 3x3 square element; out-of-grid is background."""
+    return _erode3(_dilate3(mask))
+
+
+def array_morph_smooth(mask: np.ndarray) -> np.ndarray:
+    """Opening then closing with a 3x3 square element.
+
+    Removes isolated speckle while leaving solid regions (anything containing
+    a 3x3 block) intact; never creates foreground in a neighborhood that was
+    entirely background.
+    """
+    return _close3(_open3(np.asarray(mask, bool)))
+
+
+def _test_mask(rng, shape, kind):
+    """A sparse, half-full, dense or blob mask: blobs are rectangles plus speckle."""
+    if kind == "blob":
+        mask = rng.random(shape) < 0.02
+        h, w = shape
+        for _ in range(rng.integers(1, 6)):
+            y, x = rng.integers(0, h), rng.integers(0, w)
+            mask[y:y + rng.integers(1, h + 1), x:x + rng.integers(1, w + 1)] = True
+        return mask
+    return rng.random(shape) < {"sparse": 0.05, "half": 0.5, "dense": 0.95}[kind]
+
+
+MASK_KINDS = ("sparse", "half", "dense", "blob")
+# Non-bool inputs read nonzero as foreground, as ``np.asarray(mask, bool)`` does.
+MASK_DTYPES = {"bool": (bool, True), "uint8": (np.uint8, 3), "int64": (np.int64, -1),
+               "float32": (np.float32, 0.5)}
+
+
 class SeedModel:
     """The per-plane kernel the stacked one replaced, kept verbatim as the oracle."""
 
@@ -74,6 +130,7 @@ class SeedModel:
         else:
             self._never_observed = np.zeros(self.shape, bool)
             self._has_never = False
+        self.reordered_px = 0  # pixels whose rank order changed, summed over frames
 
     @property
     def weights(self):
@@ -166,6 +223,7 @@ class SeedModel:
                 elif j > i:
                     rank[i] += metric[j] > metric[i]
         order_changed = any(bool((rank[i] != i).any()) for i in range(k))
+        self.reordered_px += int(np.logical_or.reduce([rank[i] != i for i in range(k)]).sum())
 
         matched_rank = matched[0] * rank[0]
         for i in range(1, k):
@@ -390,6 +448,34 @@ class TestStackedKernelOracle:
             assert np.array_equal(m.never_observed, ref.never_observed)
 
 
+class TestRankSortGather:
+    @pytest.mark.parametrize("channel", ["depth", "luma"])
+    @pytest.mark.parametrize("components", [2, 3, 4])
+    def test_rank_swaps_bitwise_equal_to_seed_kernel(self, components, channel):
+        # Each pixel cycles through its own levels in blocks of its own length,
+        # so a newer component outgrows an older one and ranks swap on some
+        # frames for some pixels; the last column holds still and never swaps.
+        base = DEPTH_PARAMS if channel == "depth" else LUMA_PARAMS
+        params = dataclasses.replace(base, components=components, learning_rate=0.2)
+        rng = np.random.default_rng(components)
+        shape = (5, 6)
+        period = rng.integers(3, 12, shape)
+        period[:, -1] = 10 ** 6
+        n_levels = min(components, 3)
+        levels = rng.integers(20, 250, (n_levels,) + shape)
+        frames = []
+        for t in range(90):
+            level = np.take_along_axis(levels, ((t // period) % n_levels)[None], 0)[0]
+            frames.append((level + rng.integers(-1, 2, shape)).astype(np.float32))
+        m = BackgroundModel(params, frames[0], channel)
+        ref = SeedModel(params, frames[0], channel)
+        for f in frames[1:]:
+            assert np.array_equal(m.update_and_classify(f), ref.update_and_classify(f))
+            for attr in ("weights", "means", "variances"):
+                assert np.array_equal(_bits(getattr(m, attr)), _bits(getattr(ref, attr))), attr
+        assert ref.reordered_px > 0
+
+
 class TestLuma:
     def test_gray_frame_maps_to_its_value(self):
         frame = np.full((3, 3, 3), 200, np.uint8)
@@ -437,7 +523,7 @@ class TestMorphSmooth:
     @settings(max_examples=100, deadline=None)
     @given(masks_8x8)
     def test_smoothed_area_bounded_by_dilation(self, mask):
-        assert foreground_area(morph_smooth(mask)) <= foreground_area(_dilate3(mask))
+        assert foreground_area(morph_smooth(mask)) <= foreground_area(dilate_ref(mask))
 
     @settings(max_examples=100, deadline=None)
     @given(masks_8x8)
@@ -445,6 +531,47 @@ class TestMorphSmooth:
         smoothed = morph_smooth(mask)
         grown = dilate_ref(mask)  # pixels with any foreground in their 3x3
         assert not np.any(smoothed & ~grown)
+
+
+def _check_against_array_oracle(mask):
+    out = morph_smooth(mask)
+    assert np.array_equal(out, array_morph_smooth(mask))
+    assert out.dtype == bool and out.shape == np.shape(mask)
+    assert out.flags.c_contiguous and out.flags.writeable
+    assert not np.shares_memory(out, mask)
+
+
+class TestBitsetMorphOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 70), st.integers(1, 70)),
+           kind=st.sampled_from(MASK_KINDS), dtype=st.sampled_from(sorted(MASK_DTYPES)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(shape=(1, 1), kind="dense", dtype="bool", seed=0)
+    @example(shape=(1, 70), kind="dense", dtype="bool", seed=1)
+    @example(shape=(70, 1), kind="dense", dtype="bool", seed=2)
+    @example(shape=(3, 70), kind="half", dtype="bool", seed=3)
+    @example(shape=(70, 3), kind="blob", dtype="uint8", seed=4)
+    def test_bit_equal_to_array_morphology(self, shape, kind, dtype, seed):
+        mask = _test_mask(np.random.default_rng(seed), shape, kind)
+        np_dtype, on = MASK_DTYPES[dtype]
+        _check_against_array_oracle(np.where(mask, on, 0).astype(np_dtype))
+
+    @pytest.mark.parametrize("shape", [(350, 320), (480, 640)])
+    @pytest.mark.parametrize("kind", MASK_KINDS)
+    def test_bit_equal_at_sensor_scale(self, shape, kind):
+        rng = np.random.default_rng(sum(shape) + MASK_KINDS.index(kind))
+        _check_against_array_oracle(_test_mask(rng, shape, kind))
+
+    def test_full_and_empty_grids(self):
+        for shape in ((1, 1), (2, 9), (9, 2), (64, 64)):
+            _check_against_array_oracle(np.ones(shape, bool))
+            _check_against_array_oracle(np.zeros(shape, bool))
+
+    def test_input_left_unchanged(self):
+        mask = _test_mask(np.random.default_rng(9), (20, 30), "blob")
+        before = mask.copy()
+        morph_smooth(mask)[:] = True
+        assert np.array_equal(mask, before)
 
 
 class TestForegroundArea:

@@ -1,5 +1,7 @@
 """Scenario validation, deterministic generation, and ground-truth fidelity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,26 @@ class TestValidation:
     def test_generate_wraps_as_invalid_timeline(self):
         with pytest.raises(ValueError, match="invalid timeline"):
             generate(scenario(items=[TimelineItem(15, 18, "jump")]))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["depth_noise", "luma_noise", "audio_noise"])
+    def test_non_finite_noise_rejected(self, field, value):
+        bad = replace(scenario(), **{field: value})
+        with pytest.raises(ValueError, match="noise levels must be finite"):
+            validate_scenario(bad)
+        with pytest.raises(ValueError, match="noise levels must be finite"):
+            generate(bad)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    @pytest.mark.parametrize("field", ["depth_noise", "luma_noise", "audio_noise"])
+    def test_non_finite_noise_in_scenario_file_rejected(self, tmp_path, field, text):
+        path = tmp_path / "sc.txt"
+        write_scenario(scenario(), path)
+        lines = [f"{field}={text}" if line.startswith(field + "=") else line
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="noise levels must be finite"):
+            validate_scenario(read_scenario(path))
 
 
 class TestDeterminism:
