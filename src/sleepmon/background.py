@@ -187,9 +187,10 @@ class BackgroundModel:
         np.copyto(r, near)
         np.multiply(r, w, out=t)
         np.add.reduce(t, axis=0, out=rho)
-        with np.errstate(divide="ignore"):
-            np.divide(alpha, rho, out=rho)
-        np.clip(rho, alpha, _F(1.0), out=rho)
+        # Dividing by max(w, alpha) never divides by 0 and already caps rho at 1.
+        np.maximum(rho, alpha, out=rho)
+        np.divide(alpha, rho, out=rho)
+        np.maximum(rho, alpha, out=rho)
 
         # Masked updates as exact arithmetic selects: an unmatched component
         # sees only x1 and +0, which leave finite values bit-exact (variances

@@ -11,8 +11,8 @@ from pathlib import Path
 
 from . import actigraphy, analysis, events, scoring, synth
 from .config import Config, read_config, write_config
-from .errors import PipelineError
-from .session import load_session, write_session
+from .errors import ManifestMismatchError, PipelineError
+from .session import load_manifest, load_session, write_session
 
 EVENTS_LOG = "events.log"
 SCORES_CSV = "scores.csv"
@@ -69,24 +69,28 @@ def cmd_detect(args) -> int:
 
 def cmd_report(args) -> int:
     detect_dir = Path(args.detect)
-    session_dir = Path(args.session)
     for name in (SCORES_CSV, EVENTS_LOG):
         if not (detect_dir / name).is_file():
             raise PipelineError(f"missing detection output {name} in {detect_dir}")
     config = (read_config(detect_dir / CONFIG_USED)
               if (detect_dir / CONFIG_USED).is_file() else Config())
-    session = load_session(session_dir)
+    man = load_manifest(args.session)
     scores = scoring.parse_scores_csv((detect_dir / SCORES_CSV).read_text(encoding="utf-8"))
+    if len(scores[scoring.DEPTH]) != man.frame_count:
+        raise ManifestMismatchError(
+            f"manifest mismatch: {SCORES_CSV} holds {len(scores[scoring.DEPTH])} frames, "
+            f"manifest declares {man.frame_count}")
     detected = events.parse_event_log((detect_dir / EVENTS_LOG).read_text(encoding="utf-8"))
 
-    fpe = session.manifest.video_rate
-    peaks = events.epoch_peaks(scores[scoring.DEPTH], fpe)
+    depth = scoring.exact_visual_scores(scores[scoring.DEPTH], man.roi[2] * man.roi[3])
+    fpe = man.video_rate
+    peaks = events.epoch_peaks(depth, fpe)
     classes = analysis.classify_epochs(peaks, config.class_thresholds())
     report = analysis.build_report(classes, detected[events.LIGHT], detected[events.NOISE],
                                    duration_seconds=len(classes))
     cole_eff = sadeh_eff = None
-    if len(scores[scoring.DEPTH]) >= 60 * fpe:
-        counts = actigraphy.counts_from_scores(scores[scoring.DEPTH], fpe, config.class_tiny)
+    if len(depth) >= 60 * fpe:
+        counts = actigraphy.counts_from_scores(depth, fpe, config.class_tiny)
         cole_eff = actigraphy.sleep_fraction(actigraphy.cole_sleep_wake(counts))
         sadeh_eff = actigraphy.sleep_fraction(actigraphy.sadeh_sleep_wake(counts))
     text = analysis.format_report(report, cole_eff, sadeh_eff)
@@ -98,8 +102,12 @@ def cmd_report(args) -> int:
 def _match_spans(detected, truth, tolerance: int) -> tuple[int, int, int]:
     """Greedily pair each detected span with the first unused overlapping one.
 
-    Greedy pairing can undercount a maximum matching: a detected span that
-    overlaps two truth spans may take the one a later detected span needed.
+    Spans overlap when they come within ``tolerance`` epochs.  The greedy
+    pairing is a maximum matching (Glover 1967): ``parse_event_log`` only
+    returns sorted, disjoint spans per channel, so the detected spans a truth
+    span overlaps form a contiguous run whose last index never falls from one
+    truth span to the next, and taking the first unused truth span is
+    Glover's rule of taking the neighbour whose run ends first.
     """
     matched = 0
     used = [False] * len(truth)

@@ -201,6 +201,12 @@ def format_event_log(events_by_channel: dict) -> str:
 
 
 def parse_event_log(text: str) -> dict[str, list[Event]]:
+    """Events per channel; each channel's spans must be sorted and disjoint.
+
+    ``run_detector`` and the synthesizer's ground truth only write such logs,
+    and span matching relies on it, so a span that starts before the end of
+    the previous span of its channel, or ends before it starts, is rejected.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != EVENT_LOG_HEADER:
         raise ValueError("bad event log header")
@@ -212,7 +218,10 @@ def parse_event_log(text: str) -> dict[str, list[Event]]:
         ch, s, e, p, cs, ce = parts
         if ch not in EVENT_CHANNELS:
             raise ValueError(f"unknown event channel: {ch!r}")
-        out[ch].append(Event(ch, int(s), int(e), float(p), int(cs), int(ce)))
+        ev = Event(ch, int(s), int(e), float(p), int(cs), int(ce))
+        if ev.end_epoch < ev.start_epoch or (out[ch] and ev.start_epoch <= out[ch][-1].end_epoch):
+            raise ValueError(f"{ch} spans not sorted and disjoint at record: {ln!r}")
+        out[ch].append(ev)
     return out
 
 

@@ -150,6 +150,21 @@ def format_scores_csv(depth: ScoreSeries, color: ScoreSeries, audio: ScoreSeries
     return "\n".join(lines) + "\n"
 
 
+def exact_visual_scores(parsed: np.ndarray, roi_area: int) -> np.ndarray:
+    """The float64 visual scores behind six-decimal values read from scores.csv.
+
+    A visual score is ``k / roi_area`` for an integer foreground area ``k``,
+    and ``format_scores_csv`` writes it within 5e-7, so ``parsed * roi_area``
+    lies within ``roi_area * 5e-7`` of ``k``.  Below an area of 10**6 that is
+    under 0.5, so ``rint`` gives back ``k`` and ``k / roi_area`` the value the
+    library computed, bit for bit.
+    """
+    if not 0 < roi_area < 10 ** 6:
+        raise ValueError(f"roi area {roi_area} outside (0, 10**6): six-decimal visual "
+                         "scores no longer determine the foreground area")
+    return np.rint(np.asarray(parsed, np.float64) * roi_area) / roi_area
+
+
 def parse_scores_csv(text: str) -> dict[str, np.ndarray]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "frame,depth,color,audio":

@@ -30,7 +30,10 @@ behavior is identical either way.  ``load_session`` returns read-only frames:
 each is a view into a window of whole frames mapped from the stream file, so
 a loaded session holds about ``WINDOW_BYTES`` per stream in memory however
 long the recording is.  A frame the caller holds keeps its own window mapped,
-so later reads never overwrite it.
+so later reads never overwrite it.  Its load-time checks still scan the whole
+depth stream and it reads the audio whole, so code that needs only the
+geometry and rates (the report) calls ``load_manifest``, which reads nothing
+but ``manifest.txt``.
 """
 
 from __future__ import annotations
@@ -207,7 +210,18 @@ def _manifest_to_pairs(man: SessionManifest) -> list[tuple[str, str]]:
     return [(k, str(values[k])) for k in _MANIFEST_KEYS]
 
 
-def _manifest_from_pairs(pairs: list[tuple[str, str]]) -> SessionManifest:
+def load_manifest(path: str | os.PathLike) -> SessionManifest:
+    """Read and validate the manifest of a session directory.
+
+    Only ``manifest.txt`` is read; no stream file is opened or checked.  A
+    missing manifest and a missing, duplicate, unknown or invalid key raise
+    ``CorruptSessionError``.
+    """
+    root = Path(path)
+    manifest_path = root / MANIFEST_NAME
+    if not manifest_path.is_file():
+        raise CorruptSessionError(f"corrupt session: missing {MANIFEST_NAME} in {root}")
+    pairs = read_pairs(manifest_path)
     kv = dict(pairs)
     if len(kv) != len(pairs):
         raise CorruptSessionError("corrupt session: duplicate manifest key")
@@ -289,15 +303,14 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
 def load_session(path: str | os.PathLike) -> Session:
     """Load a session directory, verifying sizes and the depth value range.
 
-    The depth range is checked window by window over the whole stream here,
-    so a bad sample anywhere raises ``InvalidDepthError`` at load; frames are
-    then mapped on demand (see the module docstring).
+    The manifest is read by ``load_manifest``.  The depth range is then
+    checked window by window over the whole stream, so a bad sample anywhere
+    raises ``InvalidDepthError`` at load, and the audio stream is read whole;
+    frames are mapped on demand (see the module docstring).  A caller that
+    needs only the manifest calls ``load_manifest`` and pays for none of this.
     """
     root = Path(path)
-    manifest_path = root / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise CorruptSessionError(f"corrupt session: missing {MANIFEST_NAME} in {root}")
-    man = _manifest_from_pairs(read_pairs(manifest_path))
+    man = load_manifest(root)
 
     paths = {name: root / getattr(man, name) for name in ("depth_file", "color_file", "audio_file")}
     for name, p in paths.items():

@@ -1,10 +1,19 @@
 """Command-line surface: outputs, formats, exit codes, determinism."""
 
 import filecmp
+import itertools
+import shutil
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sleepmon.cli import main
+from sleepmon import actigraphy, analysis, cli, events, session
+from sleepmon.cli import _match_spans, main
+from sleepmon.events import Event, format_event_log
+from sleepmon.kvtext import write_pairs
+from sleepmon.scoring import ScoreSeries, format_scores_csv
 from sleepmon.synth import (FULL_TURN, LIGHT_ON, TALK, Scenario, TimelineItem,
                             write_scenario)
 
@@ -152,6 +161,182 @@ class TestReport:
         assert code == 1
 
 
+STREAMS = ("depth.raw", "color.raw", "audio.raw")
+
+
+def library_report(depth, light, noise, video_rate):
+    """report.txt as the library path computes it from the raw depth scores."""
+    classes = analysis.classify_epochs(events.epoch_peaks(depth, video_rate))
+    report = analysis.build_report(classes, light, noise, len(classes))
+    cole = sadeh = None
+    if len(depth) >= 60 * video_rate:
+        counts = actigraphy.counts_from_scores(depth, video_rate)
+        cole = actigraphy.sleep_fraction(actigraphy.cole_sleep_wake(counts))
+        sadeh = actigraphy.sleep_fraction(actigraphy.sadeh_sleep_wake(counts))
+    return analysis.format_report(report, cole, sadeh)
+
+
+def write_detection(root, roi_w, roi_h, video_rate, counts, light=(), noise=()):
+    """A manifest-only session plus detection outputs with depth scores counts/area."""
+    sess, det = root / "sess", root / "det"
+    sess.mkdir()
+    det.mkdir()
+    man = session.SessionManifest(depth_width=roi_w, depth_height=roi_h, color_width=roi_w,
+                                  color_height=roi_h, video_rate=video_rate, audio_rate=1,
+                                  frame_count=len(counts), roi=(0, 0, roi_w, roi_h))
+    write_pairs(sess / session.MANIFEST_NAME, session._manifest_to_pairs(man))
+    depth = np.asarray(counts) / (roi_w * roi_h)
+    zeros = np.zeros(len(depth))
+    (det / "scores.csv").write_text(format_scores_csv(
+        ScoreSeries("depth", depth), ScoreSeries("color", zeros), ScoreSeries("audio", zeros)))
+    (det / "events.log").write_text(format_event_log(
+        {"motion": [], "light": list(light), "noise": list(noise)}))
+    return sess, det, depth
+
+
+class TestReportPath:
+    """``report`` reads the manifest and the detection outputs, and nothing else."""
+
+    @pytest.fixture(scope="class")
+    def pristine(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pristine")
+        write_scenario(small_scenario(), root / "scenario.txt")
+        sess, det = root / "sess", root / "det"
+        run("generate", "--scenario", root / "scenario.txt", "--out", sess)
+        run("detect", "--session", sess, "--out", det)
+        assert run("report", "--session", sess, "--detect", det) == 0
+        return sess, det
+
+    @pytest.fixture
+    def detected(self, tmp_path, pristine):
+        sess, det = (shutil.copytree(src, tmp_path / src.name) for src in pristine)
+        return sess, det, (det / "report.txt").read_bytes()
+
+    def test_report_without_stream_files_is_identical(self, detected):
+        sess, det, before = detected
+        for name in STREAMS:
+            (sess / name).unlink()
+        (det / "report.txt").unlink()
+        assert run("report", "--session", sess, "--detect", det) == 0
+        assert (det / "report.txt").read_bytes() == before
+
+    def test_report_never_loads_the_session(self, detected, monkeypatch):
+        sess, det, before = detected
+
+        def refuse(path):
+            raise AssertionError("report loaded the session streams")
+
+        monkeypatch.setattr(cli, "load_session", refuse)
+        monkeypatch.setattr(session, "load_session", refuse)
+        assert run("report", "--session", sess, "--detect", det) == 0
+        assert (det / "report.txt").read_bytes() == before
+
+    def test_missing_manifest_exits_1(self, detected, capsys):
+        sess, det, _ = detected
+        (sess / "manifest.txt").unlink()
+        assert run("report", "--session", sess, "--detect", det) == 1
+        assert "corrupt session" in capsys.readouterr().err
+
+    def test_scores_row_count_must_equal_frame_count(self, detected, capsys):
+        sess, det, _ = detected
+        lines = (det / "scores.csv").read_text().splitlines(keepends=True)
+        (det / "scores.csv").write_text("".join(lines[:-1]))
+        assert run("report", "--session", sess, "--detect", det) == 1
+        assert "manifest mismatch: scores.csv holds 1199 frames" in capsys.readouterr().err
+
+    def test_overlapping_event_log_exits_1(self, detected, capsys):
+        sess, det, _ = detected
+        with open(det / "events.log", "a") as fh:
+            fh.write("noise,30,31,0.3,0,0\nnoise,31,32,0.3,0,0\n")
+        assert run("report", "--session", sess, "--detect", det) == 1
+        assert "not sorted and disjoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("roi_w, roi_h, counts, line", [
+        # roi 127x21: a peak of 8/2667 = 0.0029996 is below the 0.003 absence
+        # ceiling, but scores.csv holds it as 0.003000.  An exit spike then
+        # eleven such epochs make the subject out of view in the library.
+        (127, 21, [0] * 5 + [1333] + [8] * 11 + [1333] + [0] * 62, "out_of_view_pct=13.75"),
+        # roi 55x29: seven frames at 9/1595 give an activity count of 4, Cole
+        # sleep; their six-decimal values give 5, Cole wake.
+        (55, 29, [9] * 7 + [0] * 53, "cole_sleep_efficiency=1.0000"),
+    ])
+    def test_scores_near_a_boundary_classified_as_library(self, tmp_path, roi_w, roi_h,
+                                                          counts, line):
+        sess, det, depth = write_detection(tmp_path, roi_w, roi_h, 1, counts)
+        expected = library_report(depth, [], [], 1)
+        assert line in expected.splitlines()
+        assert run("report", "--session", sess, "--detect", det) == 0
+        assert (det / "report.txt").read_text() == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(roi_w=st.integers(1, 1500), roi_h=st.integers(1, 700),
+           video_rate=st.integers(1, 3), seconds=st.integers(1, 150),
+           extra=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+    def test_report_equals_library_report(self, tmp_path_factory, roi_w, roi_h, video_rate,
+                                          seconds, extra, seed):
+        roi_h = min(roi_h, (10 ** 6 - 1) // roi_w)
+        area = roi_w * roi_h
+        rng = np.random.default_rng(seed)
+        # Runs of 1-15 epochs near one class boundary, each frame a few pixels
+        # off its run's level: rounding to six decimals would move classes, the
+        # out-of-view overlay and the Cole/Sadeh counts.
+        levels = np.array([0, 0.003, 0.005, 0.02, 0.10, 0.30, 1.0])
+        n = seconds * video_rate + min(extra, video_rate - 1)
+        level = np.repeat(rng.choice(levels, n), rng.integers(1, 16, n) * video_rate)[:n]
+        counts = np.clip(np.rint(level * area) + rng.integers(-2, 3, n), 0, area)
+
+        def spans(channel):
+            ends = np.sort(rng.choice(seconds + 1, 2 * min(3, seconds // 2), replace=False))
+            return [Event(channel, int(s), int(e) - 1, 0.5, 0, 0) for s, e in ends.reshape(-1, 2)]
+
+        light, noise = spans("light"), spans("noise")
+        sess, det, depth = write_detection(tmp_path_factory.mktemp("rep"), roi_w, roi_h,
+                                           video_rate, counts, light, noise)
+        assert run("report", "--session", sess, "--detect", det) == 0
+        assert (det / "report.txt").read_text() == library_report(depth, light, noise,
+                                                                  video_rate)
+
+
+def brute_force_matching(detected, truth, tolerance):
+    """Size of a maximum matching of overlapping spans, by trying every pairing."""
+    for k in range(min(len(detected), len(truth)), 0, -1):
+        for dets in itertools.combinations(detected, k):
+            for truths in itertools.permutations(truth, k):
+                if all(d.start_epoch - tolerance <= t.end_epoch
+                       and t.start_epoch <= d.end_epoch + tolerance
+                       for d, t in zip(dets, truths)):
+                    return k
+    return 0
+
+
+@st.composite
+def sorted_disjoint_spans(draw):
+    spans, end = [], -1
+    for gap, length in draw(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 5)),
+                                     max_size=5)):
+        start = end + gap
+        end = start + length
+        spans.append(Event("motion", start, end, 0.1, 0, 0))
+    return spans
+
+
+class TestMatchSpans:
+    @settings(max_examples=200, deadline=None)
+    @given(detected=sorted_disjoint_spans(), truth=sorted_disjoint_spans(),
+           tolerance=st.integers(0, 4))
+    def test_greedy_is_a_maximum_matching(self, detected, truth, tolerance):
+        matched, _, _ = _match_spans(detected, truth, tolerance)
+        assert matched == brute_force_matching(detected, truth, tolerance)
+
+    def test_shuffled_detections_can_undercount(self):
+        # Why logs must be sorted: out of order, the wide span takes the
+        # truth span the narrow one needed.
+        wide, narrow = Event("motion", 0, 10, 0.1, 0, 0), Event("motion", 0, 0, 0.1, 0, 0)
+        truth = [Event("motion", 0, 0, 0.1, 0, 0), Event("motion", 8, 8, 0.1, 0, 0)]
+        assert _match_spans([wide, narrow], truth, 0)[0] == 1
+        assert brute_force_matching([wide, narrow], truth, 0) == 2
+
+
 class TestCompare:
     def _log(self, path, rows):
         header = "channel,start_epoch,end_epoch,peak_score,clip_start,clip_end"
@@ -184,6 +369,18 @@ class TestCompare:
         self._log(truth, ["motion,5,5,0.200000,120,209"])
         assert run("compare", "--events", det, "--truth", truth, "--tolerance", 2) == 0
         assert run("compare", "--events", det, "--truth", truth, "--tolerance", 1) == 1
+
+    @pytest.mark.parametrize("rows", [
+        ["motion,40,41,0.1,1170,1289", "motion,5,7,0.200000,120,269"],
+        ["motion,5,7,0.200000,120,269", "motion,7,9,0.200000,180,329"],
+    ])
+    def test_unsorted_or_overlapping_log_fails(self, tmp_path, capsys, rows):
+        det, truth = tmp_path / "d.log", tmp_path / "t.log"
+        self._log(det, rows)
+        self._log(truth, ["motion,5,7,0.200000,120,269"])
+        assert run("compare", "--events", det, "--truth", truth) == 1
+        assert run("compare", "--events", truth, "--truth", det) == 1
+        assert "not sorted and disjoint" in capsys.readouterr().err
 
     def test_malformed_log_fails(self, tmp_path, capsys):
         det, truth = tmp_path / "d.log", tmp_path / "t.log"

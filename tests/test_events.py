@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sleepmon.events import (DetectorConfig, Event, clip_range, detect_events, epochize,
-                             epoch_peaks, format_epochs_csv, format_event_log,
-                             parse_event_log, record_clips, run_detector)
+from sleepmon.events import (EVENT_LOG_HEADER, DetectorConfig, Event, clip_range,
+                             detect_events, epochize, epoch_peaks, format_epochs_csv,
+                             format_event_log, parse_event_log, record_clips, run_detector)
 from sleepmon.scoring import ScoreSeries
 
 from conftest import build_session
@@ -195,6 +195,24 @@ class TestEventLog:
         assert parsed["motion"] == events["motion"]
         assert parsed["light"] == events["light"]
         assert parsed["noise"] == []
+
+    @pytest.mark.parametrize("rows", [
+        ["motion,10,12,0.1,0,0", "motion,2,4,0.1,0,0"],    # unsorted
+        ["motion,2,5,0.1,0,0", "motion,5,8,0.1,0,0"],      # overlapping by one epoch
+        ["noise,1,1,0.1,0,0", "noise,1,1,0.1,0,0"],        # repeated
+        ["light,6,5,1.0,0,0"],                             # ends before it starts
+    ])
+    def test_rejects_spans_not_sorted_and_disjoint(self, rows):
+        with pytest.raises(ValueError, match="not sorted and disjoint"):
+            parse_event_log("\n".join([EVENT_LOG_HEADER] + rows) + "\n")
+
+    def test_order_is_checked_per_channel(self):
+        text = "\n".join([EVENT_LOG_HEADER, "motion,10,12,0.1,0,0", "light,2,2,1.0,0,0",
+                          "motion,13,13,0.1,0,0", "light,0,0,1.0,0,0"]) + "\n"
+        with pytest.raises(ValueError, match="light spans"):
+            parse_event_log(text)
+        parsed = parse_event_log(text.replace("light,0,0", "light,3,3"))
+        assert [(e.start_epoch, e.end_epoch) for e in parsed["motion"]] == [(10, 12), (13, 13)]
 
     def test_epochs_csv(self):
         epochs = {"depth": np.array([0, 3]), "color": np.array([1, 0]),

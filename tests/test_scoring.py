@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sleepmon.errors import AudioUnderrunError
-from sleepmon.scoring import (audio_score, chunk_audio, chunk_bounds, format_scores_csv,
-                              make_models, parse_scores_csv, score_session, visual_score,
-                              ScoreSeries)
+from sleepmon.scoring import (audio_score, chunk_audio, chunk_bounds, exact_visual_scores,
+                              format_scores_csv, make_models, parse_scores_csv,
+                              score_session, visual_score, ScoreSeries)
 
 from conftest import build_session
 
@@ -147,3 +147,29 @@ class TestScoresCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             parse_scores_csv("frames,depth\n")
+
+
+def _area_and_counts():
+    return st.integers(1, 10 ** 6 - 1).flatmap(
+        lambda area: st.tuples(st.just(area),
+                               st.lists(st.integers(0, area), min_size=1, max_size=20)))
+
+
+class TestExactVisualScores:
+    @settings(max_examples=200, deadline=None)
+    @given(_area_and_counts())
+    @example((2667, [8, 0, 2667]))                 # 127x21 roi: 8/2667 prints as 0.003000
+    @example((10 ** 6 - 1, [1, 499_999, 500_000, 10 ** 6 - 2]))
+    def test_recovers_the_library_scores_bit_for_bit(self, area_counts):
+        area, counts = area_counts
+        raw = np.array([k / area for k in counts])
+        zeros = ScoreSeries("color", np.zeros(len(raw)))
+        text = format_scores_csv(ScoreSeries("depth", raw), zeros, zeros)
+        got = exact_visual_scores(parse_scores_csv(text)["depth"], area)
+        assert got.dtype == np.float64
+        assert got.tobytes() == raw.tobytes()
+
+    @pytest.mark.parametrize("area", [0, 10 ** 6, 640 * 480 * 4])
+    def test_area_outside_the_exact_range_rejected(self, area):
+        with pytest.raises(ValueError, match="roi area"):
+            exact_visual_scores(np.zeros(3), area)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from sleepmon.errors import (CorruptSessionError, InvalidDepthError,
                              ManifestMismatchError, RoiBoundsError)
 from sleepmon.session import (DEPTH_MAX, MANIFEST_NAME, WINDOW_BYTES, Session,
-                              SessionManifest, crop_roi, load_session, sessions_equal,
-                              write_session)
+                              SessionManifest, crop_roi, load_manifest, load_session,
+                              sessions_equal, write_session)
 
 from conftest import build_session
 
@@ -122,8 +122,9 @@ class TestLoadErrors:
             load_session(tmp_path)
 
     def test_missing_manifest_is_corrupt_session(self, tmp_path):
-        with pytest.raises(CorruptSessionError, match="corrupt session"):
-            load_session(tmp_path)
+        for load in (load_session, load_manifest):
+            with pytest.raises(CorruptSessionError, match="corrupt session"):
+                load(tmp_path)
 
     def test_truncated_depth_is_manifest_mismatch(self, small_session, tmp_path):
         write_session(small_session, tmp_path)
@@ -151,8 +152,36 @@ class TestLoadErrors:
         write_session(small_session, tmp_path)
         with open(tmp_path / MANIFEST_NAME, "a") as fh:
             fh.write("mystery=1\n")
-        with pytest.raises(CorruptSessionError, match="corrupt session"):
-            load_session(tmp_path)
+        for load in (load_session, load_manifest):
+            with pytest.raises(CorruptSessionError, match="corrupt session"):
+                load(tmp_path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text + "video_rate=30\n", "duplicate manifest key"),
+        (lambda text: text.replace("audio_file=audio.raw\n", ""), "manifest missing keys"),
+        (lambda text: text.replace("frame_count=3", "frame_count=three"), "bad manifest value"),
+        (lambda text: text.replace("video_rate=30", "video_rate=0"), "invalid manifest"),
+        (lambda text: text.replace("roi_w=4", "roi_w=40"), "invalid manifest"),
+    ])
+    def test_manifest_defects_are_corrupt(self, small_session, tmp_path, edit, message):
+        write_session(small_session, tmp_path)
+        path = tmp_path / MANIFEST_NAME
+        path.write_text(edit(path.read_text()))
+        for load in (load_session, load_manifest):
+            with pytest.raises(CorruptSessionError, match=message):
+                load(tmp_path)
+
+
+class TestLoadManifest:
+    def test_equals_loaded_session_manifest(self, small_session, tmp_path):
+        write_session(small_session, tmp_path)
+        assert load_manifest(tmp_path) == load_session(tmp_path).manifest == small_session.manifest
+
+    def test_reads_no_stream_file(self, small_session, tmp_path):
+        write_session(small_session, tmp_path)
+        for name in ("depth.raw", "color.raw", "audio.raw"):
+            (tmp_path / name).unlink()
+        assert load_manifest(tmp_path) == small_session.manifest
 
 
 class TestMappedLoad:

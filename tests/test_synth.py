@@ -11,8 +11,9 @@ from sleepmon import events
 from sleepmon.analysis import EpochClass
 from sleepmon.session import load_session, sessions_equal, write_session
 from sleepmon.synth import (AMBIENT_LUMA, BED_DEPTH, BLOB_LUMA_OFFSET, BODY_DEPTH, CALM,
-                            FULL_TURN, LEAVE_BED, LIGHT_OFF, LIGHT_ON, LIGHT_STEP, LIMB_MOVE,
-                            PRESETS, RETURN_BED, TALK, TINY_TWITCH, Scenario, TimelineItem,
+                            EARLIEST_ITEM_START, FULL_TURN, LEAVE_BED, LIGHT_OFF, LIGHT_ON,
+                            LIGHT_STEP, LIMB_MOVE, MIN_ABSENCE_SECONDS, PRESETS, RETURN_BED,
+                            TALK, TINY_TWITCH, Scenario, TimelineItem,
                             _blob_rect, _body_rect, _chaos_active, _chaos_value, _DEPTH_KINDS,
                             generate, preset, read_scenario, validate_scenario, with_seed,
                             write_scenario)
@@ -148,6 +149,39 @@ class TestDisturbanceMagnitudes:
         assert fractions[FULL_TURN] > fractions[LIMB_MOVE] > fractions[TINY_TWITCH] > 0
 
 
+@st.composite
+def random_timelines(draw):
+    """Valid timelines with every item kind: movements and absences, light, talk."""
+    items = []
+    t = EARLIEST_ITEM_START
+    for kind in draw(st.lists(st.sampled_from([TINY_TWITCH, LIMB_MOVE, FULL_TURN, LEAVE_BED]),
+                              max_size=6)):
+        if kind == LEAVE_BED:
+            back = t + 2 + draw(st.integers(MIN_ABSENCE_SECONDS, MIN_ABSENCE_SECONDS + 3))
+            items += [TimelineItem(t, t + 2, LEAVE_BED, 1.0),
+                      TimelineItem(back, back + 2, RETURN_BED, 1.0)]
+            t = back + 4
+        else:
+            start = t + draw(st.integers(0, 3))
+            t = start + draw(st.integers(1, 4))
+            items.append(TimelineItem(start, t, kind, draw(st.floats(0.0, 1.0))))
+    t = EARLIEST_ITEM_START
+    for i in range(draw(st.integers(0, 4))):
+        start = t + draw(st.integers(0, 4))
+        t = start + draw(st.integers(1, 2))
+        items.append(TimelineItem(start, t, (LIGHT_ON, LIGHT_OFF)[i % 2], 0.5))
+        t += 3
+    t = EARLIEST_ITEM_START
+    for _ in range(draw(st.integers(0, 4))):
+        start = t + draw(st.integers(0, 3))
+        t = start + draw(st.integers(1, 3))
+        items.append(TimelineItem(start, t, TALK, draw(st.floats(0.0, 1.0))))
+    items.sort(key=lambda item: item.start)
+    duration = max([item.end for item in items], default=EARLIEST_ITEM_START)
+    return Scenario(duration=duration + draw(st.integers(0, 3)), seed=3, timeline=tuple(items),
+                    audio_rate=800)
+
+
 class TestGroundTruth:
     def test_classes_and_efficiency_consistent(self):
         sc = scenario(duration=60, items=[
@@ -196,6 +230,14 @@ class TestGroundTruth:
         assert parsed["motion"][0].start_epoch == 15
         assert parsed["light"][0].start_epoch == 25
         assert parsed["noise"][0].end_epoch == 32
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_timelines())
+    def test_truth_log_is_sorted_and_disjoint(self, sc):
+        _, truth = generate(sc)
+        parsed = events.parse_event_log(events.format_event_log(truth.events))
+        assert [(e.start_epoch, e.end_epoch) for e in parsed["motion"]] == truth.motion_spans
+        assert [(e.start_epoch, e.end_epoch) for e in parsed["noise"]] == truth.noise_spans
 
 
 class TestPipelineAgreement:
