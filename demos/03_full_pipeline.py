@@ -26,7 +26,8 @@ for channel in ("motion", "light", "noise"):
               f"peak {ev.peak_score:.3f} clip [{ev.clip_start}, {ev.clip_end}]")
 
 print("\nscripted ground truth:")
-print(f"  motion {truth.motion_spans}  light {truth.light_spans}  noise {truth.noise_spans}")
+for channel, expected in truth.events.items():
+    print(f"  {channel:6s} {[(ev.start_epoch, ev.end_epoch) for ev in expected]}")
 
 peaks = events.epoch_peaks(result.scores["depth"])
 classes = analysis.classify_epochs(peaks)

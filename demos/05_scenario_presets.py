@@ -23,13 +23,12 @@ for item in scenario.timeline:
 session, truth = synth.generate(scenario)
 result = events.run_detector(session)
 
-print("\nscripted turns    :", truth.motion_spans)
+print("\nscripted turns    :", [(e.start_epoch, e.end_epoch) for e in truth.events["motion"]])
 print("detected motion   :", [(e.start_epoch, e.end_epoch) for e in result.events["motion"]])
 print("light/noise events:", len(result.events["light"]), "/", len(result.events["noise"]))
 
 csv_path = out_dir / "posture_test_scores.csv"
-csv_path.write_text(scoring.format_scores_csv(
-    result.scores["depth"], result.scores["color"], result.scores["audio"]))
+csv_path.write_text(scoring.format_scores_csv(result.scores))
 print(f"\nwrote {csv_path} - plot the depth column to see four activity bursts")
 
 log_path = out_dir / "posture_test_events.log"

@@ -42,8 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scoring import ScoreSeries
-
 COLE_SCALE = 0.001
 COLE_WEIGHTS = (106.0, 54.0, 58.0, 76.0, 230.0, 74.0, 67.0)  # offsets -4..+2
 SADEH_OFFSET = 7.601
@@ -53,14 +51,14 @@ SADEH_SD_W = 0.056
 SADEH_LOG_W = 0.703
 
 
-def counts_from_scores(depth_scores: ScoreSeries | np.ndarray, video_rate: int = 30,
+def counts_from_scores(depth_scores, video_rate: int = 30,
                        tiny_threshold: float = 0.005) -> np.ndarray:
     """Per-minute activity counts from the depth score series.
 
     count[m] = round(1000 * sum over the minute of max(score - threshold, 0));
     a final partial minute is dropped.
     """
-    values = depth_scores.values if isinstance(depth_scores, ScoreSeries) else np.asarray(depth_scores)
+    values = np.asarray(depth_scores)
     frames_per_minute = 60 * video_rate
     minutes = len(values) // frames_per_minute
     if minutes == 0:

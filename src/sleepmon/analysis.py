@@ -125,11 +125,7 @@ class SleepReport:
 
 
 def _coverage_pct(events, n_epochs: int) -> float:
-    covered = 0
-    for ev in events:
-        start = ev.start_epoch if hasattr(ev, "start_epoch") else ev[0]
-        end = ev.end_epoch if hasattr(ev, "end_epoch") else ev[1]
-        covered += end - start + 1
+    covered = sum(ev.end_epoch - ev.start_epoch + 1 for ev in events)
     return 100.0 * covered / n_epochs
 
 

@@ -29,6 +29,7 @@ and dilations are masked to the grid, so out-of-grid pixels stay background.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,12 +63,13 @@ class GmmParams:
             raise ValueError("learning rate out of range (0, 1)")
         if not 0.0 < self.background_fraction <= 1.0:
             raise ValueError("background fraction out of range (0, 1]")
-        if self.match_k <= 0.0:
-            raise ValueError("match_k must be positive")
-        if self.variance_floor <= 0.0:
-            raise ValueError("variance floor must be positive")
-        if self.initial_variance < self.variance_floor:
-            raise ValueError("initial variance must be >= variance floor")
+        if not (math.isfinite(self.match_k) and self.match_k > 0.0):
+            raise ValueError("match_k must be finite and positive")
+        if not (math.isfinite(self.variance_floor) and self.variance_floor > 0.0):
+            raise ValueError("variance floor must be finite and positive")
+        if not (math.isfinite(self.initial_variance)
+                and self.initial_variance >= self.variance_floor):
+            raise ValueError("initial variance must be finite and >= variance floor")
         if not 0.0 < self.replacement_weight < 1.0:
             raise ValueError("replacement weight out of range (0, 1)")
 

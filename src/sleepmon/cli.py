@@ -55,15 +55,13 @@ def cmd_detect(args) -> int:
         workers=config.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / SCORES_CSV, scoring.format_scores_csv(
-        result.scores[scoring.DEPTH], result.scores[scoring.COLOR],
-        result.scores[scoring.AUDIO]))
+    _write_text(out / SCORES_CSV, scoring.format_scores_csv(result.scores))
     _write_text(out / EPOCHS_CSV, events.format_epochs_csv(result.epochs))
     _write_text(out / EVENTS_LOG, events.format_event_log(result.events))
     write_config(config, out / CONFIG_USED)
-    counts = {ch: len(result.events[ch]) for ch in events.EVENT_CHANNELS}
+    counts = {ch: len(evs) for ch, evs in result.events.items()}
     print(f"detected events: motion={counts['motion']} light={counts['light']} "
-          f"noise={counts['noise']} over {len(result.epochs[scoring.DEPTH])} epochs")
+          f"noise={counts['noise']} over {len(result.epochs['depth'])} epochs")
     return 0
 
 
@@ -76,17 +74,17 @@ def cmd_report(args) -> int:
               if (detect_dir / CONFIG_USED).is_file() else Config())
     man = load_manifest(args.session)
     scores = scoring.parse_scores_csv((detect_dir / SCORES_CSV).read_text(encoding="utf-8"))
-    if len(scores[scoring.DEPTH]) != man.frame_count:
+    if len(scores["depth"]) != man.frame_count:
         raise ManifestMismatchError(
-            f"manifest mismatch: {SCORES_CSV} holds {len(scores[scoring.DEPTH])} frames, "
+            f"manifest mismatch: {SCORES_CSV} holds {len(scores['depth'])} frames, "
             f"manifest declares {man.frame_count}")
     detected = events.parse_event_log((detect_dir / EVENTS_LOG).read_text(encoding="utf-8"))
 
-    depth = scoring.exact_visual_scores(scores[scoring.DEPTH], man.roi[2] * man.roi[3])
+    depth = scoring.exact_visual_scores(scores["depth"], man.roi[2] * man.roi[3])
     fpe = man.video_rate
     peaks = events.epoch_peaks(depth, fpe)
     classes = analysis.classify_epochs(peaks, config.class_thresholds())
-    report = analysis.build_report(classes, detected[events.LIGHT], detected[events.NOISE],
+    report = analysis.build_report(classes, detected["light"], detected["noise"],
                                    duration_seconds=len(classes))
     cole_eff = sadeh_eff = None
     if len(depth) >= 60 * fpe:
@@ -126,7 +124,7 @@ def cmd_compare(args) -> int:
     detected = events.parse_event_log(Path(args.events).read_text(encoding="utf-8"))
     truth = events.parse_event_log(Path(args.truth).read_text(encoding="utf-8"))
     all_ok = True
-    for ch in events.EVENT_CHANNELS:
+    for ch in scoring.CHANNELS.values():
         matched, n_det, n_truth = _match_spans(detected[ch], truth[ch], args.tolerance)
         precision = matched / n_det if n_det else 1.0
         recall = matched / n_truth if n_truth else 1.0

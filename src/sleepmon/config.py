@@ -9,13 +9,12 @@ are echoed to a sidecar file next to the detection outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .analysis import ClassThresholds
 from .background import GmmParams
 from .events import DetectorConfig
 from .kvtext import read_pairs, write_pairs
-from .scoring import AUDIO, COLOR, DEPTH
 
 
 @dataclass
@@ -66,9 +65,9 @@ class Config:
         return self._gmm(self.gmm_luma_initial_variance)
 
     def detector_config(self) -> DetectorConfig:
-        return DetectorConfig(thresholds={DEPTH: self.depth_threshold,
-                                          COLOR: self.color_threshold,
-                                          AUDIO: self.audio_threshold},
+        return DetectorConfig(thresholds={"depth": self.depth_threshold,
+                                          "color": self.color_threshold,
+                                          "audio": self.audio_threshold},
                               burn_in_seconds=self.burn_in_seconds)
 
     def class_thresholds(self) -> ClassThresholds:
@@ -78,7 +77,8 @@ class Config:
                                min_absent_epochs=self.class_min_absent_epochs)
 
 
-_INT_KEYS = {"gmm_components", "burn_in_seconds", "class_min_absent_epochs", "workers"}
+# Annotations are strings here (``from __future__ import annotations``).
+_INT_KEYS = {f.name for f in fields(Config) if f.type == "int"}
 
 
 def read_config(path) -> Config:

@@ -5,6 +5,11 @@ audio scores the RMS of the chunk aligned to each video frame slot, divided
 by PCM full scale (32768).  Fixed denominators keep scores deterministic and
 comparable across channels; nothing depends on future data.
 
+Channel naming lives in one table, ``CHANNELS``: its keys name the score
+channels (the ``scores.csv`` and ``epochs.csv`` columns, in file order) and its
+values the event channel each one feeds (the ``events.log`` channels).  Scores
+are plain float64 arrays keyed by score channel.
+
 The three channels can be scored in parallel with each other (their models
 share no state); frames within a channel are strictly sequential.  Output is
 identical for any worker count.
@@ -12,8 +17,8 @@ identical for any worker count.
 
 from __future__ import annotations
 
+import io
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,30 +27,10 @@ from .background import BackgroundModel, foreground_area, luma, morph_smooth
 from .errors import AudioUnderrunError
 from .session import Session, crop_roi
 
-DEPTH = "depth"
-COLOR = "color"
-AUDIO = "audio"
-CHANNELS = (DEPTH, COLOR, AUDIO)
+# Score channel -> the event channel it feeds, in file order.
+CHANNELS = {"depth": "motion", "color": "light", "audio": "noise"}
 
 PCM_FULL_SCALE = 32768.0
-
-
-@dataclass
-class ScoreSeries:
-    """Channel name plus one score per video-frame slot."""
-
-    channel: str
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def visual_score(mask: np.ndarray, roi_area: int) -> float:
-    """Foreground fraction of the roi."""
-    if roi_area != mask.shape[0] * mask.shape[1]:
-        raise ValueError("roi_area must equal mask width x height")
-    return foreground_area(mask) / roi_area
 
 
 def chunk_bounds(audio_rate: int, video_rate: int, frame_count: int) -> np.ndarray:
@@ -86,7 +71,7 @@ def _score_visual(session: Session, model: BackgroundModel, kind: str) -> np.nda
     roi = man.roi
     roi_area = roi[2] * roi[3]
     out = np.empty(n, np.float64)
-    if kind == DEPTH:
+    if kind == "depth":
         for i in range(n):
             mask = model.update_and_classify(crop_roi(session.depth_frame(i), roi))
             out[i] = foreground_area(morph_smooth(mask)) / roi_area
@@ -118,35 +103,33 @@ def make_models(session: Session, depth_params=None, luma_params=None):
 
 
 def score_session(session: Session, depth_model: BackgroundModel,
-                  color_model: BackgroundModel, workers: int = 1
-                  ) -> tuple[ScoreSeries, ScoreSeries, ScoreSeries]:
+                  color_model: BackgroundModel, workers: int = 1) -> dict[str, np.ndarray]:
     """Run both background models over the session and score all channels.
 
-    ``workers=1`` runs the channels sequentially; ``workers>1`` scores them
-    in parallel threads.  The two produce bitwise-identical series.
+    Returns one float64 array per score channel.  ``workers=1`` runs the
+    channels sequentially; ``workers>1`` scores them in parallel threads.  The
+    two produce bitwise-identical scores.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    jobs = {"depth": (_score_visual, session, depth_model, "depth"),
+            "color": (_score_visual, session, color_model, "color"),
+            "audio": (_score_audio, session)}
     if workers == 1:
-        d = _score_visual(session, depth_model, DEPTH)
-        c = _score_visual(session, color_model, COLOR)
-        a = _score_audio(session)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fd = pool.submit(_score_visual, session, depth_model, DEPTH)
-            fc = pool.submit(_score_visual, session, color_model, COLOR)
-            fa = pool.submit(_score_audio, session)
-            d, c, a = fd.result(), fc.result(), fa.result()
-    return (ScoreSeries(DEPTH, d), ScoreSeries(COLOR, c), ScoreSeries(AUDIO, a))
+        return {ch: fn(*args) for ch, (fn, *args) in jobs.items()}
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {ch: pool.submit(*job) for ch, job in jobs.items()}
+        return {ch: f.result() for ch, f in futures.items()}
 
 
-def format_scores_csv(depth: ScoreSeries, color: ScoreSeries, audio: ScoreSeries) -> str:
+def format_scores_csv(scores: dict) -> str:
     """CSV export: header ``frame,depth,color,audio``, six decimal places."""
-    if not (len(depth) == len(color) == len(audio)):
+    d, c, a = (scores[ch] for ch in CHANNELS)
+    if not len(d) == len(c) == len(a):
         raise ValueError("score series lengths differ")
-    lines = ["frame,depth,color,audio"]
-    for i in range(len(depth)):
-        lines.append(f"{i},{depth.values[i]:.6f},{color.values[i]:.6f},{audio.values[i]:.6f}")
+    lines = ["frame," + ",".join(CHANNELS)]
+    for i in range(len(d)):
+        lines.append(f"{i},{d[i]:.6f},{c[i]:.6f},{a[i]:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -166,13 +149,19 @@ def exact_visual_scores(parsed: np.ndarray, roi_area: int) -> np.ndarray:
 
 
 def parse_scores_csv(text: str) -> dict[str, np.ndarray]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "frame,depth,color,audio":
+    """The score columns of a ``format_scores_csv`` text, as float64 arrays.
+
+    The header must be the first line and the frame column must count
+    ``0..n-1``; a header-only text gives empty columns.
+    """
+    header, _, body = text.partition("\n")
+    if header.rstrip("\r") != "frame," + ",".join(CHANNELS):
         raise ValueError("bad scores csv header")
-    cols = {DEPTH: [], COLOR: [], AUDIO: []}
-    for ln in lines[1:]:
-        _, d, c, a = ln.split(",")
-        cols[DEPTH].append(float(d))
-        cols[COLOR].append(float(c))
-        cols[AUDIO].append(float(a))
-    return {k: np.array(v, np.float64) for k, v in cols.items()}
+    if not body or body.isspace():
+        return {ch: np.empty(0, np.float64) for ch in CHANNELS}
+    table = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2, comments=None)
+    if table.shape[1] != 1 + len(CHANNELS):
+        raise ValueError(f"scores csv rows hold {table.shape[1]} fields, not {1 + len(CHANNELS)}")
+    if not np.array_equal(table[:, 0], np.arange(len(table))):
+        raise ValueError("scores csv frame column does not count 0..n-1")
+    return dict(zip(CHANNELS, np.ascontiguousarray(table[:, 1:].T)))

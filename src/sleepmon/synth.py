@@ -47,13 +47,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import EpochClass
-from .events import LIGHT, MOTION, NOISE, Event, clip_range
+from .analysis import EpochClass, sleep_efficiency
+from .events import Event, clip_range
 from .kvtext import read_pairs, write_pairs
+from .scoring import CHANNELS
 from .session import Session, SessionManifest
 
 CALM = "calm"
@@ -118,12 +119,9 @@ class Scenario:
 class GroundTruth:
     """What the default pipeline is expected to report for a scenario."""
 
-    motion_spans: list
-    light_spans: list
-    noise_spans: list
     classes: list
     efficiency: float
-    events: dict = field(default_factory=dict)
+    events: dict
 
 
 def _body_rect(roi):
@@ -290,10 +288,18 @@ class _LazyFrames:
 
 def _derive_ground_truth(scenario: Scenario, manifest: SessionManifest,
                          audio_len: int) -> GroundTruth:
-    dur = scenario.duration
-    classes = [EpochClass.CALMNESS] * dur
-    motion, light, noise = [], [], []
-    motion_peaks, noise_peaks = [], []
+    classes = [EpochClass.CALMNESS] * scenario.duration
+    spans = {ch: [] for ch in CHANNELS.values()}   # [start, end, peak] per event
+
+    def add(channel, start, end, peak):
+        # An item that abuts the previous span of its channel extends it.
+        run = spans[channel]
+        if run and run[-1][1] + 1 == start:
+            run[-1][1] = end
+            run[-1][2] = max(run[-1][2], peak)
+        else:
+            run.append([start, end, peak])
+
     absence_from = None
     for idx, item in enumerate(scenario.timeline):
         if item.kind in _CLASS_OF_KIND:
@@ -307,50 +313,23 @@ def _derive_ground_truth(scenario: Scenario, manifest: SessionManifest,
             absence_from = None
         if item.kind in _EVENT_MOTION_KINDS:
             if item.kind in (LEAVE_BED, RETURN_BED):
-                top, left, bh, bw = _body_rect(scenario.roi)
-                frac = bh * bw / (scenario.roi[2] * scenario.roi[3])
+                _, _, bh, bw = _body_rect(scenario.roi)
             else:
                 _, _, bh, bw = _blob_rect(item.kind, item.magnitude, scenario.roi, idx)
-                frac = bh * bw / (scenario.roi[2] * scenario.roi[3])
-            span = (item.start, item.end - 1)
-            if motion and motion[-1][1] + 1 == span[0]:
-                motion[-1] = (motion[-1][0], span[1])
-                motion_peaks[-1] = max(motion_peaks[-1], frac)
-            else:
-                motion.append(span)
-                motion_peaks.append(frac)
+            add("motion", item.start, item.end - 1, bh * bw / (scenario.roi[2] * scenario.roi[3]))
         elif item.kind in _LIGHT_KINDS:
-            light.append((item.start, item.start))
+            spans["light"].append([item.start, item.start, 1.0])
         elif item.kind == TALK:
-            span = (item.start, item.end - 1)
-            amp = 0.25 + 0.25 * item.magnitude
-            if noise and noise[-1][1] + 1 == span[0]:
-                noise[-1] = (noise[-1][0], span[1])
-                noise_peaks[-1] = max(noise_peaks[-1], amp)
-            else:
-                noise.append(span)
-                noise_peaks.append(amp)
-
-    wake = {EpochClass.FULL_POSTURE_CHANGE, EpochClass.LIMB_MOVEMENT, EpochClass.OUT_OF_VIEW}
-    efficiency = 1.0 - sum(c in wake for c in classes) / dur
+            add("noise", item.start, item.end - 1, 0.25 + 0.25 * item.magnitude)
 
     def clips(channel, s, e):
         return clip_range(channel, s, e, video_rate=manifest.video_rate,
                           audio_rate=manifest.audio_rate,
                           frame_count=manifest.frame_count, audio_samples=audio_len)
 
-    events = {MOTION: [], LIGHT: [], NOISE: []}
-    for (s, e), peak in zip(motion, motion_peaks):
-        cs, ce = clips(MOTION, s, e)
-        events[MOTION].append(Event(MOTION, s, e, peak, cs, ce))
-    for s, e in light:
-        cs, ce = clips(LIGHT, s, e)
-        events[LIGHT].append(Event(LIGHT, s, e, 1.0, cs, ce))
-    for (s, e), peak in zip(noise, noise_peaks):
-        cs, ce = clips(NOISE, s, e)
-        events[NOISE].append(Event(NOISE, s, e, peak, cs, ce))
-    return GroundTruth(motion_spans=motion, light_spans=light, noise_spans=noise,
-                       classes=classes, efficiency=efficiency, events=events)
+    events = {ch: [Event(ch, s, e, peak, *clips(ch, s, e)) for s, e, peak in run]
+              for ch, run in spans.items()}
+    return GroundTruth(classes=classes, efficiency=sleep_efficiency(classes), events=events)
 
 
 def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:

@@ -94,9 +94,7 @@ def test_long_preset_artifact_hashes(trouble_run, successful_run):
         result = run["result"]
         texts = {
             "events.log": events.format_event_log(result.events),
-            "scores.csv": scoring.format_scores_csv(
-                result.scores[scoring.DEPTH], result.scores[scoring.COLOR],
-                result.scores[scoring.AUDIO]),
+            "scores.csv": scoring.format_scores_csv(result.scores),
             "epochs.csv": events.format_epochs_csv(result.epochs),
         }
         got = {k: hashlib.sha256(t.encode()).hexdigest() for k, t in texts.items()}
@@ -178,8 +176,7 @@ def test_criterion_5_channel_separation():
     lit_result = events.run_detector(lit_session)
     assert len(lit_result.events["light"]) == 2
     assert len(lit_result.events["motion"]) == 0
-    assert np.array_equal(lit_result.scores["depth"].values,
-                          dark_result.scores["depth"].values)
+    assert np.array_equal(lit_result.scores["depth"], dark_result.scores["depth"])
     print("\nACCEPTANCE 5 PASS: light toggle -> 2 light events, 0 motion events, "
           "depth scores bit-identical to the no-light variant")
 

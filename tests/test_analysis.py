@@ -5,6 +5,7 @@ import pytest
 
 from sleepmon.analysis import (ClassThresholds, EpochClass, build_report, classify_epochs,
                                format_report, sleep_efficiency, sleep_wake)
+from sleepmon.events import Event
 
 C = EpochClass
 
@@ -134,7 +135,8 @@ class TestBuildReport:
         assert report.light_pct == report.noise_pct == 0.0
 
     def test_light_coverage(self):
-        report = build_report([C.CALMNESS] * 3600, [(100, 135)], [], 3600)
+        report = build_report([C.CALMNESS] * 3600, [Event("light", 100, 135, 1.0, 0, 0)], [],
+                              3600)
         assert report.light_pct == pytest.approx(1.0)
 
     def test_percentages_partition(self):

@@ -307,6 +307,12 @@ class TestModelInit:
         with pytest.raises(ValueError, match="learning rate out of range"):
             GmmParams(learning_rate=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["match_k", "variance_floor", "initial_variance"])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            GmmParams(**{name: value})
+
     def test_depth_zero_pixel_flagged_never_observed(self):
         frame = np.full((4, 4), 900.0, np.float32)
         frame[2, 2] = 0.0

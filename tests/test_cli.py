@@ -13,7 +13,7 @@ from sleepmon import actigraphy, analysis, cli, events, session
 from sleepmon.cli import _match_spans, main
 from sleepmon.events import Event, format_event_log
 from sleepmon.kvtext import write_pairs
-from sleepmon.scoring import ScoreSeries, format_scores_csv
+from sleepmon.scoring import format_scores_csv
 from sleepmon.synth import (FULL_TURN, LIGHT_ON, TALK, Scenario, TimelineItem,
                             write_scenario)
 
@@ -105,6 +105,16 @@ class TestDetect:
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_gmm_config_exits_1(self, tmp_path, session_dir, capsys, value):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"gmm_match_k={value}\n")
+        code = run("detect", "--session", session_dir, "--config", cfg,
+                   "--out", tmp_path / "det")
+        assert code == 1
+        assert "match_k must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "det").exists()
+
     def test_corrupt_session_exits_nonzero(self, tmp_path, session_dir, capsys):
         (session_dir / "depth.raw").unlink()
         code = run("detect", "--session", session_dir, "--out", tmp_path / "det")
@@ -188,7 +198,7 @@ def write_detection(root, roi_w, roi_h, video_rate, counts, light=(), noise=()):
     depth = np.asarray(counts) / (roi_w * roi_h)
     zeros = np.zeros(len(depth))
     (det / "scores.csv").write_text(format_scores_csv(
-        ScoreSeries("depth", depth), ScoreSeries("color", zeros), ScoreSeries("audio", zeros)))
+        {"depth": depth, "color": zeros, "audio": zeros}))
     (det / "events.log").write_text(format_event_log(
         {"motion": [], "light": list(light), "noise": list(noise)}))
     return sess, det, depth
@@ -243,6 +253,18 @@ class TestReportPath:
         (det / "scores.csv").write_text("".join(lines[:-1]))
         assert run("report", "--session", sess, "--detect", det) == 1
         assert "manifest mismatch: scores.csv holds 1199 frames" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["swap", "gap"])
+    def test_frame_column_must_count_from_zero(self, detected, capsys, edit):
+        sess, det, _ = detected
+        lines = (det / "scores.csv").read_text().splitlines(keepends=True)
+        if edit == "swap":
+            lines[5], lines[6] = lines[6], lines[5]
+        else:
+            lines[6] = "9999" + lines[6][lines[6].index(","):]
+        (det / "scores.csv").write_text("".join(lines))
+        assert run("report", "--session", sess, "--detect", det) == 1
+        assert "frame column" in capsys.readouterr().err
 
     def test_overlapping_event_log_exits_1(self, detected, capsys):
         sess, det, _ = detected

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sleepmon.events import (EVENT_LOG_HEADER, DetectorConfig, Event, clip_range,
                              detect_events, epochize, epoch_peaks, format_epochs_csv,
-                             format_event_log, parse_event_log, record_clips, run_detector)
-from sleepmon.scoring import ScoreSeries
+                             format_event_log, parse_event_log, run_detector)
+from sleepmon.scoring import CHANNELS, format_scores_csv
 
 from conftest import build_session
 
@@ -92,8 +92,9 @@ class TestDetectEvents:
 
 class TestClips:
     def test_motion_clip_with_margin(self):
-        s = build_session(frame_count=450)
-        assert record_clips("motion", 10, 12, s) == (270, 419)
+        got = clip_range("motion", 10, 12, video_rate=30, audio_rate=16000,
+                         frame_count=450, audio_samples=240000)
+        assert got == (270, 419)
 
     def test_noise_clip_with_margin(self):
         got = clip_range("noise", 5, 5, video_rate=30, audio_rate=16000,
@@ -174,7 +175,7 @@ class TestEpochPeaks:
         values = np.zeros(60)
         values[10] = 0.5
         values[40] = 0.2
-        peaks = epoch_peaks(ScoreSeries("depth", values))
+        peaks = epoch_peaks(values)
         assert np.array_equal(peaks, [0.5, 0.2])
 
 
@@ -219,3 +220,28 @@ class TestEventLog:
                   "audio": np.array([30, 2])}
         assert format_epochs_csv(epochs).splitlines() == [
             "epoch,depth,color,audio", "0,0,1,30", "1,3,0,2"]
+
+
+class TestChannelTable:
+    """``scoring.CHANNELS`` names the file columns and the event channels, in order."""
+
+    def test_keys_are_the_csv_columns(self):
+        n = np.zeros(1)
+        scores = format_scores_csv({"depth": n, "color": n, "audio": n})
+        epochs = format_epochs_csv({"depth": [0], "color": [0], "audio": [0]})
+        for text in (scores, epochs):
+            assert text.splitlines()[0].split(",")[1:] == list(CHANNELS)
+
+    def test_values_are_the_event_log_channel_order(self):
+        by_channel = {ch: [Event(ch, 0, 0, 0.5, 0, 0)] for ch in reversed(CHANNELS.values())}
+        rows = format_event_log(by_channel).splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == list(CHANNELS.values())
+        assert list(parse_event_log("\n".join([EVENT_LOG_HEADER] + rows))) == \
+            list(CHANNELS.values())
+
+    def test_detector_output_is_keyed_by_the_table(self):
+        res = run_detector(build_session(frame_count=60))
+        assert list(res.scores) == list(res.epochs) == list(CHANNELS)
+        assert list(res.events) == list(CHANNELS.values())
+        for v in res.scores.values():
+            assert v.dtype == np.float64 and v.flags.c_contiguous and len(v) == 60

@@ -5,36 +5,35 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sleepmon.background import foreground_area
 from sleepmon.errors import AudioUnderrunError
-from sleepmon.scoring import (audio_score, chunk_audio, chunk_bounds, exact_visual_scores,
-                              format_scores_csv, make_models, parse_scores_csv,
-                              score_session, visual_score, ScoreSeries)
+from sleepmon.scoring import (CHANNELS, audio_score, chunk_audio, chunk_bounds,
+                              exact_visual_scores, format_scores_csv, make_models,
+                              parse_scores_csv, score_session)
 
 from conftest import build_session
 
 
 class TestVisualScore:
+    """A visual score is the foreground area over the roi area."""
+
     def test_empty_mask(self):
-        assert visual_score(np.zeros((350, 320), bool), 112000) == 0.0
+        assert foreground_area(np.zeros((350, 320), bool)) / 112000 == 0.0
 
     def test_full_mask(self):
-        assert visual_score(np.ones((350, 320), bool), 112000) == 1.0
+        assert foreground_area(np.ones((350, 320), bool)) / 112000 == 1.0
 
     def test_fraction(self):
         mask = np.zeros((350, 320), bool)
         mask.ravel()[:11200] = True
-        assert visual_score(mask, 112000) == pytest.approx(0.1)
+        assert foreground_area(mask) / 112000 == pytest.approx(0.1)
 
     def test_doubling_area_doubles_score(self):
         mask1 = np.zeros((100, 100), bool)
         mask1[:10, :10] = True
         mask2 = np.zeros((100, 100), bool)
         mask2[:10, :20] = True
-        assert visual_score(mask2, 10000) == 2 * visual_score(mask1, 10000)
-
-    def test_area_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            visual_score(np.zeros((4, 4), bool), 17)
+        assert foreground_area(mask2) / 10000 == 2 * (foreground_area(mask1) / 10000)
 
 
 class TestChunkAudio:
@@ -102,42 +101,49 @@ def _static_session(seconds=12, value=900, luma_value=50):
 class TestScoreSession:
     def test_static_silent_session_scores_near_zero(self):
         s = _static_session()
-        d, c, a = score_session(s, *make_models(s))
+        scores = score_session(s, *make_models(s))
         burn = 10 * 30
-        assert np.all(d.values[burn:] < 0.01)
-        assert np.all(c.values[burn:] < 0.01)
-        assert np.all(a.values == 0.0)
-        assert len(d) == len(c) == len(a) == s.manifest.frame_count
+        assert np.all(scores["depth"][burn:] < 0.01)
+        assert np.all(scores["color"][burn:] < 0.01)
+        assert np.all(scores["audio"] == 0.0)
+        assert [len(v) for v in scores.values()] == [s.manifest.frame_count] * 3
+
+    def test_scores_are_float64_arrays_keyed_by_channel(self):
+        s = build_session(frame_count=5)
+        scores = score_session(s, *make_models(s))
+        assert list(scores) == list(CHANNELS)
+        for v in scores.values():
+            assert v.dtype == np.float64 and v.flags.c_contiguous
 
     def test_deterministic_across_runs(self):
         s = build_session(frame_count=60, width=12, height=10, roi=(1, 1, 8, 8), seed=3)
         out1 = score_session(s, *make_models(s))
         out2 = score_session(s, *make_models(s))
-        for a, b in zip(out1, out2):
-            assert np.array_equal(a.values, b.values)
+        for ch in CHANNELS:
+            assert np.array_equal(out1[ch], out2[ch])
 
     def test_worker_count_does_not_change_output(self):
         s = build_session(frame_count=60, width=12, height=10, roi=(1, 1, 8, 8), seed=4)
         seq = score_session(s, *make_models(s), workers=1)
         par = score_session(s, *make_models(s), workers=3)
-        for a, b in zip(seq, par):
-            assert np.array_equal(a.values, b.values)
+        assert list(par) == list(seq)
+        for ch in CHANNELS:
+            assert np.array_equal(seq[ch], par[ch])
 
     def test_depth_series_ignores_color_stream(self):
         s1 = build_session(frame_count=45, width=12, height=10, roi=(1, 1, 8, 8), seed=5)
         s2 = build_session(frame_count=45, width=12, height=10, roi=(1, 1, 8, 8), seed=5)
         s2.color = np.clip(s2.color.astype(np.int32) * 2, 0, 255).astype(np.uint8)
-        d1, _, _ = score_session(s1, *make_models(s1))
-        d2, _, _ = score_session(s2, *make_models(s2))
-        assert np.array_equal(d1.values, d2.values)
+        d1 = score_session(s1, *make_models(s1))["depth"]
+        d2 = score_session(s2, *make_models(s2))["depth"]
+        assert np.array_equal(d1, d2)
 
 
 class TestScoresCsv:
     def test_format_and_parse_round_trip(self):
-        d = ScoreSeries("depth", np.array([0.0, 0.1234567]))
-        c = ScoreSeries("color", np.array([1.0, 0.5]))
-        a = ScoreSeries("audio", np.array([0.25, 0.0]))
-        text = format_scores_csv(d, c, a)
+        text = format_scores_csv({"depth": np.array([0.0, 0.1234567]),
+                                  "color": np.array([1.0, 0.5]),
+                                  "audio": np.array([0.25, 0.0])})
         assert text.splitlines()[0] == "frame,depth,color,audio"
         assert text.splitlines()[1] == "0,0.000000,1.000000,0.250000"
         assert text.splitlines()[2] == "1,0.123457,0.500000,0.000000"
@@ -147,6 +153,47 @@ class TestScoresCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             parse_scores_csv("frames,depth\n")
+
+    def test_header_only_gives_empty_columns(self, recwarn):
+        parsed = parse_scores_csv("frame,depth,color,audio\n")
+        assert list(parsed) == list(CHANNELS)
+        assert all(v.dtype == np.float64 and len(v) == 0 for v in parsed.values())
+        assert len(recwarn) == 0
+
+    def test_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            format_scores_csv({"depth": np.zeros(2), "color": np.zeros(2),
+                               "audio": np.zeros(1)})
+
+    @pytest.mark.parametrize("body", [
+        "0,0.1,0.2\n",                      # a field short
+        "0,0.1,0.2,0.3,0.4\n",              # a field over
+        "0,0.1,0.2,0.3\n1,0.1,0.2\n",        # ragged rows
+        "0,x,0.2,0.3\n",                    # not a number
+        "0,,0.2,0.3\n",                     # empty field
+        "1,0.1,0.2,0.3\n0,0.1,0.2,0.3\n",    # shuffled frames
+        "0,0.1,0.2,0.3\n2,0.1,0.2,0.3\n",    # a gap in the frames
+        "0,0.1,0.2,0.3\n0,0.1,0.2,0.3\n",    # a repeated frame
+        "0.5,0.1,0.2,0.3\n",                # a fractional frame
+    ])
+    def test_malformed_rows_rejected(self, body):
+        with pytest.raises(ValueError):
+            parse_scores_csv("frame,depth,color,audio\n" + body)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), max_size=50))
+    def test_parse_is_bit_equal_to_per_cell_float(self, rows):
+        cols = np.array(rows, np.float64).reshape(-1, 3).T
+        text = format_scores_csv(dict(zip(CHANNELS, cols)))
+        ref = {ch: [] for ch in CHANNELS}
+        for line in text.splitlines()[1:]:
+            for ch, cell in zip(CHANNELS, line.split(",")[1:]):
+                ref[ch].append(float(cell))
+        parsed = parse_scores_csv(text)
+        assert list(parsed) == list(CHANNELS)
+        for ch in CHANNELS:
+            assert parsed[ch].dtype == np.float64
+            assert parsed[ch].tobytes() == np.array(ref[ch], np.float64).tobytes()
 
 
 def _area_and_counts():
@@ -163,8 +210,8 @@ class TestExactVisualScores:
     def test_recovers_the_library_scores_bit_for_bit(self, area_counts):
         area, counts = area_counts
         raw = np.array([k / area for k in counts])
-        zeros = ScoreSeries("color", np.zeros(len(raw)))
-        text = format_scores_csv(ScoreSeries("depth", raw), zeros, zeros)
+        zeros = np.zeros(len(raw))
+        text = format_scores_csv({"depth": raw, "color": zeros, "audio": zeros})
         got = exact_visual_scores(parse_scores_csv(text)["depth"], area)
         assert got.dtype == np.float64
         assert got.tobytes() == raw.tobytes()

@@ -19,6 +19,10 @@ from sleepmon.synth import (AMBIENT_LUMA, BED_DEPTH, BLOB_LUMA_OFFSET, BODY_DEPT
                             write_scenario)
 
 
+def spans(evs):
+    return [(e.start_epoch, e.end_epoch) for e in evs]
+
+
 def scenario(duration=40, seed=5, items=()):
     return Scenario(duration=duration, seed=seed, timeline=tuple(items))
 
@@ -203,19 +207,19 @@ class TestGroundTruth:
         assert truth.classes[15] == EpochClass.FULL_POSTURE_CHANGE
         assert truth.classes[17:40] == [EpochClass.OUT_OF_VIEW] * 23
         assert truth.classes[40] == EpochClass.FULL_POSTURE_CHANGE
-        assert truth.motion_spans == [(15, 16), (40, 41)]
+        assert spans(truth.events["motion"]) == [(15, 16), (40, 41)]
 
     def test_tiny_items_are_not_motion_events(self):
         sc = scenario(duration=30, items=[TimelineItem(15, 18, TINY_TWITCH)])
         _, truth = generate(sc)
-        assert truth.motion_spans == []
+        assert truth.events["motion"] == []
         assert truth.classes[16] == EpochClass.TINY_MOVEMENT
 
     def test_contiguous_items_merge_into_one_event(self):
         sc = scenario(duration=30, items=[
             TimelineItem(15, 18, LIMB_MOVE), TimelineItem(18, 21, FULL_TURN)])
         _, truth = generate(sc)
-        assert truth.motion_spans == [(15, 20)]
+        assert spans(truth.events["motion"]) == [(15, 20)]
 
     def test_event_log_export_shape(self):
         sc = scenario(duration=40, items=[
@@ -236,8 +240,8 @@ class TestGroundTruth:
     def test_truth_log_is_sorted_and_disjoint(self, sc):
         _, truth = generate(sc)
         parsed = events.parse_event_log(events.format_event_log(truth.events))
-        assert [(e.start_epoch, e.end_epoch) for e in parsed["motion"]] == truth.motion_spans
-        assert [(e.start_epoch, e.end_epoch) for e in parsed["noise"]] == truth.noise_spans
+        assert spans(parsed["motion"]) == spans(truth.events["motion"])
+        assert spans(parsed["noise"]) == spans(truth.events["noise"])
 
 
 class TestPipelineAgreement:
@@ -251,8 +255,8 @@ class TestPipelineAgreement:
             TimelineItem(20, 23, FULL_TURN), TimelineItem(40, 43, TALK)])
         session, truth = generate(sc)
         res = events.run_detector(session)
-        assert [(e.start_epoch, e.end_epoch) for e in res.events["motion"]] == truth.motion_spans
-        assert [(e.start_epoch, e.end_epoch) for e in res.events["noise"]] == truth.noise_spans
+        assert spans(res.events["motion"]) == spans(truth.events["motion"])
+        assert spans(res.events["noise"]) == spans(truth.events["noise"])
 
 
 class TestPresets:
@@ -270,13 +274,13 @@ class TestPresets:
         turns = [it for it in sc.timeline if it.kind == FULL_TURN]
         assert [it.start for it in turns] == [120, 240, 360, 480]
         _, truth = generate(sc)
-        assert len(truth.motion_spans) == 4
+        assert len(truth.events["motion"]) == 4
 
     def test_trouble_has_lower_truth_efficiency(self):
         _, trouble = generate(preset("trouble_sleeping"))
         _, good = generate(preset("successful_sleeping"))
         assert trouble.efficiency < good.efficiency
-        assert len(trouble.motion_spans) > len(good.motion_spans)
+        assert len(trouble.events["motion"]) > len(good.events["motion"])
 
     def test_successful_has_exactly_one_light_on(self):
         sc = preset("successful_sleeping")
