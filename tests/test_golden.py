@@ -3,8 +3,10 @@
 Criterion 8 checks determinism within one run; these pins hold the bytes of
 ``events.log``, ``scores.csv``, ``epochs.csv`` and ``report.txt`` fixed
 across commits, and the bytes of the ``depth.raw``, ``color.raw`` and
-``audio.raw`` streams the synthesizer writes for three small scenarios.  A
-change that alters any of them changes behaviour and must say so; it is not
+``audio.raw`` streams the synthesizer writes for three small scenarios.  The
+key=value text files are pinned too: ``config_used.txt`` as ``write_config``
+writes it, scenario files, and the ``manifest.txt`` that ``generate`` writes.
+A change that alters any of them changes behaviour and must say so; it is not
 fixed by re-pinning.
 """
 
@@ -16,6 +18,7 @@ import pytest
 
 from sleepmon import synth
 from sleepmon.cli import main
+from sleepmon.config import Config, write_config
 from sleepmon.session import write_session
 
 ARTIFACTS = ("events.log", "scores.csv", "epochs.csv", "report.txt")
@@ -141,3 +144,54 @@ def test_stream_hashes(tmp_path, case):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in STREAMS}
     assert got == STREAM_GOLDEN[case]
+
+
+# Awkward floats: 0.1 + 0.2 and 1e3 / 3 need all 17 digits, 1e-300 an exponent.
+CONFIG_CASES = {
+    "default": Config(),
+    "custom": Config(gmm_components=4, gmm_match_k=2.25, gmm_learning_rate=0.1 + 0.2,
+                     gmm_luma_initial_variance=1e3 / 3, depth_threshold=1e-300,
+                     burn_in_seconds=7, class_min_absent_epochs=12, workers=2),
+}
+
+CONFIG_GOLDEN = {
+    "default": "3e7e181eb4b23efe4bf8e53d3e2fea9c425489e7b21ca9bbca9d3d8e14fe7bc3",
+    "custom": "3d232b6505cf02f6d0cae8651ad5bc7eb71a425e093a24c49428d805b713980b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_config_text_hashes(tmp_path, case):
+    write_config(CONFIG_CASES[case], tmp_path / "config_used.txt")
+    got = hashlib.sha256((tmp_path / "config_used.txt").read_bytes()).hexdigest()
+    assert got == CONFIG_GOLDEN[case]
+
+
+# Zero noise, an off-centre roi, 12 fps and a seed above 2**63.
+QUIET_OFF_CENTRE = replace(STREAM_SCENARIOS["off_centre"], depth_noise=0.0, luma_noise=0.0,
+                           audio_noise=0.0)
+SCENARIO_CASES = {**{name: synth.preset(name) for name in synth.PRESETS},
+                  "quiet_off_centre": QUIET_OFF_CENTRE}
+
+SCENARIO_GOLDEN = {
+    "posture_test": "fe516cb5ae79c1a0e33fec814434c9f18ec89d5a080e470eb3141a6419139f22",
+    "trouble_sleeping": "8f4c5d57a89550a7465ee58d615775250245f269c94f4baf5a0b7d08e4e0b2be",
+    "successful_sleeping": "69b9a2ec157b45c81befce0fcd559dedc13703ceabc96671d2a874cbdf94dc8b",
+    "quiet_off_centre": "a383edb84260bd8c11e8bfec2a02fbdf47f00e6d994bb2a14c16aebb1fc713ef",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_CASES))
+def test_scenario_text_hashes(tmp_path, case):
+    synth.write_scenario(SCENARIO_CASES[case], tmp_path / "scenario.txt")
+    got = hashlib.sha256((tmp_path / "scenario.txt").read_bytes()).hexdigest()
+    assert got == SCENARIO_GOLDEN[case]
+
+
+def test_generated_manifest_hash(tmp_path):
+    synth.write_scenario(QUIET_OFF_CENTRE, tmp_path / "scenario.txt")
+    sess = tmp_path / "sess"
+    assert main(["generate", "--scenario", str(tmp_path / "scenario.txt"),
+                 "--out", str(sess)]) == 0
+    got = hashlib.sha256((sess / "manifest.txt").read_bytes()).hexdigest()
+    assert got == "61c79c0fd4e5f6772ed829d4f3a13344aa05d82b29edab7cdfb0e00790516b73"
