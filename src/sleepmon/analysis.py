@@ -151,14 +151,6 @@ def build_report(classes, light_events, noise_events, duration_seconds: int) -> 
     )
 
 
-REPORT_KEYS = (
-    "full_posture_changes_pct", "limb_movements_pct", "tiny_movements_pct",
-    "calmness_pct", "out_of_view_pct", "light_event_pct", "noise_event_pct",
-    "sleep_efficiency", "cole_sleep_efficiency", "sadeh_sleep_efficiency",
-    "duration_seconds",
-)
-
-
 def format_report(report: SleepReport, cole_efficiency: float | None = None,
                   sadeh_efficiency: float | None = None) -> str:
     """Text export mirroring the report columns; percentages use two decimals."""

@@ -74,7 +74,7 @@ class GmmParams:
             raise ValueError("replacement weight out of range (0, 1)")
 
 
-DEPTH_PARAMS = GmmParams(initial_variance=50.0 ** 2)
+DEPTH_PARAMS = GmmParams()  # the default initial variance is the depth one
 LUMA_PARAMS = GmmParams(initial_variance=30.0 ** 2)
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import actigraphy, analysis, events, scoring, synth
@@ -33,7 +34,7 @@ def cmd_generate(args) -> int:
     else:
         scenario = synth.read_scenario(args.scenario)
         if args.seed is not None:
-            scenario = synth.with_seed(scenario, args.seed)
+            scenario = replace(scenario, seed=args.seed)
     session, truth = synth.generate(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -49,10 +50,7 @@ def cmd_generate(args) -> int:
 def cmd_detect(args) -> int:
     config = read_config(args.config) if args.config else Config()
     session = load_session(args.session)
-    result = events.run_detector(
-        session, config.detector_config(),
-        depth_params=config.depth_params(), luma_params=config.luma_params(),
-        workers=config.workers)
+    result = events.run_detector(session, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / SCORES_CSV, scoring.format_scores_csv(result.scores))

@@ -1,42 +1,47 @@
 """Flat key=value configuration for the detection pipeline.
 
-Every tunable of the background models, the event detector, and the epoch
-classifier appears under one named key; unknown keys are rejected and values
-are range-checked by the owning module when the typed parameter objects are
-built.  Missing keys fall back to defaults, and the values actually applied
-are echoed to a sidecar file next to the detection outputs.
+``Config`` is the one parameter object of the detector: ``run_detector`` and
+``sleepmon detect`` both take it.  Every tunable of the background models, the
+event detector, and the epoch classifier appears under one named field, whose
+default is read from the module that owns the parameter; the config file is
+its text form (see ``kvtext``).  Unknown keys are rejected and values are
+range-checked by the owning module when the typed parameter objects are built.
+Missing keys fall back to defaults, and the values actually applied are echoed
+to a sidecar file next to the detection outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .analysis import ClassThresholds
-from .background import GmmParams
-from .events import DetectorConfig
-from .kvtext import read_pairs, write_pairs
+from .background import DEPTH_PARAMS, LUMA_PARAMS, GmmParams
+from .kvtext import from_pairs, read_pairs, to_pairs, write_pairs
+from .scoring import CHANNELS
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
-    gmm_components: int = 3
-    gmm_match_k: float = 2.5
-    gmm_learning_rate: float = 0.01
-    gmm_background_fraction: float = 0.7
-    gmm_depth_initial_variance: float = 50.0 ** 2
-    gmm_luma_initial_variance: float = 30.0 ** 2
-    gmm_variance_floor: float = 4.0
-    gmm_replacement_weight: float = 0.05
+    gmm_components: int = GmmParams.components
+    gmm_match_k: float = GmmParams.match_k
+    gmm_learning_rate: float = GmmParams.learning_rate
+    gmm_background_fraction: float = GmmParams.background_fraction
+    gmm_depth_initial_variance: float = DEPTH_PARAMS.initial_variance
+    gmm_luma_initial_variance: float = LUMA_PARAMS.initial_variance
+    gmm_variance_floor: float = GmmParams.variance_floor
+    gmm_replacement_weight: float = GmmParams.replacement_weight
+    # Frame-score thresholds per score channel, and the model warm-up whose
+    # epochs are zeroed before event detection.
     depth_threshold: float = 0.02
     color_threshold: float = 0.05
     audio_threshold: float = 0.10
     burn_in_seconds: int = 10
-    class_tiny: float = 0.005
-    class_limb: float = 0.02
-    class_full: float = 0.10
-    class_exit: float = 0.30
-    class_absent: float = 0.003
-    class_min_absent_epochs: int = 10
+    class_tiny: float = ClassThresholds.tiny
+    class_limb: float = ClassThresholds.limb
+    class_full: float = ClassThresholds.full
+    class_exit: float = ClassThresholds.exit
+    class_absent: float = ClassThresholds.absent
+    class_min_absent_epochs: int = ClassThresholds.min_absent_epochs
     workers: int = 1
 
     def __post_init__(self):
@@ -44,8 +49,12 @@ class Config:
         # range-checked by the module that owns it.
         self.depth_params()
         self.luma_params()
-        self.detector_config()
         self.class_thresholds()
+        for ch in CHANNELS:
+            if not 0.0 < self.threshold(ch) < 1.0:
+                raise ValueError(f"threshold for {ch} out of range (0, 1)")
+        if self.burn_in_seconds < 0:
+            raise ValueError("burn_in_seconds must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -64,11 +73,9 @@ class Config:
     def luma_params(self) -> GmmParams:
         return self._gmm(self.gmm_luma_initial_variance)
 
-    def detector_config(self) -> DetectorConfig:
-        return DetectorConfig(thresholds={"depth": self.depth_threshold,
-                                          "color": self.color_threshold,
-                                          "audio": self.audio_threshold},
-                              burn_in_seconds=self.burn_in_seconds)
+    def threshold(self, channel: str) -> float:
+        """Frame-score threshold of a score channel (a key of ``CHANNELS``)."""
+        return getattr(self, f"{channel}_threshold")
 
     def class_thresholds(self) -> ClassThresholds:
         return ClassThresholds(tiny=self.class_tiny, limb=self.class_limb,
@@ -77,26 +84,9 @@ class Config:
                                min_absent_epochs=self.class_min_absent_epochs)
 
 
-# Annotations are strings here (``from __future__ import annotations``).
-_INT_KEYS = {f.name for f in fields(Config) if f.type == "int"}
-
-
 def read_config(path) -> Config:
-    pairs = read_pairs(path)
-    known = {f.name for f in fields(Config)}
-    kwargs = {}
-    for key, value in pairs:
-        if key not in known:
-            raise ValueError(f"unknown config key {key!r}")
-        if key in kwargs:
-            raise ValueError(f"duplicate config key {key!r}")
-        kwargs[key] = int(value) if key in _INT_KEYS else float(value)
-    return Config(**kwargs)
+    return from_pairs(Config, read_pairs(path), "config", required=False)
 
 
 def write_config(config: Config, path) -> None:
-    pairs = []
-    for f in fields(Config):
-        v = getattr(config, f.name)
-        pairs.append((f.name, str(v) if f.name in _INT_KEYS else repr(float(v))))
-    write_pairs(path, pairs)
+    write_pairs(path, to_pairs(config))

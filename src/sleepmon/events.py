@@ -19,31 +19,15 @@ for noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config
 from .scoring import CHANNELS, make_models, score_session
 from .session import Session
 
 CLIP_MARGIN_SECONDS = 1
-
-
-@dataclass
-class DetectorConfig:
-    """Frame-score thresholds per channel plus the model warm-up interval."""
-
-    thresholds: dict = field(default_factory=lambda: {"depth": 0.02, "color": 0.05,
-                                                      "audio": 0.10})
-    burn_in_seconds: int = 10
-
-    def __post_init__(self):
-        for ch in CHANNELS:
-            t = self.thresholds.get(ch)
-            if t is None or not 0.0 < t < 1.0:
-                raise ValueError(f"threshold for {ch} out of range (0, 1)")
-        if self.burn_in_seconds < 0:
-            raise ValueError("burn_in_seconds must be >= 0")
 
 
 @dataclass
@@ -132,31 +116,31 @@ class DetectionResult:
     scores: dict
     epochs: dict
     events: dict
-    config: DetectorConfig
+    config: Config
 
 
-def run_detector(session: Session, config: DetectorConfig | None = None, *,
-                 depth_params=None, luma_params=None, workers: int = 1) -> DetectionResult:
+def run_detector(session: Session, config: Config | None = None) -> DetectionResult:
     """Score the session, epoch-aggregate, and detect events on all channels.
 
-    Epochs inside the burn-in interval are forced to zero counts before
-    detection so model warm-up cannot fabricate events.
+    ``config`` defaults to ``Config()``, the values ``sleepmon detect`` applies
+    without a config file.  Epochs inside the burn-in interval are forced to
+    zero counts before detection so model warm-up cannot fabricate events.
     """
     if config is None:
-        config = DetectorConfig()
+        config = Config()
     man = session.manifest
     if man.frame_count == 0:
         return DetectionResult(scores={ch: np.empty(0, np.float64) for ch in CHANNELS},
                                epochs={ch: np.empty(0, np.int64) for ch in CHANNELS},
                                events={ev: [] for ev in CHANNELS.values()},
                                config=config)
-    depth_model, color_model = make_models(session, depth_params, luma_params)
-    scores = score_session(session, depth_model, color_model, workers=workers)
+    depth_model, color_model = make_models(session, config.depth_params(), config.luma_params())
+    scores = score_session(session, depth_model, color_model, workers=config.workers)
     fpe = man.video_rate
     epochs = {}
     events = {}
     for ch, ev_channel in CHANNELS.items():
-        counts = epochize(scores[ch], config.thresholds[ch], fpe)
+        counts = epochize(scores[ch], config.threshold(ch), fpe)
         counts[:config.burn_in_seconds] = 0
         epochs[ch] = counts
         peaks = epoch_peaks(scores[ch], fpe)

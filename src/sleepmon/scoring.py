@@ -22,8 +22,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import background
-from .background import BackgroundModel, foreground_area, luma, morph_smooth
+from .background import (DEPTH_CHANNEL, DEPTH_PARAMS, LUMA_CHANNEL, LUMA_PARAMS, BackgroundModel,
+                         GmmParams, foreground_area, luma, morph_smooth)
 from .errors import AudioUnderrunError
 from .session import Session, crop_roi
 
@@ -88,17 +88,17 @@ def _score_audio(session: Session) -> np.ndarray:
     return np.array([audio_score(c) for c in chunks], np.float64)
 
 
-def make_models(session: Session, depth_params=None, luma_params=None):
+def make_models(session: Session, depth_params: GmmParams = DEPTH_PARAMS,
+                luma_params: GmmParams = LUMA_PARAMS):
     """Seed one model per visual channel from frame 0 of the session."""
     if session.manifest.frame_count == 0:
         raise ValueError("cannot initialize models on an empty session")
     roi = session.manifest.roi
-    dp = depth_params if depth_params is not None else background.DEPTH_PARAMS
-    lp = luma_params if luma_params is not None else background.LUMA_PARAMS
-    depth_model = BackgroundModel(dp, crop_roi(session.depth_frame(0), roi).astype(np.float32),
-                                  background.DEPTH_CHANNEL)
-    color_model = BackgroundModel(lp, luma(crop_roi(session.color_frame(0), roi)),
-                                  background.LUMA_CHANNEL)
+    depth_model = BackgroundModel(depth_params,
+                                  crop_roi(session.depth_frame(0), roi).astype(np.float32),
+                                  DEPTH_CHANNEL)
+    color_model = BackgroundModel(luma_params, luma(crop_roi(session.color_frame(0), roi)),
+                                  LUMA_CHANNEL)
     return depth_model, color_model
 
 

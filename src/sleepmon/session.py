@@ -3,10 +3,9 @@
 A session is a directory containing a manifest plus three raw stream files:
 
 ``manifest.txt``
-    UTF-8 ``key=value`` lines with exactly these keys: ``depth_width``,
-    ``depth_height``, ``color_width``, ``color_height``, ``video_rate``,
-    ``audio_rate``, ``frame_count``, ``roi_x``, ``roi_y``, ``roi_w``,
-    ``roi_h``, ``depth_file``, ``color_file``, ``audio_file``.
+    UTF-8 ``key=value`` lines with exactly the fields of ``SessionManifest`` as
+    keys, in field order, its ``roi`` written as the four keys ``roi_x``,
+    ``roi_y``, ``roi_w``, ``roi_h`` (see ``kvtext``).
 
 depth stream
     Raw little-endian unsigned 16-bit values, row-major, frame after frame.
@@ -47,19 +46,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptSessionError, InvalidDepthError, ManifestMismatchError, RoiBoundsError
-from .kvtext import read_pairs, write_pairs
+from .kvtext import from_pairs, read_pairs, to_pairs, write_pairs
 
 MANIFEST_NAME = "manifest.txt"
 DEPTH_MAX = 2047
 # Bytes of whole frames a loaded stream maps at a time (at least one frame).
 WINDOW_BYTES = 4 << 20
-
-_MANIFEST_KEYS = (
-    "depth_width", "depth_height", "color_width", "color_height",
-    "video_rate", "audio_rate", "frame_count",
-    "roi_x", "roi_y", "roi_w", "roi_h",
-    "depth_file", "color_file", "audio_file",
-)
 
 
 @dataclass(frozen=True)
@@ -125,21 +117,6 @@ class Session:
         return self.color[i]
 
 
-def sessions_equal(a: Session, b: Session) -> bool:
-    """Bit-exact equality of manifests, frames, and samples."""
-    if a.manifest != b.manifest:
-        return False
-    if not np.array_equal(np.asarray(a.audio), np.asarray(b.audio)):
-        return False
-    n = a.manifest.frame_count
-    for i in range(n):
-        if not np.array_equal(a.depth_frame(i), b.depth_frame(i)):
-            return False
-        if not np.array_equal(a.color_frame(i), b.color_frame(i)):
-            return False
-    return True
-
-
 class _MappedFrames:
     """Read-only frames of a raw stream, mapped one window of frames at a time.
 
@@ -196,20 +173,6 @@ def crop_roi(frame: np.ndarray, roi: tuple[int, int, int, int]) -> np.ndarray:
     return frame[y:y + h, x:x + w].copy()
 
 
-def _manifest_to_pairs(man: SessionManifest) -> list[tuple[str, str]]:
-    x, y, w, h = man.roi
-    values = {
-        "depth_width": man.depth_width, "depth_height": man.depth_height,
-        "color_width": man.color_width, "color_height": man.color_height,
-        "video_rate": man.video_rate, "audio_rate": man.audio_rate,
-        "frame_count": man.frame_count,
-        "roi_x": x, "roi_y": y, "roi_w": w, "roi_h": h,
-        "depth_file": man.depth_file, "color_file": man.color_file,
-        "audio_file": man.audio_file,
-    }
-    return [(k, str(values[k])) for k in _MANIFEST_KEYS]
-
-
 def load_manifest(path: str | os.PathLike) -> SessionManifest:
     """Read and validate the manifest of a session directory.
 
@@ -221,31 +184,10 @@ def load_manifest(path: str | os.PathLike) -> SessionManifest:
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
         raise CorruptSessionError(f"corrupt session: missing {MANIFEST_NAME} in {root}")
-    pairs = read_pairs(manifest_path)
-    kv = dict(pairs)
-    if len(kv) != len(pairs):
-        raise CorruptSessionError("corrupt session: duplicate manifest key")
-    missing = [k for k in _MANIFEST_KEYS if k not in kv]
-    unknown = [k for k in kv if k not in _MANIFEST_KEYS]
-    if missing or unknown:
-        raise CorruptSessionError(
-            f"corrupt session: manifest missing keys {missing}, unknown keys {unknown}")
     try:
-        ints = {k: int(kv[k]) for k in _MANIFEST_KEYS if not k.endswith("_file")}
+        return from_pairs(SessionManifest, read_pairs(manifest_path), "manifest", required=True)
     except ValueError as exc:
-        raise CorruptSessionError(f"corrupt session: bad manifest value ({exc})") from exc
-    try:
-        return SessionManifest(
-            depth_width=ints["depth_width"], depth_height=ints["depth_height"],
-            color_width=ints["color_width"], color_height=ints["color_height"],
-            video_rate=ints["video_rate"], audio_rate=ints["audio_rate"],
-            frame_count=ints["frame_count"],
-            roi=(ints["roi_x"], ints["roi_y"], ints["roi_w"], ints["roi_h"]),
-            depth_file=kv["depth_file"], color_file=kv["color_file"],
-            audio_file=kv["audio_file"],
-        )
-    except ValueError as exc:
-        raise CorruptSessionError(f"corrupt session: invalid manifest ({exc})") from exc
+        raise CorruptSessionError(f"corrupt session: {exc}") from exc
 
 
 def write_session(session: Session, path: str | os.PathLike) -> None:
@@ -297,7 +239,7 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
         for partial in partials:
             partial.unlink(missing_ok=True)
         raise
-    write_pairs(out / MANIFEST_NAME, _manifest_to_pairs(man))
+    write_pairs(out / MANIFEST_NAME, to_pairs(man))
 
 
 def load_session(path: str | os.PathLike) -> Session:

@@ -53,7 +53,7 @@ import numpy as np
 
 from .analysis import EpochClass, sleep_efficiency
 from .events import Event, clip_range
-from .kvtext import read_pairs, write_pairs
+from .kvtext import from_pairs, read_pairs, to_pairs, write_pairs
 from .scoring import CHANNELS
 from .session import Session, SessionManifest
 
@@ -435,7 +435,8 @@ def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
         return frames
 
     ar = scenario.audio_rate
-    square = np.tile(np.concatenate([np.ones(20), -np.ones(20)]), ar // 40)
+    # A 40-sample-period square wave, one second long at any audio rate.
+    square = np.where(np.arange(ar) % 40 < 20, 1.0, -1.0)
 
     def build_audio(sec: int) -> np.ndarray:
         samples = np.random.default_rng([scenario.seed, 2, sec]).normal(
@@ -520,55 +521,23 @@ def preset(name: str, seed: int | None = None) -> Scenario:
     raise ValueError(f"unknown preset {name!r}; valid presets: {', '.join(PRESETS)}")
 
 
-_SCENARIO_KEYS = ("duration", "seed", "depth_noise", "luma_noise", "audio_noise",
-                  "frame_width", "frame_height", "roi_x", "roi_y", "roi_w", "roi_h",
-                  "video_rate", "audio_rate")
-
-
 def write_scenario(scenario: Scenario, path) -> None:
-    x, y, w, h = scenario.roi
-    pairs = [
-        ("duration", str(scenario.duration)), ("seed", str(scenario.seed)),
-        ("depth_noise", repr(float(scenario.depth_noise))),
-        ("luma_noise", repr(float(scenario.luma_noise))),
-        ("audio_noise", repr(float(scenario.audio_noise))),
-        ("frame_width", str(scenario.frame_width)),
-        ("frame_height", str(scenario.frame_height)),
-        ("roi_x", str(x)), ("roi_y", str(y)), ("roi_w", str(w)), ("roi_h", str(h)),
-        ("video_rate", str(scenario.video_rate)), ("audio_rate", str(scenario.audio_rate)),
-    ]
-    for item in scenario.timeline:
-        pairs.append(("item", f"{item.start},{item.end},{item.kind},{item.magnitude!r}"))
-    write_pairs(path, pairs)
+    """The scenario's key=value text (see ``kvtext``) plus one ``item=`` line per item."""
+    items = [("item", f"{item.start},{item.end},{item.kind},{item.magnitude!r}")
+             for item in scenario.timeline]
+    write_pairs(path, to_pairs(scenario) + items)
 
 
 def read_scenario(path) -> Scenario:
-    kv = {}
+    pairs = []
     items = []
     for key, value in read_pairs(path):
-        if key == "item":
-            parts = value.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"bad scenario item {value!r}")
-            items.append(TimelineItem(int(parts[0]), int(parts[1]), parts[2], float(parts[3])))
-        elif key in _SCENARIO_KEYS:
-            if key in kv:
-                raise ValueError(f"duplicate scenario key {key!r}")
-            kv[key] = value
-        else:
-            raise ValueError(f"unknown scenario key {key!r}")
-    missing = [k for k in _SCENARIO_KEYS if k not in kv]
-    if missing:
-        raise ValueError(f"scenario file missing keys: {missing}")
-    return Scenario(
-        duration=int(kv["duration"]), seed=int(kv["seed"]), timeline=tuple(items),
-        depth_noise=float(kv["depth_noise"]), luma_noise=float(kv["luma_noise"]),
-        audio_noise=float(kv["audio_noise"]),
-        frame_width=int(kv["frame_width"]), frame_height=int(kv["frame_height"]),
-        roi=(int(kv["roi_x"]), int(kv["roi_y"]), int(kv["roi_w"]), int(kv["roi_h"])),
-        video_rate=int(kv["video_rate"]), audio_rate=int(kv["audio_rate"]),
-    )
-
-
-def with_seed(scenario: Scenario, seed: int) -> Scenario:
-    return replace(scenario, seed=seed)
+        if key != "item":
+            pairs.append((key, value))
+            continue
+        parts = value.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"bad scenario item {value!r}")
+        items.append(TimelineItem(int(parts[0]), int(parts[1]), parts[2], float(parts[3])))
+    scenario = from_pairs(Scenario, pairs, "scenario", required=True)
+    return replace(scenario, timeline=tuple(items))

@@ -18,6 +18,17 @@ def build_session(frame_count=3, width=8, height=6, roi=(1, 1, 4, 4),
     return Session(manifest=man, depth=depth, color=color, audio=np.asarray(audio, np.int16))
 
 
+def sessions_equal(a: Session, b: Session) -> bool:
+    """Bit-exact equality of manifests, frames, and samples."""
+    if a.manifest != b.manifest:
+        return False
+    if not np.array_equal(np.asarray(a.audio), np.asarray(b.audio)):
+        return False
+    return all(np.array_equal(a.depth_frame(i), b.depth_frame(i))
+               and np.array_equal(a.color_frame(i), b.color_frame(i))
+               for i in range(a.manifest.frame_count))
+
+
 @pytest.fixture
 def small_session():
     return build_session()

@@ -3,6 +3,7 @@
 import filecmp
 import itertools
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from sleepmon import actigraphy, analysis, cli, events, session
 from sleepmon.cli import _match_spans, main
 from sleepmon.events import Event, format_event_log
-from sleepmon.kvtext import write_pairs
+from sleepmon.kvtext import to_pairs, write_pairs
 from sleepmon.scoring import format_scores_csv
 from sleepmon.synth import (FULL_TURN, LIGHT_ON, TALK, Scenario, TimelineItem,
                             write_scenario)
@@ -58,6 +59,12 @@ class TestGenerate:
         run("generate", "--scenario", scenario_file, "--out", a)
         run("generate", "--scenario", scenario_file, "--seed", 99, "--out", b)
         assert not filecmp.cmp(a / "depth.raw", b / "depth.raw", shallow=False)
+
+    def test_talk_item_at_44100_hz(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        write_scenario(replace(small_scenario(), audio_rate=44100), path)
+        assert run("generate", "--scenario", path, "--out", tmp_path / "s") == 0
+        assert (tmp_path / "s" / "audio.raw").stat().st_size == 2 * 40 * 44100
 
     def test_unknown_preset_lists_valid_names(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -194,7 +201,7 @@ def write_detection(root, roi_w, roi_h, video_rate, counts, light=(), noise=()):
     man = session.SessionManifest(depth_width=roi_w, depth_height=roi_h, color_width=roi_w,
                                   color_height=roi_h, video_rate=video_rate, audio_rate=1,
                                   frame_count=len(counts), roi=(0, 0, roi_w, roi_h))
-    write_pairs(sess / session.MANIFEST_NAME, session._manifest_to_pairs(man))
+    write_pairs(sess / session.MANIFEST_NAME, to_pairs(man))
     depth = np.asarray(counts) / (roi_w * roi_h)
     zeros = np.zeros(len(depth))
     (det / "scores.csv").write_text(format_scores_csv(

@@ -1,4 +1,7 @@
-"""Flat key=value detector configuration: parsing, range checks, round trip."""
+"""Flat key=value detector configuration: parsing, range checks, round trip, README table."""
+
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +37,29 @@ def test_int_key_rejects_a_fraction(tmp_path):
     path.write_text("burn_in_seconds=2.5\n")
     with pytest.raises(ValueError):
         read_config(path)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_config_table():
+    """(key, default) rows of README's "Configuration keys" table, in order."""
+    section = README.read_text(encoding="utf-8").split("## Configuration keys", 1)[1]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("|") or cells[0] in ("key", "---"):
+            continue
+        keys = [k.strip("` ") for k in cells[0].split(" / ")]
+        defaults = cells[1].split(" / ")
+        assert len(keys) == len(defaults), line
+        rows += zip(keys, defaults)
+    return rows
+
+
+def test_readme_config_table_matches_config():
+    rows = _readme_config_table()
+    config = Config()
+    assert [key for key, _ in rows] == [f.name for f in fields(Config)]
+    for key, default in rows:
+        assert float(default) == getattr(config, key), key

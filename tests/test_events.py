@@ -1,14 +1,17 @@
 """Epoch aggregation, the three-point event rule (with oracle), clips."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sleepmon.events import (EVENT_LOG_HEADER, DetectorConfig, Event, clip_range,
+from sleepmon.config import Config
+from sleepmon.events import (EVENT_LOG_HEADER, Event, clip_range,
                              detect_events, epochize, epoch_peaks, format_epochs_csv,
                              format_event_log, parse_event_log, run_detector)
-from sleepmon.scoring import CHANNELS, format_scores_csv
+from sleepmon.scoring import CHANNELS, format_scores_csv, make_models, score_session
 
 from conftest import build_session
 
@@ -118,14 +121,20 @@ class TestClips:
 
 
 class TestDetectorConfig:
+    """The detector's thresholds and burn-in are fields of ``Config``."""
+
     def test_threshold_range_checked(self):
-        with pytest.raises(ValueError):
-            DetectorConfig(thresholds={"depth": 0.0, "color": 0.05, "audio": 0.1})
+        for ch, value in itertools.product(CHANNELS, [0.0, 1.0, -0.1, float("nan")]):
+            with pytest.raises(ValueError, match=f"threshold for {ch} out of range"):
+                Config(**{f"{ch}_threshold": value})
+        with pytest.raises(ValueError, match="burn_in_seconds"):
+            Config(burn_in_seconds=-1)
 
     def test_defaults(self):
-        cfg = DetectorConfig()
-        assert cfg.thresholds["depth"] == 0.02
+        cfg = Config()
+        assert [cfg.threshold(ch) for ch in CHANNELS] == [0.02, 0.05, 0.10]
         assert cfg.burn_in_seconds == 10
+        assert run_detector(build_session(frame_count=0)).config == cfg
 
 
 class TestRunDetector:
@@ -168,6 +177,28 @@ class TestRunDetector:
         res = run_detector(s)
         assert len(res.events["noise"]) == 0
         assert np.all(res.epochs["audio"][:10] == 0)
+
+    def test_config_thresholds_and_burn_in_apply(self):
+        s = self._static(12)
+        loud = np.zeros(s.manifest.min_audio_samples, np.int16)
+        loud[: 5 * 16000] = 20000
+        s.audio = loud
+        config = Config(burn_in_seconds=0)
+        res = run_detector(s, config)
+        assert res.config is config
+        assert [(e.start_epoch, e.end_epoch) for e in res.events["noise"]] == [(0, 4)]
+        quiet = run_detector(s, Config(burn_in_seconds=0, audio_threshold=0.99))
+        assert quiet.events["noise"] == []
+
+    def test_config_gmm_values_reach_both_models(self):
+        s = build_session(frame_count=40, seed=3)
+        config = Config(gmm_components=2, gmm_learning_rate=0.2, gmm_luma_initial_variance=100.0)
+        got = run_detector(s, config).scores
+        want = score_session(s, *make_models(s, config.depth_params(), config.luma_params()))
+        default = run_detector(s).scores
+        for ch in ("depth", "color"):
+            assert np.array_equal(got[ch], want[ch])
+            assert not np.array_equal(got[ch], default[ch])
 
 
 class TestEpochPeaks:

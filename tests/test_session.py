@@ -13,9 +13,9 @@ from sleepmon.errors import (CorruptSessionError, InvalidDepthError,
                              ManifestMismatchError, RoiBoundsError)
 from sleepmon.session import (DEPTH_MAX, MANIFEST_NAME, WINDOW_BYTES, Session,
                               SessionManifest, crop_roi, load_manifest, load_session,
-                              sessions_equal, write_session)
+                              write_session)
 
-from conftest import build_session
+from conftest import build_session, sessions_equal
 
 
 class GeneratedFrames:

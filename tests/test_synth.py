@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from sleepmon import events
 from sleepmon.analysis import EpochClass
-from sleepmon.session import load_session, sessions_equal, write_session
+from sleepmon.session import load_session, write_session
 from sleepmon.synth import (AMBIENT_LUMA, BED_DEPTH, BLOB_LUMA_OFFSET, BODY_DEPTH, CALM,
                             EARLIEST_ITEM_START, FULL_TURN, LEAVE_BED, LIGHT_OFF, LIGHT_ON,
                             LIGHT_STEP, LIMB_MOVE, MIN_ABSENCE_SECONDS, PRESETS, RETURN_BED,
                             TALK, TINY_TWITCH, Scenario, TimelineItem,
                             _blob_rect, _body_rect, _chaos_active, _chaos_value, _DEPTH_KINDS,
-                            generate, preset, read_scenario, validate_scenario, with_seed,
-                            write_scenario)
+                            generate, preset, read_scenario, validate_scenario, write_scenario)
+
+from conftest import sessions_equal
 
 
 def spans(evs):
@@ -122,7 +123,7 @@ class TestDeterminism:
     def test_different_seed_differs(self):
         sc = scenario(duration=5)
         s1, _ = generate(sc)
-        s2, _ = generate(with_seed(sc, 6))
+        s2, _ = generate(replace(sc, seed=6))
         assert not np.array_equal(s1.depth_frame(0), s2.depth_frame(0))
 
     def test_light_items_leave_depth_untouched(self):
@@ -257,6 +258,24 @@ class TestPipelineAgreement:
         res = events.run_detector(session)
         assert spans(res.events["motion"]) == spans(truth.events["motion"])
         assert spans(res.events["noise"]) == spans(truth.events["noise"])
+
+    @pytest.mark.parametrize("rate", [44100, 22050, 100])
+    def test_talk_at_rates_not_a_multiple_of_40(self, rate):
+        sc = replace(scenario(duration=20, items=[TimelineItem(13, 16, TALK)]), audio_rate=rate)
+        session, truth = generate(sc)
+        assert len(session.audio) == 20 * rate
+        res = events.run_detector(session)
+        assert spans(res.events["noise"]) == spans(truth.events["noise"]) == [(13, 15)]
+
+    @pytest.mark.parametrize("rate", [40, 8000, 16000, 48000])
+    def test_talk_wave_equals_the_tiled_period(self, rate):
+        sc = replace(scenario(duration=14, items=[TimelineItem(12, 14, TALK, 0.3)]),
+                     audio_rate=rate)
+        session, _ = generate(sc)
+        tiled = np.tile(np.concatenate([np.ones(20), -np.ones(20)]), rate // 40)
+        noise = np.random.default_rng([sc.seed, 2, 12]).normal(0.0, sc.audio_noise * 32768.0, rate)
+        want = np.clip(np.rint(noise + 0.325 * 32767.0 * tiled), -32768, 32767).astype(np.int16)
+        assert np.array_equal(session.audio[12 * rate:13 * rate], want)
 
 
 class TestPresets:
