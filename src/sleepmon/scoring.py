@@ -107,8 +107,9 @@ def score_session(session: Session, depth_model: BackgroundModel,
     """Run both background models over the session and score all channels.
 
     Returns one float64 array per score channel.  ``workers=1`` runs the
-    channels sequentially; ``workers>1`` scores them in parallel threads.  The
-    two produce bitwise-identical scores.
+    channels sequentially; ``workers>1`` scores them in parallel threads, each
+    frame store read from one thread only.  The two produce bitwise-identical
+    scores.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -124,13 +125,11 @@ def score_session(session: Session, depth_model: BackgroundModel,
 
 def format_scores_csv(scores: dict) -> str:
     """CSV export: header ``frame,depth,color,audio``, six decimal places."""
-    d, c, a = (scores[ch] for ch in CHANNELS)
+    d, c, a = (np.asarray(scores[ch]).tolist() for ch in CHANNELS)
     if not len(d) == len(c) == len(a):
         raise ValueError("score series lengths differ")
-    lines = ["frame," + ",".join(CHANNELS)]
-    for i in range(len(d)):
-        lines.append(f"{i},{d[i]:.6f},{c[i]:.6f},{a[i]:.6f}")
-    return "\n".join(lines) + "\n"
+    rows = map("%d,%.6f,%.6f,%.6f".__mod__, zip(range(len(d)), d, c, a))
+    return "\n".join(["frame," + ",".join(CHANNELS), *rows]) + "\n"
 
 
 def exact_visual_scores(parsed: np.ndarray, roi_area: int) -> np.ndarray:

@@ -25,10 +25,11 @@ frame slot has a complete audio chunk.
 
 Frame stores only need ``len()`` and integer indexing, so sessions may be
 backed by eager ndarrays, memory maps, or lazily generated frames; observable
-behavior is identical either way.  ``load_session`` returns read-only frames:
-each is a view into a window of whole frames mapped from the stream file, so
-a loaded session holds about ``WINDOW_BYTES`` per stream in memory however
-long the recording is.  A frame the caller holds keeps its own window mapped,
+behavior is identical either way.  A lazy store need not be thread-safe, so
+each store is read from one thread at a time.  ``load_session`` returns
+read-only frames: each is a view into a window of whole frames mapped from
+the stream file, so a loaded session holds about ``WINDOW_BYTES`` per stream
+in memory however long the recording is.  A frame the caller holds keeps its own window mapped,
 so later reads never overwrite it.  Its load-time checks still scan the whole
 depth stream and it reads the audio whole, so code that needs only the
 geometry and rates (the report) calls ``load_manifest``, which reads nothing

@@ -35,12 +35,12 @@ detector and classification thresholds; the validator rejects timelines the
 default pipeline could not reproduce faithfully (items inside the warm-up
 interval, absences too short to classify, and so on).
 
-Frame stores are lazy: a second of frames is built when one of its frames is
-read, and each second is drawn frame by frame into one float64 scratch plane
-per channel, then rounded and cast into that second's fresh output array.  A
-store's memory is the two cached seconds of output (plus one frame of
-scratch), not whole-second float64 temporaries, so hour-long sessions and
-640x480 frames stay small in memory.
+Frame stores are lazy and draw one frame at a time: a frame is drawn into
+one float64 scratch plane per store, then rounded and cast into a fresh,
+read-only output array.  A store holds the current second's generator, the
+index of the next frame to draw, the last frame it handed out and the
+scratch plane, so hour-long sessions and 640x480 frames stay small in
+memory.  The audio stream is written second by second into one array.
 """
 
 from __future__ import annotations
@@ -188,6 +188,8 @@ def validate_scenario(scenario: Scenario) -> None:
                     color_width=scenario.frame_width, color_height=scenario.frame_height,
                     video_rate=scenario.video_rate, audio_rate=scenario.audio_rate,
                     roi=tuple(scenario.roi))
+    if scenario.audio_rate < scenario.video_rate:
+        raise ValueError("audio_rate must be >= video_rate so that every frame has audio")
     if scenario.roi[2] < 16 or scenario.roi[3] < 16:
         raise ValueError("roi must be at least 16x16 for the body geometry")
 
@@ -254,20 +256,25 @@ def validate_scenario(scenario: Scenario) -> None:
 
 
 class _LazyFrames:
-    """Frame store computing one second of frames at a time.
+    """Frame store drawing one frame at a time.
 
-    It caches the two seconds built last; building a third evicts the one
-    built first (FIFO, not LRU).  Every build returns a fresh array, and each
-    frame is a view into it, so a frame a caller holds never changes.  Indexing
-    accepts what ``operator.index`` does, negatives counting from the end, like
-    the frames of a loaded session.
+    ``start(sec, z)`` returns an iterator over the frames of second ``sec``:
+    each step draws the next frame from that second's generator into the
+    scratch plane ``z`` and yields it as a fresh array.  A sequential read
+    draws each frame once; a read of an earlier frame, or of another second,
+    restarts that second and redraws up to the frame.  A repeated read hands
+    out the last frame again, so frames are read-only, like loaded ones.
+    Indexing accepts what ``operator.index`` does, negatives counting from the
+    end.  A store must not be read from two threads at once.
     """
 
-    def __init__(self, n_frames: int, fps: int, build_second):
+    def __init__(self, n_frames: int, fps: int, plane_shape: tuple[int, int], start):
         self._n = n_frames
         self._fps = fps
-        self._build = build_second
-        self._cache = {}
+        self._start = start
+        self._z = np.empty(plane_shape)
+        self._sec, self._next, self._frames = -1, 0, None
+        self._last = (-1, None)
 
     def __len__(self) -> int:
         return self._n
@@ -278,12 +285,16 @@ class _LazyFrames:
             i += self._n
         if not 0 <= i < self._n:
             raise IndexError(f"frame index out of range: {i}")
-        sec = i // self._fps
-        if sec not in self._cache:
-            if len(self._cache) >= 2:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[sec] = self._build(sec)
-        return self._cache[sec][i % self._fps]
+        if i != self._last[0]:
+            sec, j = divmod(i, self._fps)
+            if sec != self._sec or j < self._next:
+                self._sec, self._next, self._frames = sec, 0, self._start(sec, self._z)
+            while self._next <= j:
+                frame = next(self._frames)
+                self._next += 1
+            frame.flags.writeable = False
+            self._last = (i, frame)
+        return self._last[1]
 
 
 def _derive_ground_truth(scenario: Scenario, manifest: SessionManifest,
@@ -347,7 +358,7 @@ def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
 
     depth_item = [None] * dur
     light_level = np.full(dur, AMBIENT_LUMA, np.float64)
-    talk_item = [None] * dur
+    talk_amp = np.zeros(dur)   # square-wave amplitude per second
     level = AMBIENT_LUMA
     for idx, item in enumerate(scenario.timeline):
         if item.kind in _DEPTH_KINDS and item.kind != CALM:
@@ -360,8 +371,7 @@ def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
             level -= LIGHT_STEP
             light_level[item.start:] = level
         elif item.kind == TALK:
-            for s in range(item.start, item.end):
-                talk_item[s] = item
+            talk_amp[item.start:item.end] = (0.25 + 0.25 * item.magnitude) * 32767.0
 
     body_present = np.ones(dur, bool)
     absence_from = None
@@ -407,54 +417,44 @@ def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
             z[t:t + h, l:l + w] = patch
         np.rint(z, out=z)
 
-    def build_depth(sec: int) -> np.ndarray:
+    def depth_frames(sec: int, z: np.ndarray):
         rng = np.random.default_rng([scenario.seed, 0, sec])
         base = body_plane if body_present[sec] else float(BED_DEPTH)
         rect, values = disturbance(sec)
-        z = np.empty((fh, fw))
-        frames = np.empty((fps, fh, fw), np.uint16)
-        for j in range(fps):
-            draw_frame(z, rng, scenario.depth_noise, base, rect, values[j])
-            frames[j] = np.clip(z, 0, 2047, out=z)
-        return frames
+        for value in values:
+            draw_frame(z, rng, scenario.depth_noise, base, rect, value)
+            yield np.clip(z, 0, 2047, out=z).astype(np.uint16)
 
-    def build_color(sec: int) -> np.ndarray:
+    def color_frames(sec: int, z: np.ndarray):
         rng = np.random.default_rng([scenario.seed, 1, sec])
         level = light_level[sec]
         rect, values = disturbance(sec)
-        z = np.empty((fh, fw))
-        frames = np.empty((fps, fh, fw, 3), np.uint8)
-        for j in range(fps):
-            blob = None if values[j] is None else level + BLOB_LUMA_OFFSET
+        for value in values:
+            blob = None if value is None else level + BLOB_LUMA_OFFSET
             draw_frame(z, rng, scenario.luma_noise, level, rect, blob)
             np.clip(z, 0, 255, out=z)
             # One cast per channel plane: a broadcast (H, W, 1) assignment
             # loops over the 3 channels innermost and is about 5x slower.
+            frame = np.empty((fh, fw, 3), np.uint8)
             for c in range(3):
-                frames[j, :, :, c] = z
-        return frames
+                frame[:, :, c] = z
+            yield frame
 
     ar = scenario.audio_rate
     # A 40-sample-period square wave, one second long at any audio rate.
     square = np.where(np.arange(ar) % 40 < 20, 1.0, -1.0)
-
-    def build_audio(sec: int) -> np.ndarray:
+    audio = np.empty(dur * ar, np.int16)
+    for sec in range(dur):
         samples = np.random.default_rng([scenario.seed, 2, sec]).normal(
             0.0, scenario.audio_noise * 32768.0, ar)
-        item = talk_item[sec]
-        if item is not None:
-            amp = (0.25 + 0.25 * item.magnitude) * 32767.0
-            samples = samples + amp * square
-        return np.clip(np.rint(samples), -32768, 32767).astype(np.int16)
-
-    audio = (np.concatenate([build_audio(s) for s in range(dur)])
-             if dur else np.empty(0, np.int16))
+        samples += talk_amp[sec] * square
+        audio[sec * ar:(sec + 1) * ar] = np.clip(np.rint(samples), -32768, 32767)
     manifest = SessionManifest(
         depth_width=fw, depth_height=fh, color_width=fw, color_height=fh,
         video_rate=fps, audio_rate=ar, frame_count=dur * fps, roi=roi)
     session = Session(manifest=manifest,
-                      depth=_LazyFrames(dur * fps, fps, build_depth),
-                      color=_LazyFrames(dur * fps, fps, build_color),
+                      depth=_LazyFrames(dur * fps, fps, (fh, fw), depth_frames),
+                      color=_LazyFrames(dur * fps, fps, (fh, fw), color_frames),
                       audio=audio)
     truth = _derive_ground_truth(scenario, manifest, len(audio))
     return session, truth

@@ -66,6 +66,16 @@ class TestGenerate:
         assert run("generate", "--scenario", path, "--out", tmp_path / "s") == 0
         assert (tmp_path / "s" / "audio.raw").stat().st_size == 2 * 40 * 44100
 
+    @pytest.mark.parametrize("audio_rate", [20, 1])
+    def test_audio_rate_below_video_rate_exits_1_and_writes_nothing(self, tmp_path, capsys,
+                                                                     audio_rate):
+        path = tmp_path / "scenario.txt"
+        write_scenario(Scenario(duration=15, seed=3, audio_rate=audio_rate), path)
+        out = tmp_path / "s"
+        assert run("generate", "--scenario", path, "--out", out) == 1
+        assert "audio_rate must be >= video_rate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_preset_lists_valid_names(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--preset", "nap", "--out", str(tmp_path / "x")])

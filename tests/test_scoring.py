@@ -196,6 +196,39 @@ class TestScoresCsv:
             assert parsed[ch].tobytes() == np.array(ref[ch], np.float64).tobytes()
 
 
+def per_row_scores_csv(scores):
+    """Reference formatter: one f-string per row."""
+    d, c, a = (scores[ch] for ch in CHANNELS)
+    lines = ["frame," + ",".join(CHANNELS)]
+    for i in range(len(d)):
+        lines.append(f"{i},{d[i]:.6f},{c[i]:.6f},{a[i]:.6f}")
+    return "\n".join(lines) + "\n"
+
+
+# -0.0, subnormals, 1.0, and values on and beside the six-decimal rounding edge.
+EDGE_SCORES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.0, np.nextafter(1.0, 0.0),
+               5e-7, np.nextafter(5e-7, 0.0), np.nextafter(5e-7, 1.0), 1.5e-6, 2.5e-6,
+               0.1234565, np.nextafter(0.1234565, 0.0), np.nextafter(0.1234565, 1.0),
+               0.9999995, np.nextafter(0.9999995, 1.0), np.nextafter(0.9999995, 0.0)]
+
+
+class TestScoresCsvBytes:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.one_of(st.sampled_from(EDGE_SCORES), st.floats(0.0, 1.0),
+                                          st.floats(allow_nan=False))] * 3), max_size=60))
+    @example([tuple(EDGE_SCORES[i:i + 3]) for i in range(len(EDGE_SCORES) - 2)])
+    def test_bytes_equal_per_row_formatting(self, rows):
+        cols = np.array(rows, np.float64).reshape(-1, 3).T
+        scores = dict(zip(CHANNELS, cols))
+        assert format_scores_csv(scores) == per_row_scores_csv(scores)
+
+    def test_negative_zero_and_subnormal_rows(self):
+        z = np.array([-0.0, 5e-324, np.nextafter(5e-7, 0.0), np.nextafter(5e-7, 1.0)])
+        text = format_scores_csv({"depth": z, "color": z, "audio": z})
+        assert [line.split(",")[1] for line in text.splitlines()[1:]] == [
+            "-0.000000", "0.000000", "0.000000", "0.000001"]
+
+
 def _area_and_counts():
     return st.integers(1, 10 ** 6 - 1).flatmap(
         lambda area: st.tuples(st.just(area),

@@ -1,5 +1,6 @@
 """Scenario validation, deterministic generation, and ground-truth fidelity."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -86,6 +87,19 @@ class TestValidation:
         items = [TimelineItem(15, 16, LIGHT_ON), TimelineItem(20, 21, LIGHT_ON)]
         with pytest.raises(ValueError, match="already on"):
             validate_scenario(scenario(items=items))
+
+    @pytest.mark.parametrize("audio_rate", [20, 1])
+    def test_audio_rate_below_video_rate_rejected(self, audio_rate):
+        # Some frame slots would get an empty audio chunk, which detect cannot score.
+        bad = Scenario(duration=15, seed=3, audio_rate=audio_rate)
+        with pytest.raises(ValueError, match="audio_rate must be >= video_rate"):
+            validate_scenario(bad)
+        with pytest.raises(ValueError, match="audio_rate must be >= video_rate"):
+            generate(bad)
+
+    def test_audio_rate_equal_to_video_rate_scores(self):
+        session, _ = generate(Scenario(duration=15, seed=3, audio_rate=30))
+        assert len(events.run_detector(session).scores["audio"]) == 15 * 30
 
     def test_generate_wraps_as_invalid_timeline(self):
         with pytest.raises(ValueError, match="invalid timeline"):
@@ -497,3 +511,99 @@ class TestGeneratedFrameStore:
             got = {int(i): getattr(other, name)[i].copy() for i in idx}
             for i in range(n):
                 assert np.array_equal(got[i], want[i]), (name, i)
+
+    def test_frames_are_read_only(self):
+        gen = _short_session()
+        # A repeated read hands out the frame it handed out last.
+        frames = (gen.depth[0], gen.color[0], gen.depth[0], gen.color[0],
+                  gen.depth[-1], gen.color[-1])
+        for frame in frames:
+            assert not frame.flags.writeable
+            with pytest.raises(ValueError):
+                frame[0, 0] = 1
+        want = _short_session()
+        assert np.array_equal(frames[2], want.depth[0])
+        assert np.array_equal(frames[3], want.color[0])
+
+    def test_held_frames_keep_values_across_a_sequential_read(self, tmp_path):
+        gen = _short_session()
+        write_session(gen, tmp_path / "s")
+        loaded = load_session(tmp_path / "s")
+        n = gen.manifest.frame_count
+        held = [(gen.depth[i], gen.color[i]) for i in range(n)]
+        for i, (d, c) in enumerate(held):
+            assert np.array_equal(d, loaded.depth[i]), i
+            assert np.array_equal(c, loaded.color[i]), i
+
+
+def count_draws(store):
+    """Wrap a generated store so that each frame it draws appends (second, frame)."""
+    draws = []
+    start = store._start
+
+    def counting(sec, z):
+        for j, frame in enumerate(start(sec, z)):
+            draws.append((sec, j))
+            yield frame
+    store._start = counting
+    return draws
+
+
+class TestFrameAtATimeStore:
+    @pytest.mark.parametrize("name", ["depth", "color"])
+    def test_sequential_read_draws_each_frame_once(self, name):
+        gen = _short_session()
+        store, fps = getattr(gen, name), gen.manifest.video_rate
+        draws = count_draws(store)
+        for i in range(len(store)):
+            store[i]
+            store[i]        # a repeated read hands out the last frame again
+        assert draws == [divmod(i, fps) for i in range(len(store))]
+
+    def test_detection_draws_each_frame_once(self):
+        gen = _short_session()
+        draws = {name: count_draws(getattr(gen, name)) for name in ("depth", "color")}
+        events.run_detector(gen)
+        n, fps = gen.manifest.frame_count, gen.manifest.video_rate
+        for name, seen in draws.items():
+            assert seen == [divmod(i, fps) for i in range(n)], name
+
+    def test_out_of_order_read_redraws_at_most_one_second(self):
+        gen = _short_session()
+        fps = gen.manifest.video_rate
+        draws = count_draws(gen.depth)
+        gen.depth[fps + 3]
+        gen.depth[fps + 1]
+        gen.depth[fps + 2]
+        assert draws == [(1, j) for j in (0, 1, 2, 3, 0, 1, 2)]
+        gen.depth[3 * fps - 1]
+        assert draws[7:] == [(2, j) for j in range(fps)]
+
+    def test_write_session_peak_memory_is_a_few_frames(self, tmp_path):
+        # 640x480 at 10 fps: one second of both streams is 15 MB, so the
+        # store's scratch planes and a few frames must fit far below it.
+        sc = Scenario(duration=3, seed=2, frame_width=640, frame_height=480,
+                      roi=(160, 65, 320, 350), video_rate=10, audio_rate=1000)
+        depth_frame, color_frame = 640 * 480 * 2, 640 * 480 * 3
+        plane = 640 * 480 * 8
+        tracemalloc.start()
+        try:
+            session, _ = generate(sc)
+            write_session(session, tmp_path / "s")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        audio_bytes = 2 * sc.duration * sc.audio_rate
+        # body plane + one scratch plane per store, and a few frames of each stream
+        bound = 3 * plane + 4 * (depth_frame + color_frame) + 4 * audio_bytes
+        assert peak < bound, (peak, bound)
+
+    def test_generate_holds_one_copy_of_the_audio(self):
+        tracemalloc.start()
+        try:
+            session, _ = generate(Scenario(duration=300, seed=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The stream plus one second of float64 temporaries, not a second copy.
+        assert peak < session.audio.nbytes + (1 << 20), (peak, session.audio.nbytes)
