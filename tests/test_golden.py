@@ -44,6 +44,16 @@ GOLDEN = {
         "report.txt":
             "a180890464c741fcfcc7c215e0781f61d9155229b498d923d4bb7f0fbb5833df",
     },
+    "multi_band": {
+        "events.log":
+            "1be9a025b37c6ee9dd20277b8961b5014413ce1ec1d997ec12f8a0baf49147ce",
+        "scores.csv":
+            "2eeb22b8cf9048fc367060be058c714645da8a8ae24c8c07c1c523b3d0a6f9a4",
+        "epochs.csv":
+            "8c609d24a125d988009e976a7320e7ceabef771e2c61e8159ee6133e6bdff450",
+        "report.txt":
+            "645e0b80f4d02ae1bcfc4217684f06f29ef062d60cb10341516b2d1d9491f580",
+    },
 }
 
 
@@ -51,17 +61,13 @@ def _posture_test(sess):
     assert main(["generate", "--preset", "posture_test", "--out", str(sess)]) == 0
 
 
-def _zero_holes(sess):
-    """A 40 s desk session whose depth has "no reading" holes.
+def _generate_with_holes(sess, scenario, strip, strip_seconds):
+    """Generate ``scenario`` into ``sess`` and zero parts of its depth roi.
 
-    A strip over the top four roi rows reads 0 from frame 0 until second 10,
-    so its pixels start never-observed and are re-seeded; 3 % of the roi,
+    The roi rows ``strip`` read 0 from frame 0 until ``strip_seconds``, so
+    their pixels start never-observed and are re-seeded; 3 % of the roi,
     frame 0 included, is zeroed at random in every frame.
     """
-    scenario = synth.Scenario(duration=40, seed=404, timeline=(
-        synth.TimelineItem(15, 18, synth.FULL_TURN, 0.5),
-        synth.TimelineItem(22, 23, synth.LIGHT_ON, 0.5),
-        synth.TimelineItem(28, 31, synth.TALK, 0.5)))
     sc_path = sess.parent / "holes.txt"
     synth.write_scenario(scenario, sc_path)
     assert main(["generate", "--scenario", str(sc_path), "--out", str(sess)]) == 0
@@ -69,16 +75,42 @@ def _zero_holes(sess):
     x, y, w, h = scenario.roi
     depth = np.memmap(sess / "depth.raw", dtype="<u2", mode="r+",
                       shape=(n, scenario.frame_height, scenario.frame_width))
-    depth[:10 * scenario.video_rate, y:y + 4, x:x + w] = 0
-    rng = np.random.default_rng(404)
     roi = depth[:, y:y + h, x:x + w]
+    roi[:strip_seconds * scenario.video_rate, strip] = 0
+    rng = np.random.default_rng(scenario.seed)
     roi[rng.random(roi.shape) < 0.03] = 0
     depth.flush()
     del depth, roi
 
 
+def _zero_holes(sess):
+    """A 40 s desk session whose top four roi rows read 0 for 10 s."""
+    scenario = synth.Scenario(duration=40, seed=404, timeline=(
+        synth.TimelineItem(15, 18, synth.FULL_TURN, 0.5),
+        synth.TimelineItem(22, 23, synth.LIGHT_ON, 0.5),
+        synth.TimelineItem(28, 31, synth.TALK, 0.5)))
+    _generate_with_holes(sess, scenario, slice(0, 4), 10)
+
+
+def _multi_band(sess):
+    """An 18 s, 8 fps session with a 256x320 roi, holes across row 128.
+
+    The roi holds 81 920 pixels, so the background models update it in
+    three or more row bands of about 2**15 pixels; the never-observed strip
+    (roi rows 120..135, 6 s) crosses a band edge at every band size from
+    2**12 to 2**15 pixels.
+    """
+    scenario = synth.Scenario(duration=18, seed=505, frame_width=272, frame_height=336,
+                              roi=(8, 8, 256, 320), video_rate=8, timeline=(
+        synth.TimelineItem(12, 14, synth.FULL_TURN, 0.6),
+        synth.TimelineItem(14, 15, synth.LIGHT_ON, 0.5),
+        synth.TimelineItem(15, 17, synth.TALK, 0.5)))
+    _generate_with_holes(sess, scenario, slice(120, 136), 6)
+
+
 @pytest.mark.parametrize("case, build", [("posture_test", _posture_test),
-                                         ("zero_holes", _zero_holes)])
+                                         ("zero_holes", _zero_holes),
+                                         ("multi_band", _multi_band)])
 def test_artifact_hashes(tmp_path, case, build):
     sess, det = tmp_path / "sess", tmp_path / "det"
     build(sess)
