@@ -7,14 +7,16 @@ classifies the pixel against the high-weight prefix of the mixture.  The two
 channels share no state, so depth masks are immune to lighting changes by
 construction.
 
-State is stored as stacked (K, H, W) float32 arrays and a frame is a fixed
-sequence of whole-stack ufuncs into work buffers the model owns, which keeps
-a 320x350 grid well above real-time rate on a single core.  Masked updates
-are arithmetic selects on 0/1 masks, exact while squared residuals stay
-finite (any 16-bit depth or 8-bit luma frame).  Updates are per-pixel
-independent (no cross-pixel reads), so the result is bitwise independent of
-any data-parallel schedule; updating one model from two frames concurrently
-is not supported.
+State is stored as stacked (K, H, W) float32 arrays.  A frame is folded in
+horizontal row bands of about 2**15 pixels: a fixed sequence of ufuncs runs
+over each band's (K, rows, W) view of the state into work buffers sized to
+one band, so the working set stays in a core's L2 cache.  A grid of one band
+(the 32x32 desk roi) runs on the whole arrays.  Masked updates are arithmetic
+selects on 0/1 masks, exact while squared residuals stay finite (any 16-bit
+depth or 8-bit luma frame).  Updates are per-pixel independent (no
+cross-pixel reads), so the result is bitwise independent of the band split
+and of any data-parallel schedule; updating one model from two frames
+concurrently is not supported.
 
 Depth pixels holding 0 mean "no reading" from the sensor: they are classified
 background and leave the model untouched.  A pixel whose very first
@@ -31,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,6 +41,10 @@ DEPTH_CHANNEL = "depth"
 LUMA_CHANNEL = "luma"
 
 _F = np.float32
+
+# Pixels per row band.  Measured on the 320x350 roi: 16 k-56 k are equally
+# fast, smaller bands pay per-band dispatch, larger ones spill out of L2.
+_BAND_PX = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -103,7 +110,8 @@ class BackgroundModel:
         self.params = params
         self.channel = channel
         self.shape = first_frame.shape
-        stack = (params.components,) + self.shape
+        k = params.components
+        stack = (k,) + self.shape
         self._w = np.zeros(stack, _F)
         self._w[0] = 1.0
         self._mu = np.zeros(stack, _F)
@@ -112,12 +120,23 @@ class BackgroundModel:
         self._never_observed = np.zeros(self.shape, bool)
         if channel == DEPTH_CHANNEL:
             np.equal(first_frame, 0, out=self._never_observed)
-        # Work buffers reused every frame: fresh (K, H, W) temporaries page-fault in anew.
-        self._x, self._rho, self._plane = (np.empty(self.shape, _F) for _ in range(3))
-        self._skip, self._valid, self._seen, self._test = (np.empty(self.shape, bool)
-                                                           for _ in range(4))
-        self._d, self._t, self._r = (np.empty(stack, _F) for _ in range(3))
-        self._near, self._up = np.empty(stack, bool), np.empty((stack[0] - 1,) + self.shape, bool)
+        # One band's work buffers, reused by every band and frame, and each
+        # band's views of them and of the state; ``unseen``: never-observed
+        # pixels are left in the band.
+        h, width = self.shape
+        rows = max(1, min(h, _BAND_PX // max(width, 1)))
+        plane, band = (rows, width), (k, rows, width)
+        bufs = {**{n: np.empty(plane, _F) for n in ("x", "rho", "plane")},
+                **{n: np.empty(plane, bool) for n in ("skip", "valid", "seen", "test")},
+                **{n: np.empty(band, _F) for n in ("d", "t", "r")},
+                "near": np.empty(band, bool), "up": np.empty((k - 1,) + plane, bool)}
+        self._bands = []
+        for top in range(0, h, rows):
+            cut, n = np.s_[..., top:top + rows, :], min(rows, h - top)
+            self._bands.append(SimpleNamespace(
+                rows=slice(top, top + n), w=self._w[cut], mu=self._mu[cut], var=self._var[cut],
+                never=self._never_observed[cut], unseen=bool(self._never_observed[cut].any()),
+                **{name: buf[..., :n, :] for name, buf in bufs.items()}))
 
     # Copies of the mixture, stacked (H, W, K); for inspection/tests.
     @property
@@ -149,21 +168,30 @@ class BackgroundModel:
         if frame.shape != self.shape:
             raise ValueError(
                 f"dimension mismatch: frame {frame.shape} vs model {self.shape}")
+        foreground = np.empty(self.shape, bool)
+        if len(self._bands) == 1:
+            self._update_band(self._bands[0], frame, foreground)
+        else:
+            for b in self._bands:
+                self._update_band(b, frame[b.rows], foreground[b.rows])
+        return foreground
+
+    def _update_band(self, b: SimpleNamespace, frame: np.ndarray, foreground: np.ndarray):
+        """Fold band ``b`` of a frame into the model; its mask goes to ``foreground``."""
         p = self.params
         k = p.components
-        w, mu, var = self._w, self._mu, self._var
-        x, rho, plane = self._x, self._rho, self._plane
-        d, t, r, near, seen, test = self._d, self._t, self._r, self._near, self._seen, self._test
+        w, mu, var, x, rho, plane = b.w, b.mu, b.var, b.x, b.rho, b.plane
+        d, t, r, near, seen, test = b.d, b.t, b.r, b.near, b.seen, b.test
         alpha = _F(p.learning_rate)
 
         # Skipped pixels ("no reading") match nothing, are never replaced and
         # are normalized by 1, so every update below leaves them as they are.
         skip = valid = reseed = None
         if self.channel == DEPTH_CHANNEL and not frame.all():
-            skip = np.equal(frame, 0, out=self._skip)
-            valid = np.logical_not(skip, out=self._valid)
-        if self._never_observed.any():
-            reseed = self._never_observed.copy() if valid is None else self._never_observed & valid
+            skip = np.equal(frame, 0, out=b.skip)
+            valid = np.logical_not(skip, out=b.valid)
+        if b.unseen:
+            reseed = b.never.copy() if valid is None else b.never & valid
             reseed = reseed if reseed.any() else None
 
         np.copyto(x, frame, casting="unsafe")
@@ -180,7 +208,7 @@ class BackgroundModel:
         for i in range(1, k):
             np.greater(near[i], seen, out=near[i])
             seen |= near[i]
-        none = ~seen
+        none = np.logical_not(seen, out=foreground)
         if valid is not None:
             none &= valid
 
@@ -230,8 +258,8 @@ class BackgroundModel:
         # the components is already in that order, so only the rest sort.
         np.multiply(w, w, out=t)
         t /= var
-        np.greater(t[1:], t[:-1], out=self._up)
-        moved = np.flatnonzero(np.logical_or.reduce(self._up, axis=0))
+        np.greater(t[1:], t[:-1], out=b.up)
+        moved = np.flatnonzero(np.logical_or.reduce(b.up, axis=0))
         if moved.size:
             order = np.argsort(-t.reshape(k, -1)[:, moved], axis=0, kind="stable")
             for a in (w, mu, var, near):
@@ -240,7 +268,6 @@ class BackgroundModel:
 
         # Background iff the weight of the components ranked above the
         # matched one does not exceed the fraction threshold.
-        foreground = none
         plane.fill(0.0)
         for i in range(1, k):
             plane += w[i - 1]
@@ -255,8 +282,8 @@ class BackgroundModel:
             np.copyto(mu[0], x, where=reseed)
             np.copyto(var, _F(p.initial_variance), where=reseed)
             foreground &= ~reseed
-            self._never_observed &= ~reseed
-        return foreground
+            b.never &= ~reseed
+            b.unseen = bool(b.never.any())
 
 
 @functools.lru_cache(maxsize=16)

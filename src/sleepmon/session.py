@@ -246,14 +246,20 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
 def load_session(path: str | os.PathLike) -> Session:
     """Load a session directory, verifying sizes and the depth value range.
 
-    The manifest is read by ``load_manifest``.  The depth range is then
-    checked window by window over the whole stream, so a bad sample anywhere
-    raises ``InvalidDepthError`` at load, and the audio stream is read whole;
-    frames are mapped on demand (see the module docstring).  A caller that
-    needs only the manifest calls ``load_manifest`` and pays for none of this.
+    The manifest is read by ``load_manifest``, and its audio rate must not be
+    below its video rate, so that every frame slot has audio.  The depth
+    range is then checked window by window over the whole stream, so a bad
+    sample anywhere raises ``InvalidDepthError`` at load, and the audio stream
+    is read whole; frames are mapped on demand (see the module docstring).  A
+    caller that needs only the manifest calls ``load_manifest`` and pays for
+    none of this.
     """
     root = Path(path)
     man = load_manifest(root)
+    if man.audio_rate < man.video_rate:
+        raise ManifestMismatchError(
+            f"manifest mismatch: audio_rate {man.audio_rate} is below video_rate "
+            f"{man.video_rate}, so some video frames would have no audio")
 
     paths = {name: root / getattr(man, name) for name in ("depth_file", "color_file", "audio_file")}
     for name, p in paths.items():

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sleepmon import background
 from sleepmon.background import (DEPTH_PARAMS, LUMA_PARAMS, BackgroundModel, GmmParams,
                                  foreground_area, luma, morph_smooth)
 
@@ -445,13 +448,77 @@ class TestStackedKernelOracle:
         params = dataclasses.replace(base, components=components, learning_rate=rate,
                                      background_fraction=fraction)
         frames = _oracle_frames(np.random.default_rng(seed), channel, shape, n, hole_p)
-        m = BackgroundModel(params, frames[0], channel)
-        ref = SeedModel(params, frames[0], channel)
-        for f in frames[1:]:
-            assert np.array_equal(m.update_and_classify(f), ref.update_and_classify(f))
-            for attr in ("weights", "means", "variances"):
-                assert np.array_equal(_bits(getattr(m, attr)), _bits(getattr(ref, attr))), attr
-            assert np.array_equal(m.never_observed, ref.never_observed)
+        _assert_matches_seed_kernel(BackgroundModel(params, frames[0], channel),
+                                    SeedModel(params, frames[0], channel), frames[1:])
+
+    @pytest.mark.parametrize("channel", ["depth", "luma"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_multi_band_bitwise_equal_to_seed_kernel(self, channel, seed):
+        # 9 rows in bands of 2: four full bands and a one-row band.
+        base = DEPTH_PARAMS if channel == "depth" else LUMA_PARAMS
+        params = dataclasses.replace(base, components=1 + seed, learning_rate=0.2)
+        frames = _oracle_frames(np.random.default_rng(seed), channel, (9, 7), 25, 0.1)
+        with mock.patch.object(background, "_BAND_PX", 2 * 7):
+            m = BackgroundModel(params, frames[0], channel)
+        assert len(m._bands) == 5
+        _assert_matches_seed_kernel(m, SeedModel(params, frames[0], channel), frames[1:])
+
+
+def _assert_matches_seed_kernel(m, ref, frames):
+    for f in frames:
+        assert np.array_equal(m.update_and_classify(f), ref.update_and_classify(f))
+        for attr in ("weights", "means", "variances"):
+            assert np.array_equal(_bits(getattr(m, attr)), _bits(getattr(ref, attr))), attr
+        assert np.array_equal(m.never_observed, ref.never_observed)
+
+
+class TestBandSplit:
+    @settings(max_examples=100, deadline=None)
+    @given(channel=st.sampled_from(["depth", "luma"]),
+           components=st.integers(1, 4),
+           shape=st.tuples(st.integers(1, 12), st.integers(1, 8)),
+           n=st.integers(1, 15),
+           rate=st.sampled_from([0.01, 0.2, 0.7]),
+           hole_p=st.sampled_from([0.0, 0.1, 0.5]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_equal_for_any_band_split(self, channel, components, shape, n, rate,
+                                              hole_p, seed):
+        base = DEPTH_PARAMS if channel == "depth" else LUMA_PARAMS
+        params = dataclasses.replace(base, components=components, learning_rate=rate)
+        frames = _oracle_frames(np.random.default_rng(seed), channel, shape, n, hole_p)
+        h, w = shape
+        runs = []
+        for rows in (h, 1, 2, 3):
+            with mock.patch.object(background, "_BAND_PX", rows * w):
+                m = BackgroundModel(params, frames[0], channel)
+            assert len(m._bands) == -(-h // rows)
+            runs.append([(m.update_and_classify(f), _bits(m.weights), _bits(m.means),
+                          _bits(m.variances), m.never_observed) for f in frames[1:]])
+        for split in runs[1:]:
+            for got, want in zip(split, runs[0]):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestModelMemory:
+    def test_update_scratch_below_one_stack_at_sensor_scale(self):
+        # 480x640, K=3: the work buffers must not be whole (K, H, W) stacks.
+        shape, k = (480, 640), 3
+        rng = np.random.default_rng(5)
+        first = rng.integers(1, 2048, shape).astype(np.float32)
+        frame = np.clip(first + rng.integers(-2, 3, shape), 1, 2047).astype(np.float32)
+        first[:16] = 0  # never-observed rows, re-seeded by the frame
+        frame[rng.random(shape) < 0.03] = 0
+        params = dataclasses.replace(DEPTH_PARAMS, components=k)
+        tracemalloc.start()
+        try:
+            m = BackgroundModel(params, first, "depth")
+            m.update_and_classify(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        state = sum(getattr(m, a).nbytes
+                    for a in ("weights", "means", "variances", "never_observed"))
+        assert peak - state < k * shape[0] * shape[1] * np.dtype(np.float32).itemsize
 
 
 class TestRankSortGather:

@@ -138,6 +138,18 @@ class TestDetect:
         assert code == 1
         assert "corrupt session" in capsys.readouterr().err
 
+    def test_audio_rate_below_video_rate_exits_1_at_load(self, tmp_path, session_dir, capsys):
+        manifest = session_dir / "manifest.txt"
+        text = manifest.read_text()
+        assert "audio_rate=16000\n" in text
+        manifest.write_text(text.replace("audio_rate=16000\n", "audio_rate=20\n"))
+        code = run("detect", "--session", session_dir, "--out", tmp_path / "det")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "manifest mismatch: audio_rate 20 is below video_rate 30" in err
+        assert "empty chunk" not in err
+        assert not (tmp_path / "det").exists()
+
     def test_detected_events_match_ground_truth(self, tmp_path, session_dir):
         out = tmp_path / "det"
         run("detect", "--session", session_dir, "--out", out)

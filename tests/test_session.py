@@ -148,6 +148,20 @@ class TestLoadErrors:
         with pytest.raises(ManifestMismatchError, match="manifest mismatch"):
             load_session(tmp_path)
 
+    @pytest.mark.parametrize("audio_rate", [1, 29])
+    def test_audio_rate_below_video_rate_is_manifest_mismatch(self, small_session, tmp_path,
+                                                              audio_rate):
+        write_session(small_session, tmp_path)
+        path = tmp_path / MANIFEST_NAME
+        text = path.read_text()
+        path.write_text(text.replace(f"audio_rate={small_session.manifest.audio_rate}\n",
+                                     f"audio_rate={audio_rate}\n"))
+        assert load_manifest(tmp_path).audio_rate == audio_rate
+        (tmp_path / "depth.raw").unlink()  # the rates are checked before any stream
+        with pytest.raises(ManifestMismatchError,
+                           match=f"audio_rate {audio_rate} is below video_rate 30"):
+            load_session(tmp_path)
+
     def test_unknown_manifest_key_is_corrupt(self, small_session, tmp_path):
         write_session(small_session, tmp_path)
         with open(tmp_path / MANIFEST_NAME, "a") as fh:
