@@ -9,7 +9,8 @@ three phases and prints what the foreground mask reports in each.
 
 import numpy as np
 
-from sleepmon.background import DEPTH_PARAMS, BackgroundModel, morph_smooth
+from sleepmon.background import BackgroundModel, morph_smooth
+from sleepmon.config import Config
 
 rng = np.random.default_rng(1)
 H = W = 80
@@ -23,7 +24,9 @@ def observe(step=False):
     return np.rint(frame).astype(np.float32)
 
 
-model = BackgroundModel(DEPTH_PARAMS, observe(), channel="depth")
+# Config() holds the default mixture parameters of both channels; the model
+# picks the depth initial variance because it models the depth channel.
+model = BackgroundModel(Config(), observe(), channel="depth")
 
 # Phase 1: learn. The first observation seeds the model, a few hundred more
 # frames tighten the per-pixel variance around the true surface.

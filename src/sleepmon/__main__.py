@@ -1,4 +1,6 @@
-from .cli import main
 import sys
 
-sys.exit(main())
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import ClassThresholds
+from .config import Config
 
 COLE_SCALE = 0.001
 COLE_WEIGHTS = (106.0, 54.0, 58.0, 76.0, 230.0, 74.0, 67.0)  # offsets -4..+2
@@ -54,7 +54,7 @@ SADEH_LOG_W = 0.703
 
 
 def counts_from_scores(depth_scores, video_rate: int = 30,
-                       tiny_threshold: float = ClassThresholds.tiny) -> np.ndarray:
+                       tiny_threshold: float = Config.class_tiny) -> np.ndarray:
     """Per-minute activity counts from the depth score series.
 
     count[m] = round(1000 * sum over the minute of max(score - threshold, 0));

@@ -12,6 +12,9 @@ return spike itself keeps its baseline class.
 Full posture changes, limb movements, and out-of-view count as wakefulness;
 tiny movements and calmness count as sleep.  Sleep efficiency is the sleeping
 fraction of all epochs in bed.
+
+The thresholds and the overlay's quiet-run length are the ``class_*`` fields
+of ``config.Config``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+
+from .config import Config
 
 
 class EpochClass(enum.Enum):
@@ -34,38 +39,21 @@ WAKE_CLASSES = frozenset({EpochClass.FULL_POSTURE_CHANGE, EpochClass.LIMB_MOVEME
                           EpochClass.OUT_OF_VIEW})
 
 
-@dataclass(frozen=True)
-class ClassThresholds:
-    """Peak-score class boundaries plus the out-of-view machine parameters."""
+def classify_epochs(peaks, config: Config | None = None) -> list[EpochClass]:
+    """Classify per-epoch peak depth scores into the five motion classes.
 
-    tiny: float = 0.005
-    limb: float = 0.02
-    full: float = 0.10
-    exit: float = 0.30
-    absent: float = 0.003
-    min_absent_epochs: int = 10
-
-    def __post_init__(self):
-        if not 0.0 < self.tiny < self.limb < self.full <= self.exit <= 1.0:
-            raise ValueError("class thresholds must satisfy 0 < tiny < limb < full <= exit <= 1")
-        if not 0.0 <= self.absent < self.tiny:
-            raise ValueError("absent ceiling must satisfy 0 <= absent < tiny")
-        if self.min_absent_epochs < 1:
-            raise ValueError("min_absent_epochs must be >= 1")
-
-
-def classify_epochs(peaks, thresholds: ClassThresholds | None = None) -> list[EpochClass]:
-    """Classify per-epoch peak depth scores into the five motion classes."""
-    th = thresholds if thresholds is not None else ClassThresholds()
+    The boundaries are the ``class_*`` fields of ``config`` (default ``Config()``).
+    """
+    c = config if config is not None else Config()
     p = np.asarray(peaks, np.float64)
     n = len(p)
     classes = []
     for v in p:
-        if v < th.tiny:
+        if v < c.class_tiny:
             classes.append(EpochClass.CALMNESS)
-        elif v < th.limb:
+        elif v < c.class_limb:
             classes.append(EpochClass.TINY_MOVEMENT)
-        elif v < th.full:
+        elif v < c.class_full:
             classes.append(EpochClass.LIMB_MOVEMENT)
         else:
             classes.append(EpochClass.FULL_POSTURE_CHANGE)
@@ -77,19 +65,20 @@ def classify_epochs(peaks, thresholds: ClassThresholds | None = None) -> list[Ep
     # a return must not read as a fresh departure.
     i = 0
     while i < n:
-        if p[i] >= th.exit:
+        if p[i] >= c.class_exit:
             j = i + 1
             run = 0
-            while run < th.min_absent_epochs and j + run < n and p[j + run] < th.absent:
+            while (run < c.class_min_absent_epochs and j + run < n
+                   and p[j + run] < c.class_absent):
                 run += 1
-            if run >= th.min_absent_epochs:
+            if run >= c.class_min_absent_epochs:
                 e = j
-                while e < n and p[e] < th.exit:
+                while e < n and p[e] < c.class_exit:
                     e += 1
                 for t in range(j, e):
                     classes[t] = EpochClass.OUT_OF_VIEW
                 i = e
-                while i < n and p[i] >= th.exit:
+                while i < n and p[i] >= c.class_exit:
                     i += 1
                 continue
         i += 1

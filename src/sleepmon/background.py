@@ -5,7 +5,8 @@ described by K weighted Gaussians kept sorted by weight/sqrt(variance)
 descending.  A new frame updates the first matching component per pixel and
 classifies the pixel against the high-weight prefix of the mixture.  The two
 channels share no state, so depth masks are immune to lighting changes by
-construction.
+construction.  A model reads its mixture parameters from the ``gmm_*`` fields
+of a ``config.Config``, its initial variance from the field of its channel.
 
 State is stored as stacked (K, H, W) float32 arrays.  A frame is folded in
 horizontal row bands of about 2**15 pixels: a fixed sequence of ufuncs runs
@@ -31,11 +32,11 @@ and dilations are masked to the grid, so out-of-grid pixels stay background.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+
+from .config import Config
 
 DEPTH_CHANNEL = "depth"
 LUMA_CHANNEL = "luma"
@@ -45,44 +46,6 @@ _F = np.float32
 # Pixels per row band.  Measured on the 320x350 roi: 16 k-56 k are equally
 # fast, smaller bands pay per-band dispatch, larger ones spill out of L2.
 _BAND_PX = 1 << 15
-
-
-@dataclass(frozen=True)
-class GmmParams:
-    """Mixture parameters; defaults are the standard operating point.
-
-    ``initial_variance`` is channel-scaled: 50**2 for raw depth units,
-    30**2 for 8-bit luma.
-    """
-
-    components: int = 3
-    match_k: float = 2.5
-    learning_rate: float = 0.01
-    background_fraction: float = 0.7
-    initial_variance: float = 50.0 ** 2
-    variance_floor: float = 4.0
-    replacement_weight: float = 0.05
-
-    def __post_init__(self):
-        if self.components < 1:
-            raise ValueError("components must be >= 1")
-        if not 0.0 < self.learning_rate < 1.0:
-            raise ValueError("learning rate out of range (0, 1)")
-        if not 0.0 < self.background_fraction <= 1.0:
-            raise ValueError("background fraction out of range (0, 1]")
-        if not (math.isfinite(self.match_k) and self.match_k > 0.0):
-            raise ValueError("match_k must be finite and positive")
-        if not (math.isfinite(self.variance_floor) and self.variance_floor > 0.0):
-            raise ValueError("variance floor must be finite and positive")
-        if not (math.isfinite(self.initial_variance)
-                and self.initial_variance >= self.variance_floor):
-            raise ValueError("initial variance must be finite and >= variance floor")
-        if not 0.0 < self.replacement_weight < 1.0:
-            raise ValueError("replacement weight out of range (0, 1)")
-
-
-DEPTH_PARAMS = GmmParams()  # the default initial variance is the depth one
-LUMA_PARAMS = GmmParams(initial_variance=30.0 ** 2)
 
 
 def luma(color_frame: np.ndarray) -> np.ndarray:
@@ -101,22 +64,23 @@ def luma(color_frame: np.ndarray) -> np.ndarray:
 class BackgroundModel:
     """Per-pixel Gaussian mixture over one single-valued channel."""
 
-    def __init__(self, params: GmmParams, first_frame: np.ndarray,
+    def __init__(self, config: Config, first_frame: np.ndarray,
                  channel: str = DEPTH_CHANNEL):
         if channel not in (DEPTH_CHANNEL, LUMA_CHANNEL):
             raise ValueError(f"unknown channel kind {channel!r}")
         if first_frame.ndim != 2:
             raise ValueError("first observation must be a 2-D single-channel frame")
-        self.params = params
+        self.config = config
         self.channel = channel
+        self._initial_variance = getattr(config, f"gmm_{channel}_initial_variance")
         self.shape = first_frame.shape
-        k = params.components
+        k = config.gmm_components
         stack = (k,) + self.shape
         self._w = np.zeros(stack, _F)
         self._w[0] = 1.0
         self._mu = np.zeros(stack, _F)
         self._mu[0] = first_frame
-        self._var = np.full(stack, params.initial_variance, _F)
+        self._var = np.full(stack, self._initial_variance, _F)
         self._never_observed = np.zeros(self.shape, bool)
         if channel == DEPTH_CHANNEL:
             np.equal(first_frame, 0, out=self._never_observed)
@@ -178,11 +142,11 @@ class BackgroundModel:
 
     def _update_band(self, b: SimpleNamespace, frame: np.ndarray, foreground: np.ndarray):
         """Fold band ``b`` of a frame into the model; its mask goes to ``foreground``."""
-        p = self.params
-        k = p.components
+        c = self.config
+        k = c.gmm_components
         w, mu, var, x, rho, plane = b.w, b.mu, b.var, b.x, b.rho, b.plane
         d, t, r, near, seen, test = b.d, b.t, b.r, b.near, b.seen, b.test
-        alpha = _F(p.learning_rate)
+        alpha = _F(c.gmm_learning_rate)
 
         # Skipped pixels ("no reading") match nothing, are never replaced and
         # are normalized by 1, so every update below leaves them as they are.
@@ -200,7 +164,7 @@ class BackgroundModel:
         # per matched pixel and ``seen`` marks the pixels with a match.
         np.subtract(x, mu, out=d)
         np.multiply(d, d, out=t)
-        np.multiply(var, _F(p.match_k * p.match_k), out=r)
+        np.multiply(var, _F(c.gmm_match_k * c.gmm_match_k), out=r)
         np.less_equal(t, r, out=near)
         if valid is not None:
             near &= valid
@@ -226,7 +190,7 @@ class BackgroundModel:
         # sees only x1 and +0, which leave finite values bit-exact (variances
         # already sit at or above the floor).  Weights decay by 1 - alpha
         # where any component matched.
-        np.multiply(seen, _F(1.0 - p.learning_rate), out=plane)
+        np.multiply(seen, _F(1.0 - c.gmm_learning_rate), out=plane)
         plane += ~seen
         w *= plane
         np.multiply(r, alpha, out=t)
@@ -239,12 +203,12 @@ class BackgroundModel:
         d -= var
         d *= r
         var += d
-        np.maximum(var, _F(p.variance_floor), out=var)
+        np.maximum(var, _F(c.gmm_variance_floor), out=var)
 
         if none.any():
-            np.copyto(w[k - 1], _F(p.replacement_weight), where=none)
+            np.copyto(w[k - 1], _F(c.gmm_replacement_weight), where=none)
             np.copyto(mu[k - 1], x, where=none)
-            np.copyto(var[k - 1], _F(p.initial_variance), where=none)
+            np.copyto(var[k - 1], _F(self._initial_variance), where=none)
 
         np.add.reduce(w, axis=0, out=plane)
         if skip is not None:
@@ -271,7 +235,7 @@ class BackgroundModel:
         plane.fill(0.0)
         for i in range(1, k):
             plane += w[i - 1]
-            np.greater(plane, _F(p.background_fraction), out=test)
+            np.greater(plane, _F(c.gmm_background_fraction), out=test)
             test &= near[i]
             foreground |= test
 
@@ -280,7 +244,7 @@ class BackgroundModel:
             np.copyto(w[0], _F(1.0), where=reseed)
             np.copyto(mu, _F(0.0), where=reseed)
             np.copyto(mu[0], x, where=reseed)
-            np.copyto(var, _F(p.initial_variance), where=reseed)
+            np.copyto(var, _F(self._initial_variance), where=reseed)
             foreground &= ~reseed
             b.never &= ~reseed
             b.unseen = bool(b.never.any())

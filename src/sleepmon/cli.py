@@ -81,7 +81,7 @@ def cmd_report(args) -> int:
     depth = scoring.exact_visual_scores(scores["depth"], man.roi[2] * man.roi[3])
     fpe = man.video_rate
     peaks = events.epoch_peaks(depth, fpe)
-    classes = analysis.classify_epochs(peaks, config.class_thresholds())
+    classes = analysis.classify_epochs(peaks, config)
     report = analysis.build_report(classes, detected["light"], detected["noise"],
                                    duration_seconds=len(classes))
     cole_eff = sadeh_eff = None

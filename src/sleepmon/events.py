@@ -9,7 +9,7 @@ the count drops.  Virtual zero-count epochs surround the sequence so the
 rule is well defined at both ends; an isolated one-epoch spike is a valid
 length-1 event.
 
-Channel naming follows the one table ``scoring.CHANNELS``: depth activity
+Channel naming follows the one table ``config.CHANNELS``: depth activity
 yields ``motion`` events, luma (``color``) activity ``light`` events, and audio
 activity ``noise`` events.  Each event carries a clip reference covering its
 span plus a one-second margin each side, clamped to the session: a frame index
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config
-from .scoring import CHANNELS, make_models, score_session
+from .config import CHANNELS, Config
+from .scoring import make_models, score_session
 from .session import Session
 
 CLIP_MARGIN_SECONDS = 1
@@ -134,7 +134,7 @@ def run_detector(session: Session, config: Config | None = None) -> DetectionRes
                                epochs={ch: np.empty(0, np.int64) for ch in CHANNELS},
                                events={ev: [] for ev in CHANNELS.values()},
                                config=config)
-    depth_model, color_model = make_models(session, config.depth_params(), config.luma_params())
+    depth_model, color_model = make_models(session, config)
     scores = score_session(session, depth_model, color_model, workers=config.workers)
     fpe = man.video_rate
     epochs = {}

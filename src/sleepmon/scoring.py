@@ -5,10 +5,11 @@ audio scores the RMS of the chunk aligned to each video frame slot, divided
 by PCM full scale (32768).  Fixed denominators keep scores deterministic and
 comparable across channels; nothing depends on future data.
 
-Channel naming lives in one table, ``CHANNELS``: its keys name the score
-channels (the ``scores.csv`` and ``epochs.csv`` columns, in file order) and its
-values the event channel each one feeds (the ``events.log`` channels).  Scores
-are plain float64 arrays keyed by score channel.
+Channel naming lives in one table, ``CHANNELS`` (defined in ``config`` and
+the same object here): its keys name the score channels (the ``scores.csv``
+and ``epochs.csv`` columns, in file order) and its values the event channel
+each one feeds (the ``events.log`` channels).  Scores are plain float64 arrays
+keyed by score channel.
 
 The three channels can be scored in parallel with each other (their models
 share no state); frames within a channel are strictly sequential.  Output is
@@ -22,13 +23,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .background import (DEPTH_CHANNEL, DEPTH_PARAMS, LUMA_CHANNEL, LUMA_PARAMS, BackgroundModel,
-                         GmmParams, foreground_area, luma, morph_smooth)
+from .background import (DEPTH_CHANNEL, LUMA_CHANNEL, BackgroundModel, foreground_area, luma,
+                         morph_smooth)
+from .config import CHANNELS, Config
 from .errors import AudioUnderrunError
 from .session import Session, crop_roi
-
-# Score channel -> the event channel it feeds, in file order.
-CHANNELS = {"depth": "motion", "color": "light", "audio": "noise"}
 
 PCM_FULL_SCALE = 32768.0
 
@@ -65,20 +64,21 @@ def audio_score(chunk: np.ndarray) -> float:
     return min(rms / PCM_FULL_SCALE, 1.0)
 
 
-def _score_visual(session: Session, model: BackgroundModel, kind: str) -> np.ndarray:
+def _model_input(session: Session, channel: str, i: int) -> np.ndarray:
+    """Frame ``i`` as the ``channel`` model sees it: the depth roi or the luma of the color roi."""
+    roi = session.manifest.roi
+    if channel == DEPTH_CHANNEL:
+        return crop_roi(session.depth_frame(i), roi)
+    return luma(crop_roi(session.color_frame(i), roi))
+
+
+def _score_visual(session: Session, model: BackgroundModel) -> np.ndarray:
     man = session.manifest
-    n = man.frame_count
-    roi = man.roi
-    roi_area = roi[2] * roi[3]
-    out = np.empty(n, np.float64)
-    if kind == "depth":
-        for i in range(n):
-            mask = model.update_and_classify(crop_roi(session.depth_frame(i), roi))
-            out[i] = foreground_area(morph_smooth(mask)) / roi_area
-    else:
-        for i in range(n):
-            mask = model.update_and_classify(luma(crop_roi(session.color_frame(i), roi)))
-            out[i] = foreground_area(morph_smooth(mask)) / roi_area
+    roi_area = man.roi[2] * man.roi[3]
+    out = np.empty(man.frame_count, np.float64)
+    for i in range(man.frame_count):
+        mask = model.update_and_classify(_model_input(session, model.channel, i))
+        out[i] = foreground_area(morph_smooth(mask)) / roi_area
     return out
 
 
@@ -88,18 +88,16 @@ def _score_audio(session: Session) -> np.ndarray:
     return np.array([audio_score(c) for c in chunks], np.float64)
 
 
-def make_models(session: Session, depth_params: GmmParams = DEPTH_PARAMS,
-                luma_params: GmmParams = LUMA_PARAMS):
-    """Seed one model per visual channel from frame 0 of the session."""
+def make_models(session: Session, config: Config | None = None):
+    """Seed the depth and the luma model from frame 0 of the session.
+
+    ``config`` defaults to ``Config()``.
+    """
     if session.manifest.frame_count == 0:
         raise ValueError("cannot initialize models on an empty session")
-    roi = session.manifest.roi
-    depth_model = BackgroundModel(depth_params,
-                                  crop_roi(session.depth_frame(0), roi).astype(np.float32),
-                                  DEPTH_CHANNEL)
-    color_model = BackgroundModel(luma_params, luma(crop_roi(session.color_frame(0), roi)),
-                                  LUMA_CHANNEL)
-    return depth_model, color_model
+    config = config if config is not None else Config()
+    return tuple(BackgroundModel(config, _model_input(session, ch, 0), ch)
+                 for ch in (DEPTH_CHANNEL, LUMA_CHANNEL))
 
 
 def score_session(session: Session, depth_model: BackgroundModel,
@@ -113,8 +111,8 @@ def score_session(session: Session, depth_model: BackgroundModel,
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    jobs = {"depth": (_score_visual, session, depth_model, "depth"),
-            "color": (_score_visual, session, color_model, "color"),
+    jobs = {"depth": (_score_visual, session, depth_model),
+            "color": (_score_visual, session, color_model),
             "audio": (_score_audio, session)}
     if workers == 1:
         return {ch: fn(*args) for ch, (fn, *args) in jobs.items()}

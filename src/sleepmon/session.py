@@ -166,12 +166,14 @@ class _MappedFrames:
 
 
 def crop_roi(frame: np.ndarray, roi: tuple[int, int, int, int]) -> np.ndarray:
-    """Return a copy of the roi sub-grid; the source frame is left unchanged."""
+    """Return a read-only view of the roi sub-grid; the source frame is left unchanged."""
     x, y, w, h = roi
     fh, fw = frame.shape[0], frame.shape[1]
     if x < 0 or y < 0 or w <= 0 or h <= 0 or x + w > fw or y + h > fh:
         raise RoiBoundsError(f"roi out of range: roi={roi} frame={fw}x{fh}")
-    return frame[y:y + h, x:x + w].copy()
+    view = frame[y:y + h, x:x + w]
+    view.flags.writeable = False
+    return view
 
 
 def load_manifest(path: str | os.PathLike) -> SessionManifest:

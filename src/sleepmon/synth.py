@@ -52,9 +52,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import EpochClass, sleep_efficiency
+from .config import CHANNELS, Config
 from .events import Event, clip_range
 from .kvtext import from_pairs, read_pairs, to_pairs, write_pairs
-from .scoring import CHANNELS
 from .session import Session, SessionManifest
 
 CALM = "calm"
@@ -80,8 +80,9 @@ AMBIENT_LUMA = 40
 LIGHT_STEP = 120
 BLOB_LUMA_OFFSET = 3
 CHAOS_FRAMES = 20       # leading disturbed frames of leave/return items
-EARLIEST_ITEM_START = 12  # stays clear of the default 10 s warm-up
-MIN_ABSENCE_SECONDS = 12  # default out-of-view machine needs 10 quiet epochs
+# Two seconds past the default model warm-up and the default out-of-view quiet run.
+EARLIEST_ITEM_START = Config.burn_in_seconds + 2
+MIN_ABSENCE_SECONDS = Config.class_min_absent_epochs + 2
 
 _CLASS_OF_KIND = {
     TINY_TWITCH: EpochClass.TINY_MOVEMENT,

@@ -138,7 +138,8 @@ def test_criterion_3_event_rule_oracle_equivalence():
 
 def test_criterion_4_gmm_stability():
     """Noise stays under 1% foreground; a 10-sigma step flags instantly."""
-    from sleepmon.background import DEPTH_PARAMS, BackgroundModel
+    from sleepmon.background import BackgroundModel
+    from sleepmon.config import Config
     rng = np.random.default_rng(404)
     base = np.full((100, 100), 1000.0)
 
@@ -149,7 +150,7 @@ def test_criterion_4_gmm_stability():
         return np.rint(f).astype(np.float32)
 
     t0 = time.perf_counter()
-    model = BackgroundModel(DEPTH_PARAMS, frame(), "depth")
+    model = BackgroundModel(Config(), frame(), "depth")
     for _ in range(300):
         model.update_and_classify(frame())
     rates = [model.update_and_classify(frame()).mean() for _ in range(300)]

@@ -3,24 +3,12 @@
 import numpy as np
 import pytest
 
-from sleepmon.analysis import (ClassThresholds, EpochClass, build_report, classify_epochs,
-                               format_report, sleep_efficiency, sleep_wake)
+from sleepmon.analysis import (EpochClass, build_report, classify_epochs, format_report,
+                               sleep_efficiency, sleep_wake)
+from sleepmon.config import Config
 from sleepmon.events import Event
 
 C = EpochClass
-
-
-class TestClassThresholds:
-    def test_defaults_strictly_ordered(self):
-        th = ClassThresholds()
-        assert 0 < th.tiny < th.limb < th.full <= th.exit <= 1
-        assert th.absent < th.tiny
-
-    def test_bad_order_rejected(self):
-        with pytest.raises(ValueError):
-            ClassThresholds(tiny=0.05, limb=0.02)
-        with pytest.raises(ValueError):
-            ClassThresholds(absent=0.01, tiny=0.005)
 
 
 class TestClassifyEpochs:
@@ -28,19 +16,20 @@ class TestClassifyEpochs:
         assert classify_epochs(np.zeros(20)) == [C.CALMNESS] * 20
 
     def test_lower_bounds_inclusive(self):
-        th = ClassThresholds()
-        got = classify_epochs([th.tiny, th.limb, th.full], th)
+        cfg = Config()
+        got = classify_epochs([cfg.class_tiny, cfg.class_limb, cfg.class_full], cfg)
         assert got == [C.TINY_MOVEMENT, C.LIMB_MOVEMENT, C.FULL_POSTURE_CHANGE]
 
     def test_band_upper_bounds_exclusive(self):
-        th = ClassThresholds()
-        got = classify_epochs([th.tiny - 1e-9, th.limb - 1e-9, th.full - 1e-9], th)
+        cfg = Config()
+        bounds = [cfg.class_tiny, cfg.class_limb, cfg.class_full]
+        got = classify_epochs([b - 1e-9 for b in bounds], cfg)
         assert got == [C.CALMNESS, C.TINY_MOVEMENT, C.LIMB_MOVEMENT]
 
     def test_out_of_view_span_between_spikes(self):
-        th = ClassThresholds(exit=0.3, absent=0.003, min_absent_epochs=10)
+        cfg = Config(class_exit=0.3, class_absent=0.003, class_min_absent_epochs=10)
         peaks = [0.0, 0.5] + [0.001] * 60 + [0.5, 0.0]
-        got = classify_epochs(peaks, th)
+        got = classify_epochs(peaks, cfg)
         assert got[0] == C.CALMNESS
         assert got[1] == C.FULL_POSTURE_CHANGE      # departure spike keeps its class
         assert got[2:62] == [C.OUT_OF_VIEW] * 60
@@ -48,9 +37,9 @@ class TestClassifyEpochs:
         assert got[63] == C.CALMNESS
 
     def test_short_absence_not_out_of_view(self):
-        th = ClassThresholds(min_absent_epochs=10)
+        cfg = Config(class_min_absent_epochs=10)
         peaks = [0.5] + [0.0] * 5 + [0.5]
-        got = classify_epochs(peaks, th)
+        got = classify_epochs(peaks, cfg)
         assert C.OUT_OF_VIEW not in got
 
     def test_absence_with_no_return_extends_to_end(self):
@@ -73,13 +62,13 @@ class TestClassifyEpochs:
 
     def test_out_of_view_requires_preceding_exit_spike(self):
         rng = np.random.default_rng(9)
-        th = ClassThresholds()
+        cfg = Config()
         for _ in range(50):
             peaks = rng.uniform(0, 1, 40)
-            got = classify_epochs(peaks, th)
+            got = classify_epochs(peaks, cfg)
             for i, cls in enumerate(got):
                 if cls == C.OUT_OF_VIEW:
-                    assert any(peaks[j] >= th.exit for j in range(i))
+                    assert any(peaks[j] >= cfg.class_exit for j in range(i))
 
 
 class TestSleepWake:
@@ -151,8 +140,8 @@ class TestBuildReport:
     def test_raising_tiny_threshold_never_reduces_calmness(self):
         rng = np.random.default_rng(6)
         peaks = rng.uniform(0, 0.05, 500)
-        low = classify_epochs(peaks, ClassThresholds(tiny=0.004))
-        high = classify_epochs(peaks, ClassThresholds(tiny=0.008))
+        low = classify_epochs(peaks, Config(class_tiny=0.004))
+        high = classify_epochs(peaks, Config(class_tiny=0.008))
         assert high.count(C.CALMNESS) >= low.count(C.CALMNESS)
 
     def test_empty_rejected(self):

@@ -1,8 +1,8 @@
 """Background model behavior, morphology (with brute-force oracle), areas."""
 
-import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sleepmon import background
-from sleepmon.background import (DEPTH_PARAMS, LUMA_PARAMS, BackgroundModel, GmmParams,
-                                 foreground_area, luma, morph_smooth)
+from sleepmon.background import BackgroundModel, foreground_area, luma, morph_smooth
+from sleepmon.config import Config
 
 _F = np.float32
-ALPHA = DEPTH_PARAMS.learning_rate
-T = DEPTH_PARAMS.background_fraction
+CONFIG = Config()
+ALPHA = CONFIG.gmm_learning_rate
+T = CONFIG.gmm_background_fraction
 
 
 def erode_ref(mask):
@@ -267,6 +268,17 @@ class SeedModel:
         return foreground
 
 
+def seed_params(config, channel):
+    """The one-channel parameter record ``SeedModel`` reads, built from a ``Config``."""
+    return SimpleNamespace(
+        components=config.gmm_components, match_k=config.gmm_match_k,
+        learning_rate=config.gmm_learning_rate,
+        background_fraction=config.gmm_background_fraction,
+        initial_variance=getattr(config, f"gmm_{channel}_initial_variance"),
+        variance_floor=config.gmm_variance_floor,
+        replacement_weight=config.gmm_replacement_weight)
+
+
 def _bits(a):
     return np.ascontiguousarray(a, np.float32).view(np.uint32)
 
@@ -300,33 +312,46 @@ def _oracle_frames(rng, channel, shape, n, hole_p):
 class TestModelInit:
     def test_constant_frame_seeds_single_component(self):
         frame = np.full((5, 7), 1000.0, np.float32)
-        m = BackgroundModel(DEPTH_PARAMS, frame, "depth")
+        m = BackgroundModel(CONFIG, frame, "depth")
         assert np.allclose(m.weights[:, :, 0], 1.0)
         assert np.allclose(m.weights[:, :, 1:], 0.0)
         assert np.allclose(m.means[:, :, 0], 1000.0)
-        assert np.allclose(m.variances, DEPTH_PARAMS.initial_variance)
+        assert np.allclose(m.variances, CONFIG.gmm_depth_initial_variance)
+
+    @pytest.mark.parametrize("channel, want", [("depth", 400.0), ("luma", 100.0)])
+    def test_each_channel_seeds_its_own_initial_variance(self, channel, want):
+        config = Config(gmm_depth_initial_variance=400.0, gmm_luma_initial_variance=100.0)
+        frame = np.full((3, 4), 50.0, np.float32)
+        frame[1, 1] = 0.0
+        m = BackgroundModel(config, frame, channel)
+        assert np.all(m.variances == want)
+        # Replaced components (a jump) and re-seeded pixels (depth) take it too.
+        m.update_and_classify(np.full((3, 4), 250.0, np.float32))
+        assert np.all(m.variances == want)
 
     def test_zero_learning_rate_rejected(self):
         with pytest.raises(ValueError, match="learning rate out of range"):
-            GmmParams(learning_rate=0.0)
+            Config(gmm_learning_rate=0.0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("name", ["match_k", "variance_floor", "initial_variance"])
+    @pytest.mark.parametrize("name", ["gmm_match_k", "gmm_variance_floor",
+                                      "gmm_depth_initial_variance"],
+                             ids=["match_k", "variance_floor", "initial_variance"])
     def test_non_finite_float_rejected(self, name, value):
         with pytest.raises(ValueError, match="finite"):
-            GmmParams(**{name: value})
+            Config(**{name: value})
 
     def test_depth_zero_pixel_flagged_never_observed(self):
         frame = np.full((4, 4), 900.0, np.float32)
         frame[2, 2] = 0.0
-        m = BackgroundModel(DEPTH_PARAMS, frame, "depth")
+        m = BackgroundModel(CONFIG, frame, "depth")
         assert m.never_observed[2, 2]
         assert not m.never_observed[0, 0]
 
     def test_never_observed_reseeds_on_first_reading(self):
         frame = np.full((4, 4), 900.0, np.float32)
         frame[2, 2] = 0.0
-        m = BackgroundModel(DEPTH_PARAMS, frame, "depth")
+        m = BackgroundModel(CONFIG, frame, "depth")
         later = np.full((4, 4), 900.0, np.float32)
         later[2, 2] = 1500.0
         mask = m.update_and_classify(later)
@@ -335,7 +360,7 @@ class TestModelInit:
         assert m.means[2, 2, 0] == 1500.0
 
     def test_update_rejects_frame_of_wrong_shape(self):
-        m = BackgroundModel(DEPTH_PARAMS, np.full((4, 4), 1.0, np.float32), "depth")
+        m = BackgroundModel(CONFIG, np.full((4, 4), 1.0, np.float32), "depth")
         with pytest.raises(ValueError, match="dimension mismatch"):
             m.update_and_classify(np.full((5, 5), 1.0, np.float32))
 
@@ -343,7 +368,7 @@ class TestModelInit:
 class TestModelUpdate:
     def test_constant_input_stays_background(self):
         frame = np.full((6, 6), 700.0, np.float32)
-        m = BackgroundModel(DEPTH_PARAMS, frame, "depth")
+        m = BackgroundModel(CONFIG, frame, "depth")
         for _ in range(500):
             mask = m.update_and_classify(frame)
         assert not mask.any()
@@ -351,10 +376,10 @@ class TestModelUpdate:
 
     def test_large_jump_is_all_foreground(self):
         frame = np.full((6, 6), 700.0, np.float32)
-        m = BackgroundModel(DEPTH_PARAMS, frame, "depth")
+        m = BackgroundModel(CONFIG, frame, "depth")
         for _ in range(200):
             m.update_and_classify(frame)
-        jump = frame + 100.0 * math.sqrt(DEPTH_PARAMS.initial_variance)
+        jump = frame + 100.0 * math.sqrt(CONFIG.gmm_depth_initial_variance)
         assert m.update_and_classify(jump).all()
 
     def test_new_scene_absorbed_within_weight_bound(self):
@@ -363,7 +388,7 @@ class TestModelUpdate:
         bound = math.ceil(math.log(T) / math.log(1.0 - ALPHA))
         a = np.full((4, 4), 500.0, np.float32)
         b = np.full((4, 4), 1500.0, np.float32)
-        m = BackgroundModel(DEPTH_PARAMS, a, "depth")
+        m = BackgroundModel(CONFIG, a, "depth")
         for _ in range(50):
             m.update_and_classify(a)
         frames_until_clear = None
@@ -375,16 +400,16 @@ class TestModelUpdate:
 
     def test_weights_normalized_and_variance_floored_always(self):
         rng = np.random.default_rng(11)
-        m = BackgroundModel(DEPTH_PARAMS, rng.uniform(0, 2000, (5, 5)).astype(np.float32), "depth")
+        m = BackgroundModel(CONFIG, rng.uniform(0, 2000, (5, 5)).astype(np.float32), "depth")
         for _ in range(300):
             frame = rng.uniform(0, 2000, (5, 5)).astype(np.float32)
             m.update_and_classify(frame)
             assert np.all(np.abs(m.weights.sum(axis=2) - 1.0) <= 1e-6)
-            assert np.all(m.variances >= DEPTH_PARAMS.variance_floor)
+            assert np.all(m.variances >= CONFIG.gmm_variance_floor)
 
     def test_depth_zero_skips_update_and_reads_background(self):
         frame = np.full((4, 4), 800.0, np.float32)
-        m = BackgroundModel(DEPTH_PARAMS, frame, "depth")
+        m = BackgroundModel(CONFIG, frame, "depth")
         for _ in range(20):
             m.update_and_classify(frame)
         before_w = m.weights.copy()
@@ -397,7 +422,7 @@ class TestModelUpdate:
     def test_noise_robustness_after_burn_in(self):
         rng = np.random.default_rng(7)
         base = np.full((40, 40), 1000.0)
-        m = BackgroundModel(DEPTH_PARAMS, np.rint(base + rng.normal(0, 2, base.shape)).astype(np.float32), "depth")
+        m = BackgroundModel(CONFIG, np.rint(base + rng.normal(0, 2, base.shape)).astype(np.float32), "depth")
         for _ in range(300):
             m.update_and_classify(np.rint(base + rng.normal(0, 2, base.shape)).astype(np.float32))
         rates = []
@@ -412,9 +437,9 @@ class TestModelUpdate:
         rng = np.random.default_rng(3)
         depth_frames = [np.rint(700 + rng.normal(0, 2, (6, 6))).astype(np.float32)
                         for _ in range(50)]
-        m1 = BackgroundModel(DEPTH_PARAMS, depth_frames[0], "depth")
-        m2 = BackgroundModel(DEPTH_PARAMS, depth_frames[0], "depth")
-        lum = BackgroundModel(LUMA_PARAMS, np.full((6, 6), 40.0, np.float32), "luma")
+        m1 = BackgroundModel(CONFIG, depth_frames[0], "depth")
+        m2 = BackgroundModel(CONFIG, depth_frames[0], "depth")
+        lum = BackgroundModel(CONFIG, np.full((6, 6), 40.0, np.float32), "luma")
         masks1 = [m1.update_and_classify(f) for f in depth_frames]
         out2 = []
         for f in depth_frames:
@@ -427,7 +452,7 @@ class TestModelUpdate:
         frames = [rng.uniform(0, 2000, (8, 8)).astype(np.float32) for _ in range(40)]
         runs = []
         for _ in range(2):
-            m = BackgroundModel(DEPTH_PARAMS, frames[0], "depth")
+            m = BackgroundModel(CONFIG, frames[0], "depth")
             runs.append([m.update_and_classify(f).copy() for f in frames])
         assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
@@ -444,24 +469,24 @@ class TestStackedKernelOracle:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_bitwise_equal_to_seed_kernel(self, channel, components, shape, n, rate,
                                           fraction, hole_p, seed):
-        base = DEPTH_PARAMS if channel == "depth" else LUMA_PARAMS
-        params = dataclasses.replace(base, components=components, learning_rate=rate,
-                                     background_fraction=fraction)
+        config = Config(gmm_components=components, gmm_learning_rate=rate,
+                        gmm_background_fraction=fraction)
         frames = _oracle_frames(np.random.default_rng(seed), channel, shape, n, hole_p)
-        _assert_matches_seed_kernel(BackgroundModel(params, frames[0], channel),
-                                    SeedModel(params, frames[0], channel), frames[1:])
+        _assert_matches_seed_kernel(BackgroundModel(config, frames[0], channel),
+                                    SeedModel(seed_params(config, channel), frames[0], channel),
+                                    frames[1:])
 
     @pytest.mark.parametrize("channel", ["depth", "luma"])
     @pytest.mark.parametrize("seed", range(4))
     def test_multi_band_bitwise_equal_to_seed_kernel(self, channel, seed):
         # 9 rows in bands of 2: four full bands and a one-row band.
-        base = DEPTH_PARAMS if channel == "depth" else LUMA_PARAMS
-        params = dataclasses.replace(base, components=1 + seed, learning_rate=0.2)
+        config = Config(gmm_components=1 + seed, gmm_learning_rate=0.2)
         frames = _oracle_frames(np.random.default_rng(seed), channel, (9, 7), 25, 0.1)
         with mock.patch.object(background, "_BAND_PX", 2 * 7):
-            m = BackgroundModel(params, frames[0], channel)
+            m = BackgroundModel(config, frames[0], channel)
         assert len(m._bands) == 5
-        _assert_matches_seed_kernel(m, SeedModel(params, frames[0], channel), frames[1:])
+        _assert_matches_seed_kernel(m, SeedModel(seed_params(config, channel), frames[0], channel),
+                                    frames[1:])
 
 
 def _assert_matches_seed_kernel(m, ref, frames):
@@ -483,14 +508,13 @@ class TestBandSplit:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_bitwise_equal_for_any_band_split(self, channel, components, shape, n, rate,
                                               hole_p, seed):
-        base = DEPTH_PARAMS if channel == "depth" else LUMA_PARAMS
-        params = dataclasses.replace(base, components=components, learning_rate=rate)
+        config = Config(gmm_components=components, gmm_learning_rate=rate)
         frames = _oracle_frames(np.random.default_rng(seed), channel, shape, n, hole_p)
         h, w = shape
         runs = []
         for rows in (h, 1, 2, 3):
             with mock.patch.object(background, "_BAND_PX", rows * w):
-                m = BackgroundModel(params, frames[0], channel)
+                m = BackgroundModel(config, frames[0], channel)
             assert len(m._bands) == -(-h // rows)
             runs.append([(m.update_and_classify(f), _bits(m.weights), _bits(m.means),
                           _bits(m.variances), m.never_observed) for f in frames[1:]])
@@ -508,10 +532,10 @@ class TestModelMemory:
         frame = np.clip(first + rng.integers(-2, 3, shape), 1, 2047).astype(np.float32)
         first[:16] = 0  # never-observed rows, re-seeded by the frame
         frame[rng.random(shape) < 0.03] = 0
-        params = dataclasses.replace(DEPTH_PARAMS, components=k)
+        config = Config(gmm_components=k)
         tracemalloc.start()
         try:
-            m = BackgroundModel(params, first, "depth")
+            m = BackgroundModel(config, first, "depth")
             m.update_and_classify(frame)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -528,8 +552,7 @@ class TestRankSortGather:
         # Each pixel cycles through its own levels in blocks of its own length,
         # so a newer component outgrows an older one and ranks swap on some
         # frames for some pixels; the last column holds still and never swaps.
-        base = DEPTH_PARAMS if channel == "depth" else LUMA_PARAMS
-        params = dataclasses.replace(base, components=components, learning_rate=0.2)
+        config = Config(gmm_components=components, gmm_learning_rate=0.2)
         rng = np.random.default_rng(components)
         shape = (5, 6)
         period = rng.integers(3, 12, shape)
@@ -540,8 +563,8 @@ class TestRankSortGather:
         for t in range(90):
             level = np.take_along_axis(levels, ((t // period) % n_levels)[None], 0)[0]
             frames.append((level + rng.integers(-1, 2, shape)).astype(np.float32))
-        m = BackgroundModel(params, frames[0], channel)
-        ref = SeedModel(params, frames[0], channel)
+        m = BackgroundModel(config, frames[0], channel)
+        ref = SeedModel(seed_params(config, channel), frames[0], channel)
         for f in frames[1:]:
             assert np.array_equal(m.update_and_classify(f), ref.update_and_classify(f))
             for attr in ("weights", "means", "variances"):

@@ -20,6 +20,36 @@ def test_non_finite_gmm_value_rejected(tmp_path, key, value):
         read_config(path)
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"gmm_components": 0}, "components must be >= 1"),
+    ({"gmm_learning_rate": 1.0}, "learning rate out of range"),
+    ({"gmm_background_fraction": 0.0}, "background fraction out of range"),
+    ({"gmm_match_k": 0.0}, "match_k must be finite and positive"),
+    ({"gmm_variance_floor": -1.0}, "variance floor must be finite and positive"),
+    ({"gmm_depth_initial_variance": 3.0}, "initial variance must be finite and >= variance floor"),
+    ({"gmm_luma_initial_variance": 3.0}, "initial variance must be finite and >= variance floor"),
+    ({"gmm_variance_floor": 1000.0}, "initial variance must be finite and >= variance floor"),
+    ({"gmm_replacement_weight": 0.0}, "replacement weight out of range"),
+    ({"class_min_absent_epochs": 0}, "min_absent_epochs must be >= 1"),
+])
+def test_out_of_range_value_rejected(changes, message):
+    with pytest.raises(ValueError, match=message):
+        Config(**changes)
+
+
+def test_class_defaults_strictly_ordered():
+    c = Config()
+    assert 0 < c.class_tiny < c.class_limb < c.class_full <= c.class_exit <= 1
+    assert c.class_absent < c.class_tiny
+
+
+def test_class_bad_order_rejected():
+    with pytest.raises(ValueError, match="class thresholds must satisfy"):
+        Config(class_tiny=0.05, class_limb=0.02)
+    with pytest.raises(ValueError, match="absent ceiling must satisfy"):
+        Config(class_absent=0.01, class_tiny=0.005)
+
+
 def test_round_trip_keeps_int_and_float_keys(tmp_path):
     config = Config(gmm_components=4, gmm_match_k=2.25, burn_in_seconds=7,
                     class_min_absent_epochs=12, workers=2)

@@ -194,7 +194,7 @@ class TestRunDetector:
         s = build_session(frame_count=40, seed=3)
         config = Config(gmm_components=2, gmm_learning_rate=0.2, gmm_luma_initial_variance=100.0)
         got = run_detector(s, config).scores
-        want = score_session(s, *make_models(s, config.depth_params(), config.luma_params()))
+        want = score_session(s, *make_models(s, config))
         default = run_detector(s).scores
         for ch in ("depth", "color"):
             assert np.array_equal(got[ch], want[ch])

@@ -312,5 +312,7 @@ class TestCropRoi:
     def test_source_frame_unchanged(self):
         frame = np.ones((6, 8), np.uint16)
         out = crop_roi(frame, (1, 1, 3, 3))
-        out[:] = 9
+        with pytest.raises(ValueError, match="read-only"):
+            out[:] = 9
+        assert frame.flags.writeable
         assert frame.min() == frame.max() == 1
