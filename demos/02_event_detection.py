@@ -21,7 +21,7 @@ scores[120:150] = 0.09   # second 4: grows
 scores[150:180] = 0.06   # second 5: fading but still moving
 scores[240:250] = 0.30   # second 8: short spike inside one second
 
-counts = epochize(scores, threshold=0.02)
+counts = epochize(scores, threshold=0.02, frames_per_epoch=30)
 print("per-second counts above threshold:", counts.tolist())
 
 spans = detect_events(counts)

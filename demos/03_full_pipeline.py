@@ -3,11 +3,13 @@ End-to-end: synthesize a night, detect events, build the sleep report
 ======================================================================
 
 Generates a two-minute scenario with one posture change, a light toggle,
-and a stretch of talking, runs the full detector, classifies every epoch,
-and prints the report table the pipeline produces for real sessions.
+and a stretch of talking, runs the full detector, and builds the report with
+``analysis.sleep_report``, the same call ``sleepmon report`` makes: it
+classifies every epoch and scores the two minutes with Cole and Sadeh.  The
+table printed is ``report.txt`` as the pipeline writes it for real sessions.
 """
 
-from sleepmon import actigraphy, analysis, events, synth
+from sleepmon import analysis, events, synth
 
 scenario = synth.Scenario(duration=120, seed=20, timeline=(
     synth.TimelineItem(20, 23, synth.FULL_TURN, 0.5),
@@ -29,13 +31,8 @@ print("\nscripted ground truth:")
 for channel, expected in truth.events.items():
     print(f"  {channel:6s} {[(ev.start_epoch, ev.end_epoch) for ev in expected]}")
 
-peaks = events.epoch_peaks(result.scores["depth"])
-classes = analysis.classify_epochs(peaks)
-report = analysis.build_report(classes, result.events["light"],
-                               result.events["noise"], len(classes))
-counts = actigraphy.counts_from_scores(result.scores["depth"])
-cole = actigraphy.sleep_fraction(actigraphy.cole_sleep_wake(counts))
-sadeh = actigraphy.sleep_fraction(actigraphy.sadeh_sleep_wake(counts))
+report = analysis.sleep_report(result.scores["depth"], result.events["light"],
+                               result.events["noise"], scenario.video_rate)
 
 print("\nsleep report:")
-print(analysis.format_report(report, cole, sadeh))
+print(analysis.format_report(report))

@@ -6,7 +6,9 @@ excess over the tiny-movement threshold, scaled by 1000 and rounded.  Reports
 that quote Cole or Sadeh efficiencies are therefore comparisons against this
 proxy, not against a physical actigraph.
 
-Both scorers use one-minute epochs with zero padding outside the recording.
+Both scorers use one-minute epochs with zero padding outside the recording,
+and return one wake flag per minute; ``analysis.sleep_report`` turns the
+flags into the sleeping fraction it reports beside the camera's efficiency.
 
 Notes
 -----
@@ -38,8 +40,6 @@ Sleep, 17(3), 201-207.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import Config
@@ -53,7 +53,7 @@ SADEH_SD_W = 0.056
 SADEH_LOG_W = 0.703
 
 
-def counts_from_scores(depth_scores, video_rate: int = 30,
+def counts_from_scores(depth_scores, video_rate: int,
                        tiny_threshold: float = Config.class_tiny) -> np.ndarray:
     """Per-minute activity counts from the depth score series.
 
@@ -102,34 +102,3 @@ def sadeh_sleep_wake(counts) -> np.ndarray:
     ps = (SADEH_OFFSET - SADEH_MEAN_W * mean_w5 - SADEH_NAT_W * nat
           - SADEH_SD_W * sd6 - SADEH_LOG_W * log_act)
     return ps < 0.0
-
-
-def sleep_fraction(wake: np.ndarray) -> float:
-    if len(wake) == 0:
-        raise ValueError("empty wake series")
-    return 1.0 - (np.count_nonzero(wake) / len(wake))
-
-
-@dataclass(frozen=True)
-class EfficiencyComparison:
-    """System vs actigraphy efficiencies with their absolute differences."""
-
-    system: float
-    cole: float
-    sadeh: float
-    diff_system_cole: float
-    diff_system_sadeh: float
-    diff_cole_sadeh: float
-
-
-def compare_efficiencies(system: float, cole_wake: np.ndarray,
-                         sadeh_wake: np.ndarray) -> EfficiencyComparison:
-    """Pack the three efficiencies with pairwise absolute differences."""
-    cole = sleep_fraction(cole_wake)
-    sadeh = sleep_fraction(sadeh_wake)
-    return EfficiencyComparison(
-        system=system, cole=cole, sadeh=sadeh,
-        diff_system_cole=abs(system - cole),
-        diff_system_sadeh=abs(system - sadeh),
-        diff_cole_sadeh=abs(cole - sadeh),
-    )

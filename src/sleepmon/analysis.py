@@ -15,6 +15,12 @@ fraction of all epochs in bed.
 
 The thresholds and the overlay's quiet-run length are the ``class_*`` fields
 of ``config.Config``.
+
+``sleep_report`` is the one path from a depth score series to the report:
+per-second peaks, classes, class and event-coverage percentages, and, on
+recordings of at least a minute, the Cole and Sadeh efficiencies of the
+``actigraphy`` counts.  ``sleepmon report`` calls it on the scores it reads
+back from ``scores.csv``; ``format_report`` writes ``report.txt``.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import actigraphy, events
 from .config import Config
 
 
@@ -85,22 +92,25 @@ def classify_epochs(peaks, config: Config | None = None) -> list[EpochClass]:
     return classes
 
 
-def sleep_wake(classes) -> np.ndarray:
-    """True per epoch means wakefulness."""
-    return np.array([c in WAKE_CLASSES for c in classes], bool)
+def _sleep_fraction(wake) -> float:
+    """Fraction of the epochs of a wake array (True means awake) that are asleep."""
+    if len(wake) == 0:
+        raise ValueError("cannot compute sleep efficiency of an empty session")
+    return 1.0 - (np.count_nonzero(wake) / len(wake))
 
 
 def sleep_efficiency(classes) -> float:
     """Sleeping fraction of all epochs (tiny movement and calmness)."""
-    if len(classes) == 0:
-        raise ValueError("cannot compute sleep efficiency of an empty session")
-    wake = sleep_wake(classes)
-    return 1.0 - (np.count_nonzero(wake) / len(wake))
+    return _sleep_fraction(np.array([c in WAKE_CLASSES for c in classes], bool))
 
 
 @dataclass
 class SleepReport:
-    """Component breakdown, event coverage, and sleep efficiency."""
+    """Component breakdown, event coverage, and sleep efficiencies.
+
+    ``cole_efficiency`` and ``sadeh_efficiency`` are None on recordings
+    shorter than one minute.
+    """
 
     full_pct: float
     limb_pct: float
@@ -110,6 +120,8 @@ class SleepReport:
     light_pct: float
     noise_pct: float
     efficiency: float
+    cole_efficiency: float | None
+    sadeh_efficiency: float | None
     duration_seconds: int
 
 
@@ -118,8 +130,11 @@ def _coverage_pct(events, n_epochs: int) -> float:
     return 100.0 * covered / n_epochs
 
 
-def build_report(classes, light_events, noise_events, duration_seconds: int) -> SleepReport:
-    """Percentages of each class and of epochs covered by light/noise events."""
+def build_report(classes, light_events, noise_events) -> SleepReport:
+    """Percentages of each class and of epochs covered by light/noise events.
+
+    One epoch is one second; the Cole and Sadeh efficiencies are left None.
+    """
     n = len(classes)
     if n == 0:
         raise ValueError("cannot build a report from zero epochs")
@@ -136,12 +151,32 @@ def build_report(classes, light_events, noise_events, duration_seconds: int) -> 
         light_pct=_coverage_pct(light_events, n),
         noise_pct=_coverage_pct(noise_events, n),
         efficiency=sleep_efficiency(classes),
-        duration_seconds=duration_seconds,
+        cole_efficiency=None,
+        sadeh_efficiency=None,
+        duration_seconds=n,
     )
 
 
-def format_report(report: SleepReport, cole_efficiency: float | None = None,
-                  sadeh_efficiency: float | None = None) -> str:
+def sleep_report(depth_scores, light_events, noise_events, video_rate: int,
+                 config: Config | None = None) -> SleepReport:
+    """The sleep report of a depth score series and its light and noise events.
+
+    Epochs are ``video_rate`` frames long and are classified with the
+    ``class_*`` fields of ``config`` (default ``Config()``); recordings of at
+    least one minute also get the Cole and Sadeh efficiencies of the
+    per-minute activity counts above ``class_tiny``.
+    """
+    c = config if config is not None else Config()
+    classes = classify_epochs(events.epoch_peaks(depth_scores, video_rate), c)
+    report = build_report(classes, light_events, noise_events)
+    if len(depth_scores) >= 60 * video_rate:
+        counts = actigraphy.counts_from_scores(depth_scores, video_rate, c.class_tiny)
+        report.cole_efficiency = _sleep_fraction(actigraphy.cole_sleep_wake(counts))
+        report.sadeh_efficiency = _sleep_fraction(actigraphy.sadeh_sleep_wake(counts))
+    return report
+
+
+def format_report(report: SleepReport) -> str:
     """Text export mirroring the report columns; percentages use two decimals."""
     def eff(v):
         return "n/a" if v is None else f"{v:.4f}"
@@ -155,8 +190,8 @@ def format_report(report: SleepReport, cole_efficiency: float | None = None,
         f"light_event_pct={report.light_pct:.2f}",
         f"noise_event_pct={report.noise_pct:.2f}",
         f"sleep_efficiency={report.efficiency:.4f}",
-        f"cole_sleep_efficiency={eff(cole_efficiency)}",
-        f"sadeh_sleep_efficiency={eff(sadeh_efficiency)}",
+        f"cole_sleep_efficiency={eff(report.cole_efficiency)}",
+        f"sadeh_sleep_efficiency={eff(report.sadeh_efficiency)}",
         f"duration_seconds={report.duration_seconds}",
     ]
     return "\n".join(lines) + "\n"

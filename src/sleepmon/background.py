@@ -11,12 +11,11 @@ of a ``config.Config``, its initial variance from the field of its channel.
 State is stored as stacked (K, H, W) float32 arrays.  A frame is folded in
 horizontal row bands of about 2**15 pixels: a fixed sequence of ufuncs runs
 over each band's (K, rows, W) view of the state into work buffers sized to
-one band, so the working set stays in a core's L2 cache.  A grid of one band
-(the 32x32 desk roi) runs on the whole arrays.  Masked updates are arithmetic
-selects on 0/1 masks, exact while squared residuals stay finite (any 16-bit
-depth or 8-bit luma frame).  Updates are per-pixel independent (no
-cross-pixel reads), so the result is bitwise independent of the band split
-and of any data-parallel schedule; updating one model from two frames
+one band, so the working set stays in a core's L2 cache.  Masked updates are
+arithmetic selects on 0/1 masks, exact while squared residuals stay finite
+(any 16-bit depth or 8-bit luma frame).  Updates are per-pixel independent
+(no cross-pixel reads), so the result is bitwise independent of the band
+split and of any data-parallel schedule; updating one model from two frames
 concurrently is not supported.
 
 Depth pixels holding 0 mean "no reading" from the sensor: they are classified
@@ -37,9 +36,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import Config
-
-DEPTH_CHANNEL = "depth"
-LUMA_CHANNEL = "luma"
 
 _F = np.float32
 
@@ -65,8 +61,8 @@ class BackgroundModel:
     """Per-pixel Gaussian mixture over one single-valued channel."""
 
     def __init__(self, config: Config, first_frame: np.ndarray,
-                 channel: str = DEPTH_CHANNEL):
-        if channel not in (DEPTH_CHANNEL, LUMA_CHANNEL):
+                 channel: str = "depth"):
+        if channel not in ("depth", "luma"):
             raise ValueError(f"unknown channel kind {channel!r}")
         if first_frame.ndim != 2:
             raise ValueError("first observation must be a 2-D single-channel frame")
@@ -82,7 +78,7 @@ class BackgroundModel:
         self._mu[0] = first_frame
         self._var = np.full(stack, self._initial_variance, _F)
         self._never_observed = np.zeros(self.shape, bool)
-        if channel == DEPTH_CHANNEL:
+        if channel == "depth":
             np.equal(first_frame, 0, out=self._never_observed)
         # One band's work buffers, reused by every band and frame, and each
         # band's views of them and of the state; ``unseen``: never-observed
@@ -133,11 +129,8 @@ class BackgroundModel:
             raise ValueError(
                 f"dimension mismatch: frame {frame.shape} vs model {self.shape}")
         foreground = np.empty(self.shape, bool)
-        if len(self._bands) == 1:
-            self._update_band(self._bands[0], frame, foreground)
-        else:
-            for b in self._bands:
-                self._update_band(b, frame[b.rows], foreground[b.rows])
+        for b in self._bands:
+            self._update_band(b, frame[b.rows], foreground[b.rows])
         return foreground
 
     def _update_band(self, b: SimpleNamespace, frame: np.ndarray, foreground: np.ndarray):
@@ -151,7 +144,7 @@ class BackgroundModel:
         # Skipped pixels ("no reading") match nothing, are never replaced and
         # are normalized by 1, so every update below leaves them as they are.
         skip = valid = reseed = None
-        if self.channel == DEPTH_CHANNEL and not frame.all():
+        if self.channel == "depth" and not frame.all():
             skip = np.equal(frame, 0, out=b.skip)
             valid = np.logical_not(skip, out=b.valid)
         if b.unseen:

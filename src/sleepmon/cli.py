@@ -10,7 +10,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import actigraphy, analysis, events, scoring, synth
+from . import analysis, events, scoring, synth
 from .config import Config, read_config, write_config
 from .errors import ManifestMismatchError, PipelineError
 from .session import load_manifest, load_session, write_session
@@ -79,17 +79,9 @@ def cmd_report(args) -> int:
     detected = events.parse_event_log((detect_dir / EVENTS_LOG).read_text(encoding="utf-8"))
 
     depth = scoring.exact_visual_scores(scores["depth"], man.roi[2] * man.roi[3])
-    fpe = man.video_rate
-    peaks = events.epoch_peaks(depth, fpe)
-    classes = analysis.classify_epochs(peaks, config)
-    report = analysis.build_report(classes, detected["light"], detected["noise"],
-                                   duration_seconds=len(classes))
-    cole_eff = sadeh_eff = None
-    if len(depth) >= 60 * fpe:
-        counts = actigraphy.counts_from_scores(depth, fpe, config.class_tiny)
-        cole_eff = actigraphy.sleep_fraction(actigraphy.cole_sleep_wake(counts))
-        sadeh_eff = actigraphy.sleep_fraction(actigraphy.sadeh_sleep_wake(counts))
-    text = analysis.format_report(report, cole_eff, sadeh_eff)
+    report = analysis.sleep_report(depth, detected["light"], detected["noise"],
+                                   man.video_rate, config)
+    text = analysis.format_report(report)
     _write_text(detect_dir / REPORT_TXT, text)
     print(text, end="")
     return 0

@@ -40,7 +40,7 @@ class Event:
     clip_end: int
 
 
-def epochize(series, threshold: float, frames_per_epoch: int = 30) -> np.ndarray:
+def epochize(series, threshold: float, frames_per_epoch: int) -> np.ndarray:
     """Per-second counts of frame slots scoring above the threshold.
 
     A final partial second is dropped.
@@ -79,7 +79,7 @@ def detect_events(counts) -> list[tuple[int, int]]:
     return spans
 
 
-def epoch_peaks(series, frames_per_epoch: int = 30) -> np.ndarray:
+def epoch_peaks(series, frames_per_epoch: int) -> np.ndarray:
     """Per-second maximum frame score (used for classification and events)."""
     values = np.asarray(series)
     n_epochs = len(values) // frames_per_epoch

@@ -23,8 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .background import (DEPTH_CHANNEL, LUMA_CHANNEL, BackgroundModel, foreground_area, luma,
-                         morph_smooth)
+from .background import BackgroundModel, foreground_area, luma, morph_smooth
 from .config import CHANNELS, Config
 from .errors import AudioUnderrunError
 from .session import Session, crop_roi
@@ -67,7 +66,7 @@ def audio_score(chunk: np.ndarray) -> float:
 def _model_input(session: Session, channel: str, i: int) -> np.ndarray:
     """Frame ``i`` as the ``channel`` model sees it: the depth roi or the luma of the color roi."""
     roi = session.manifest.roi
-    if channel == DEPTH_CHANNEL:
+    if channel == "depth":
         return crop_roi(session.depth_frame(i), roi)
     return luma(crop_roi(session.color_frame(i), roi))
 
@@ -97,7 +96,7 @@ def make_models(session: Session, config: Config | None = None):
         raise ValueError("cannot initialize models on an empty session")
     config = config if config is not None else Config()
     return tuple(BackgroundModel(config, _model_input(session, ch, 0), ch)
-                 for ch in (DEPTH_CHANNEL, LUMA_CHANNEL))
+                 for ch in ("depth", "luma"))
 
 
 def score_session(session: Session, depth_model: BackgroundModel,

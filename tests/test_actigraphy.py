@@ -6,8 +6,8 @@ import statistics
 import numpy as np
 import pytest
 
-from sleepmon.actigraphy import (cole_sleep_wake, compare_efficiencies, counts_from_scores,
-                                 sadeh_sleep_wake, sleep_fraction)
+from sleepmon.actigraphy import cole_sleep_wake, counts_from_scores, sadeh_sleep_wake
+from sleepmon.analysis import sleep_report
 
 COLE_W = {-4: 106, -3: 54, -2: 58, -1: 76, 0: 230, 1: 74, 2: 67}
 
@@ -48,26 +48,26 @@ def sadeh_ref(counts):
 
 class TestCountsFromScores:
     def test_all_zero_scores(self):
-        assert np.array_equal(counts_from_scores(np.zeros(3600)), np.zeros(2, np.int64))
+        assert np.array_equal(counts_from_scores(np.zeros(3600), 30), np.zeros(2, np.int64))
 
     def test_single_frame_excess(self):
         scores = np.zeros(1800)
         scores[100] = 0.005 + 0.1
-        assert counts_from_scores(scores).tolist() == [100]
+        assert counts_from_scores(scores, 30).tolist() == [100]
 
     def test_linearity_before_rounding(self):
         scores = np.zeros(1800)
         scores[0:10] = 0.005 + 0.004
-        single = counts_from_scores(scores)[0]
+        single = counts_from_scores(scores, 30)[0]
         scores[0:10] = 0.005 + 0.008
-        assert counts_from_scores(scores)[0] == 2 * single
+        assert counts_from_scores(scores, 30)[0] == 2 * single
 
     def test_partial_minute_dropped(self):
-        assert len(counts_from_scores(np.zeros(1800 + 900))) == 1
+        assert len(counts_from_scores(np.zeros(1800 + 900), 30)) == 1
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            counts_from_scores(np.zeros(1799))
+            counts_from_scores(np.zeros(1799), 30)
 
 
 class TestCole:
@@ -131,46 +131,25 @@ class TestSadeh:
 
 
 class TestCompareEfficiencies:
+    """The camera, Cole and Sadeh efficiencies that ``sleep_report`` sets side by side."""
+
     def test_all_sleep_everywhere(self):
-        wake = np.zeros(60, bool)
-        cmp_ = compare_efficiencies(1.0, wake, wake)
-        assert (cmp_.system, cmp_.cole, cmp_.sadeh) == (1.0, 1.0, 1.0)
-        assert cmp_.diff_system_cole == cmp_.diff_system_sadeh == cmp_.diff_cole_sadeh == 0.0
-
-    def test_agreeing_pattern(self):
-        # Successful-sleep shape: 93.79% vs 91.6% vs 89.92%; all pairwise
-        # differences stay within 0.04.
-        cole_wake = np.zeros(1000, bool)
-        cole_wake[:84] = True       # sleep fraction 0.916
-        sadeh_wake = np.zeros(10000, bool)
-        sadeh_wake[:1008] = True    # sleep fraction 0.8992
-        cmp_ = compare_efficiencies(0.9379, cole_wake, sadeh_wake)
-        assert cmp_.cole == pytest.approx(0.916)
-        assert cmp_.sadeh == pytest.approx(0.8992)
-        assert max(cmp_.diff_system_cole, cmp_.diff_system_sadeh, cmp_.diff_cole_sadeh) <= 0.04
-
-    def test_divergent_pattern_surfaces_large_differences(self):
-        # Trouble-sleep shape: 81.2% vs 8.33% vs 0%.
-        cole_wake = np.ones(60, bool)
-        cole_wake[:5] = False       # sleep fraction 5/60 = 0.0833
-        sadeh_wake = np.ones(60, bool)
-        cmp_ = compare_efficiencies(0.812, cole_wake, sadeh_wake)
-        assert cmp_.diff_system_cole == pytest.approx(0.812 - 5 / 60)
-        assert cmp_.diff_system_sadeh == pytest.approx(0.812)
-        assert cmp_.diff_system_cole > 0.5 and cmp_.diff_system_sadeh > 0.5
-
-    def test_differences_are_absolute(self):
-        cmp_ = compare_efficiencies(0.2, np.zeros(10, bool), np.ones(10, bool))
-        assert cmp_.diff_system_cole == pytest.approx(0.8)
-        assert cmp_.diff_system_sadeh == pytest.approx(0.2)
-        assert cmp_.diff_cole_sadeh == pytest.approx(1.0)
+        report = sleep_report(np.zeros(3600), [], [], 30)
+        assert report.efficiency == report.cole_efficiency == report.sadeh_efficiency == 1.0
 
 
 class TestSleepFraction:
+    """The Cole and Sadeh efficiencies are the sleeping fractions of their minutes."""
+
     def test_fraction(self):
-        wake = np.array([True, False, False, False])
-        assert sleep_fraction(wake) == 0.75
+        # A count of 10 in the first of four minutes: Cole scores only that
+        # minute wake (0.23 * 10 >= 1 > 0.076 * 10).
+        scores = np.zeros(240)
+        scores[0] = 0.005 + 0.01
+        wake = cole_sleep_wake(counts_from_scores(scores, 1))
+        assert wake.tolist() == [True, False, False, False]
+        assert sleep_report(scores, [], [], 1).cole_efficiency == 0.75
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            sleep_fraction(np.zeros(0, bool))
+            sleep_report(np.zeros(0), [], [], 30)

@@ -1,10 +1,12 @@
 """Epoch classification, sleep/wake rule, efficiency, and report shape."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sleepmon.analysis import (EpochClass, build_report, classify_epochs, format_report,
-                               sleep_efficiency, sleep_wake)
+from sleepmon.analysis import (WAKE_CLASSES, EpochClass, build_report, classify_epochs,
+                               format_report, sleep_efficiency, sleep_report)
 from sleepmon.config import Config
 from sleepmon.events import Event
 
@@ -72,16 +74,18 @@ class TestClassifyEpochs:
 
 
 class TestSleepWake:
+    """The sleep/wake rule, read through the efficiency of single classes."""
+
     def test_mapping(self):
         classes = [C.FULL_POSTURE_CHANGE, C.LIMB_MOVEMENT, C.TINY_MOVEMENT,
                    C.CALMNESS, C.OUT_OF_VIEW]
-        assert sleep_wake(classes).tolist() == [True, True, False, False, True]
+        assert [sleep_efficiency([c]) for c in classes] == [0.0, 0.0, 1.0, 1.0, 0.0]
 
     def test_all_calm_is_all_sleep(self):
-        assert not sleep_wake([C.CALMNESS] * 7).any()
+        assert sleep_efficiency([C.CALMNESS] * 7) == 1.0
 
     def test_all_out_of_view_is_all_wake(self):
-        assert sleep_wake([C.OUT_OF_VIEW] * 7).all()
+        assert sleep_efficiency([C.OUT_OF_VIEW] * 7) == 0.0
 
 
 class TestSleepEfficiency:
@@ -98,7 +102,7 @@ class TestSleepEfficiency:
         for _ in range(50):
             classes = [members[i] for i in rng.integers(0, 5, rng.integers(1, 200))]
             eff = sleep_efficiency(classes)
-            assert eff == 1.0 - np.mean(sleep_wake(classes))
+            assert eff == 1.0 - np.mean([c in WAKE_CLASSES for c in classes])
 
     def test_trouble_sleeping_component_arithmetic(self):
         # 46.05% tiny + 35.13% calmness over 10000 epochs -> 81.18%, which
@@ -118,14 +122,13 @@ class TestSleepEfficiency:
 
 class TestBuildReport:
     def test_all_calm_no_events(self):
-        report = build_report([C.CALMNESS] * 3600, [], [], 3600)
+        report = build_report([C.CALMNESS] * 3600, [], [])
         assert report.calm_pct == 100.0
         assert report.efficiency == 1.0
         assert report.light_pct == report.noise_pct == 0.0
 
     def test_light_coverage(self):
-        report = build_report([C.CALMNESS] * 3600, [Event("light", 100, 135, 1.0, 0, 0)], [],
-                              3600)
+        report = build_report([C.CALMNESS] * 3600, [Event("light", 100, 135, 1.0, 0, 0)], [])
         assert report.light_pct == pytest.approx(1.0)
 
     def test_percentages_partition(self):
@@ -133,7 +136,7 @@ class TestBuildReport:
         members = list(C)
         for _ in range(20):
             classes = [members[i] for i in rng.integers(0, 5, rng.integers(1, 500))]
-            r = build_report(classes, [], [], len(classes))
+            r = build_report(classes, [], [])
             total = r.full_pct + r.limb_pct + r.tiny_pct + r.calm_pct + r.out_of_view_pct
             assert total == pytest.approx(100.0, abs=0.1)
 
@@ -146,13 +149,13 @@ class TestBuildReport:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            build_report([], [], [], 0)
+            build_report([], [], [])
 
 
 class TestReportFormat:
     def test_golden_text(self):
-        report = build_report([C.CALMNESS] * 3600, [], [], 3600)
-        text = format_report(report, cole_efficiency=0.9, sadeh_efficiency=0.85)
+        report = build_report([C.CALMNESS] * 3600, [], [])
+        text = format_report(replace(report, cole_efficiency=0.9, sadeh_efficiency=0.85))
         assert text.splitlines() == [
             "full_posture_changes_pct=0.00",
             "limb_movements_pct=0.00",
@@ -168,5 +171,39 @@ class TestReportFormat:
         ]
 
     def test_missing_actigraphy_marked(self):
-        report = build_report([C.CALMNESS] * 10, [], [], 10)
+        report = build_report([C.CALMNESS] * 10, [], [])
         assert "cole_sleep_efficiency=n/a" in format_report(report)
+
+
+class TestSleepReport:
+    def test_actigraphy_only_from_one_minute(self):
+        short = sleep_report(np.zeros(59 * 30), [], [], 30)
+        assert (short.cole_efficiency, short.sadeh_efficiency) == (None, None)
+        assert short.duration_seconds == 59
+        full = sleep_report(np.zeros(60 * 30), [], [], 30)
+        assert (full.efficiency, full.cole_efficiency, full.sadeh_efficiency) == (1.0, 1.0, 1.0)
+
+    def test_epochs_follow_the_video_rate(self):
+        scores = np.zeros(119)
+        scores[60] = 0.2
+        one = sleep_report(scores, [], [], 1)
+        two = sleep_report(scores, [], [], 2)
+        assert (one.duration_seconds, two.duration_seconds) == (119, 59)
+        assert one.full_pct == pytest.approx(100 / 119)
+        assert two.full_pct == pytest.approx(100 / 59)
+        assert one.cole_efficiency is not None and two.cole_efficiency is None
+
+    def test_tiny_threshold_reaches_classes_and_counts(self):
+        # 0.006 per frame is a tiny movement and 60 counts a minute, which
+        # Cole scores wake; above the raised threshold it is calm, 0 counts.
+        scores = np.full(120, 0.006)
+        default = sleep_report(scores, [], [], 1)
+        raised = sleep_report(scores, [], [], 1, Config(class_tiny=0.007))
+        assert (default.tiny_pct, default.efficiency, default.cole_efficiency) == (100.0, 1.0, 0.0)
+        assert (raised.calm_pct, raised.efficiency, raised.cole_efficiency) == (100.0, 1.0, 1.0)
+
+    def test_event_coverage(self):
+        light = [Event("light", 10, 19, 1.0, 0, 0)]
+        noise = [Event("noise", 0, 4, 1.0, 0, 0), Event("noise", 50, 64, 1.0, 0, 0)]
+        report = sleep_report(np.zeros(100), light, noise, 1)
+        assert (report.light_pct, report.noise_pct) == (10.0, 20.0)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sleepmon import actigraphy, analysis, cli, events, session
+from sleepmon import analysis, cli, session
 from sleepmon.cli import _match_spans, main
 from sleepmon.events import Event, format_event_log
 from sleepmon.kvtext import to_pairs, write_pairs
@@ -205,14 +205,7 @@ STREAMS = ("depth.raw", "color.raw", "audio.raw")
 
 def library_report(depth, light, noise, video_rate):
     """report.txt as the library path computes it from the raw depth scores."""
-    classes = analysis.classify_epochs(events.epoch_peaks(depth, video_rate))
-    report = analysis.build_report(classes, light, noise, len(classes))
-    cole = sadeh = None
-    if len(depth) >= 60 * video_rate:
-        counts = actigraphy.counts_from_scores(depth, video_rate)
-        cole = actigraphy.sleep_fraction(actigraphy.cole_sleep_wake(counts))
-        sadeh = actigraphy.sleep_fraction(actigraphy.sadeh_sleep_wake(counts))
-    return analysis.format_report(report, cole, sadeh)
+    return analysis.format_report(analysis.sleep_report(depth, light, noise, video_rate))
 
 
 def write_detection(root, roi_w, roi_h, video_rate, counts, light=(), noise=()):

@@ -35,29 +35,29 @@ def detect_ref(counts):
 class TestEpochize:
     def test_all_zero(self):
         series = np.zeros(90)
-        assert np.array_equal(epochize(series, 0.5), [0, 0, 0])
+        assert np.array_equal(epochize(series, 0.5, 30), [0, 0, 0])
 
     def test_all_above(self):
         series = np.full(60, 0.9)
-        assert np.array_equal(epochize(series, 0.5), [30, 30])
+        assert np.array_equal(epochize(series, 0.5, 30), [30, 30])
 
     def test_mixed_second(self):
         series = np.concatenate([np.full(10, 0.3), np.zeros(20)])
-        assert np.array_equal(epochize(series, 0.1), [10])
+        assert np.array_equal(epochize(series, 0.1, 30), [10])
 
     def test_partial_final_second_dropped(self):
         series = np.full(75, 0.9)
-        assert len(epochize(series, 0.5)) == 2
+        assert len(epochize(series, 0.5, 30)) == 2
 
     def test_threshold_is_strict(self):
         series = np.full(30, 0.5)
-        assert epochize(series, 0.5)[0] == 0
+        assert epochize(series, 0.5, 30)[0] == 0
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(0)
         series = rng.uniform(0, 1, 300)
-        lo = epochize(series, 0.2)
-        hi = epochize(series, 0.6)
+        lo = epochize(series, 0.2, 30)
+        hi = epochize(series, 0.6, 30)
         assert np.all(hi <= lo)
 
 
@@ -206,7 +206,7 @@ class TestEpochPeaks:
         values = np.zeros(60)
         values[10] = 0.5
         values[40] = 0.2
-        peaks = epoch_peaks(values)
+        peaks = epoch_peaks(values, 30)
         assert np.array_equal(peaks, [0.5, 0.2])
 
 
