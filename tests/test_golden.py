@@ -3,7 +3,8 @@
 Criterion 8 checks determinism within one run; these pins hold the bytes of
 ``events.log``, ``scores.csv``, ``epochs.csv`` and ``report.txt`` fixed
 across commits, and the bytes of the ``depth.raw``, ``color.raw`` and
-``audio.raw`` streams the synthesizer writes for three small scenarios.  The
+``audio.raw`` streams the synthesizer writes for three small scenarios and
+one at the sensor's 640x480 geometry.  The
 key=value text files are pinned too: ``config_used.txt`` as ``write_config``
 writes it, scenario files, and the ``manifest.txt`` that ``generate`` writes.
 A change that alters any of them changes behaviour and must say so; it is not
@@ -139,6 +140,12 @@ STREAM_SCENARIOS = {
         roi=(37, 3, 27, 34), video_rate=12,
         timeline=(T(12, 15, synth.FULL_TURN, 0.25),)),
     "noiseless": replace(EVERY_KIND, depth_noise=0.0, luma_noise=0.0),
+    # The sensor's 640x480 frames and roi, at 2 fps to keep the case short.
+    "paper": synth.Scenario(
+        duration=14, seed=606, frame_width=640, frame_height=480,
+        roi=(160, 65, 320, 350), video_rate=2,
+        timeline=(T(12, 14, synth.FULL_TURN, 0.7), T(12, 13, synth.LIGHT_ON, 0.5),
+                  T(12, 14, synth.TALK, 0.5))),
 }
 
 STREAM_GOLDEN = {
@@ -165,6 +172,14 @@ STREAM_GOLDEN = {
             "e3d1de5ba8e90e18ac78c8450b4daf5c6efc549c97cff6f87af31bfbf93baeb0",
         "audio.raw":
             "340b8673cb262ffc83e9a4a5ff4c56be9642fd77022b2c02be61fcef5f797912",
+    },
+    "paper": {
+        "depth.raw":
+            "3843149c638454aa2b4d73d0a196019c59a015cc6604059f1fc70a83066d218b",
+        "color.raw":
+            "d5ce37569280ad0bc0e4b744084ed0770ade6682c8b429e6991ca9dcfc3d27dd",
+        "audio.raw":
+            "32788547e07a3bf87501bc04ff8a44f84bac848d33e802569798814a54195aec",
     },
 }
 
