@@ -40,7 +40,10 @@ one float64 scratch plane per store, then rounded and cast into a fresh,
 read-only output array.  A store holds the current second's generator, the
 index of the next frame to draw, the last frame it handed out and the
 scratch plane, so hour-long sessions and 640x480 frames stay small in
-memory.  The audio stream is written second by second into one array.
+memory.  A store is not thread-safe: ``write_session`` and ``score_session``
+read each store from one thread only, in frame order, so two stores may be
+drawn on two threads at once.  The audio stream is written second by second
+into one array.
 """
 
 from __future__ import annotations

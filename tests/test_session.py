@@ -2,6 +2,8 @@
 
 import gc
 import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,31 +13,56 @@ from hypothesis import strategies as st
 
 from sleepmon.errors import (CorruptSessionError, InvalidDepthError,
                              ManifestMismatchError, RoiBoundsError)
-from sleepmon.session import (DEPTH_MAX, MANIFEST_NAME, WINDOW_BYTES, Session,
-                              SessionManifest, crop_roi, load_manifest, load_session,
-                              write_session)
+from sleepmon.session import (_THREAD_MIN_PX, DEPTH_MAX, MANIFEST_NAME, WINDOW_BYTES,
+                              Session, SessionManifest, crop_roi, load_manifest,
+                              load_session, write_session)
 
 from conftest import build_session, sessions_equal
 
 
 class GeneratedFrames:
-    """Frame store that builds frame ``i`` from ``i`` and counts reads per index."""
+    """Frame store that builds frame ``i`` from ``i`` and logs each read.
+
+    ``log`` holds one ``(thread ident, index)`` pair per read, in read order.
+    """
 
     def __init__(self, count, shape, dtype):
         self.count, self.shape, self.dtype = count, shape, np.dtype(dtype)
-        self.reads = [0] * count
+        self.log = []
 
     def __len__(self):
         return self.count
 
     def __getitem__(self, i):
-        self.reads[i] += 1
+        self.log.append((threading.get_ident(), i))
         return self.frame(i)
 
     def frame(self, i):
         top = 2048 if self.dtype == np.uint16 else 256
         return ((np.arange(np.prod(self.shape)) + 7 * i) % top).astype(self.dtype).reshape(
             self.shape)
+
+
+class ScriptedFrames:
+    """Frame store over ``frames`` whose read of frame ``at`` raises ``exc``.
+
+    Each other read first sleeps ``delay`` seconds; ``read`` lists the indices
+    read, in order.
+    """
+
+    def __init__(self, frames, at=None, exc=None, delay=0.0):
+        self.frames, self.at, self.exc, self.delay = frames, at, exc, delay
+        self.read = []
+
+    def __len__(self):
+        return len(self.frames)
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        if i == self.at:
+            raise self.exc
+        time.sleep(self.delay)
+        return self.frames[i]
 
 
 def generated_session(frame_count, width=320, height=240):
@@ -244,8 +271,15 @@ class TestMappedLoad:
 
 
 class TestWriteValidation:
+    """Write checks with frames below ``_THREAD_MIN_PX``: both streams on the caller."""
+
+    SIZE = (8, 6)
+
+    def session(self, frame_count=3):
+        return build_session(frame_count=frame_count, width=self.SIZE[0], height=self.SIZE[1])
+
     def test_depth_over_range_rejected_before_io(self, tmp_path):
-        s = build_session()
+        s = self.session()
         s.depth[1, 2, 3] = 4000
         out = tmp_path / "bad"
         with pytest.raises(InvalidDepthError, match="invalid depth sample"):
@@ -253,14 +287,14 @@ class TestWriteValidation:
         assert not (out / "depth.raw").exists()
 
     def test_frame_count_mismatch_rejected(self, tmp_path):
-        s = build_session(frame_count=3)
+        s = self.session(frame_count=3)
         s.depth = s.depth[:2]
         with pytest.raises(ManifestMismatchError, match="manifest mismatch"):
             write_session(s, tmp_path / "bad")
 
     @pytest.mark.parametrize("defect", ["frame_count", "audio_dtype", "audio_length"])
     def test_cheap_checks_run_before_any_file_is_created(self, tmp_path, defect):
-        s = build_session(frame_count=3)
+        s = self.session(frame_count=3)
         if defect == "frame_count":
             s.color = s.color[:2]
         elif defect == "audio_dtype":
@@ -274,7 +308,7 @@ class TestWriteValidation:
     @pytest.mark.parametrize("defect, error", [("depth_range", InvalidDepthError),
                                                ("color_shape", ManifestMismatchError)])
     def test_invalid_last_frame_leaves_no_file(self, tmp_path, defect, error):
-        s = build_session(frame_count=3)
+        s = self.session(frame_count=3)
         if defect == "depth_range":
             s.depth[-1, 0, 0] = DEPTH_MAX + 1
         else:
@@ -285,10 +319,65 @@ class TestWriteValidation:
             write_session(s, out)
         assert not list(out.glob("*"))
 
+    def test_earlier_color_error_beats_later_depth_error(self, tmp_path):
+        s = self.session(frame_count=6)
+        s.depth[4, 0, 0] = DEPTH_MAX + 1
+        color = list(s.color)
+        color[2] = color[2][:, :-1]
+        # Color lags, so on two threads the depth error is usually met first.
+        s.color = ScriptedFrames(color, delay=0.02)
+        with pytest.raises(ManifestMismatchError, match="color frame 2 "):
+            write_session(s, tmp_path / "bad")
+
+    def test_depth_error_beats_color_error_in_the_same_frame(self, tmp_path):
+        s = self.session(frame_count=6)
+        s.depth[2, 0, 0] = DEPTH_MAX + 1
+        # Depth lags, so on two threads the color error is usually met first.
+        s.depth = ScriptedFrames(s.depth, delay=0.02)
+        s.color = list(s.color)
+        s.color[2] = s.color[2][:, :-1]
+        with pytest.raises(InvalidDepthError, match="frame 2:"):
+            write_session(s, tmp_path / "bad")
+
+    def test_a_failure_stops_the_other_stream(self, tmp_path):
+        s = self.session(frame_count=40)
+        s.depth[1, 0, 0] = DEPTH_MAX + 1
+        s.color = ScriptedFrames(s.color, delay=0.01)
+        with pytest.raises(InvalidDepthError, match="frame 1:"):
+            write_session(s, tmp_path / "bad")
+        assert s.color.read[:2] == [0, 1] and len(s.color.read) < 10
+
+    @pytest.mark.parametrize("stream", ["depth", "color"])
+    def test_interrupt_propagates_and_leaves_nothing(self, tmp_path, stream):
+        s = self.session(frame_count=6)
+        setattr(s, stream, ScriptedFrames(getattr(s, stream), at=3, exc=KeyboardInterrupt))
+        threads = threading.active_count()
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            write_session(s, out)
+        assert not list(out.iterdir())
+        assert threading.active_count() == threads
+
     def test_each_frame_is_read_once(self, tmp_path):
-        s = generated_session(5, width=8, height=6)
+        s = generated_session(5, *self.SIZE)
         write_session(s, tmp_path)
-        assert s.depth.reads == [1] * 5 and s.color.reads == [1] * 5
+        for store in (s.depth, s.color):
+            assert [i for _, i in store.log] == list(range(5))
+
+    def test_each_store_is_read_by_one_thread(self, tmp_path):
+        s = generated_session(5, *self.SIZE)
+        write_session(s, tmp_path)
+        depth_readers = {ident for ident, _ in s.depth.log}
+        color_readers = {ident for ident, _ in s.color.log}
+        assert depth_readers == {threading.get_ident()}
+        assert len(color_readers) == 1
+        assert (color_readers != depth_readers) == (self.SIZE[0] * self.SIZE[1] >= _THREAD_MIN_PX)
+
+
+class TestWriteValidationThreaded(TestWriteValidation):
+    """The same checks with frames of ``_THREAD_MIN_PX``: color on a helper thread."""
+
+    SIZE = (128, _THREAD_MIN_PX // 128)
 
 
 class TestCropRoi:
