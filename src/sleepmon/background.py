@@ -41,6 +41,11 @@ _F = np.float32
 
 # Pixels per row band.  Measured on the 320x350 roi: 16 k-56 k are equally
 # fast, smaller bands pay per-band dispatch, larger ones spill out of L2.
+# With the depth and luma models on two threads (2-vCPU Xeon, score_session
+# on the bench's detect_paper input, medians of 8 runs) 2**15 / 2**16 / 2**17
+# gave 167 / 182 / 192 fps, as fewer bands mean fewer interpreter-lock
+# hand-offs, but on one CPU 128 / 115 / 108 fps, and the work buffers raise a
+# `detect` run's peak RSS from 52.6 MB to about 57 / 64.5 MB.
 _BAND_PX = 1 << 15
 
 

@@ -8,7 +8,8 @@ only.  ``run_detector`` and ``sleepmon detect`` take it, and the models and
 the classifier read its fields directly.  The config file is its text form
 (see ``kvtext``): unknown keys are rejected, missing keys fall back to the
 defaults, and the values actually applied are echoed to a sidecar file next
-to the detection outputs.
+to the detection outputs.  Threading is not a field: ``score_session``
+picks it from the roi size and the usable CPUs (``session.use_helper_thread``).
 
 ``CHANNELS`` is the one table of channel names: its keys name the score
 channels (the ``scores.csv`` and ``epochs.csv`` columns, in file order) and
@@ -51,7 +52,6 @@ class Config:
     class_exit: float = 0.30
     class_absent: float = 0.003
     class_min_absent_epochs: int = 10
-    workers: int = 1
 
     def __post_init__(self):
         if self.gmm_components < 1:
@@ -80,8 +80,6 @@ class Config:
                 raise ValueError(f"threshold for {ch} out of range (0, 1)")
         if self.burn_in_seconds < 0:
             raise ValueError("burn_in_seconds must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def threshold(self, channel: str) -> float:
         """Frame-score threshold of a score channel (a key of ``CHANNELS``)."""

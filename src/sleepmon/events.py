@@ -135,7 +135,7 @@ def run_detector(session: Session, config: Config | None = None) -> DetectionRes
                                events={ev: [] for ev in CHANNELS.values()},
                                config=config)
     depth_model, color_model = make_models(session, config)
-    scores = score_session(session, depth_model, color_model, workers=config.workers)
+    scores = score_session(session, depth_model, color_model)
     fpe = man.video_rate
     epochs = {}
     events = {}

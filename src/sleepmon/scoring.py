@@ -11,22 +11,22 @@ and ``epochs.csv`` columns, in file order) and its values the event channel
 each one feeds (the ``events.log`` channels).  Scores are plain float64 arrays
 keyed by score channel.
 
-The three channels can be scored in parallel with each other (their models
-share no state); frames within a channel are strictly sequential.  Output is
-identical for any worker count.
+The two models share no state, so ``score_session`` folds the depth and the
+luma frames in on two threads when ``session.use_helper_thread`` holds for the
+roi size; frames within a channel are strictly sequential.  Output is
+bitwise identical on one thread or two.
 """
 
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .background import BackgroundModel, foreground_area, luma, morph_smooth
 from .config import CHANNELS, Config
 from .errors import AudioUnderrunError
-from .session import Session, crop_roi
+from .session import Session, crop_roi, run_frame_loops, use_helper_thread
 
 PCM_FULL_SCALE = 32768.0
 
@@ -71,16 +71,6 @@ def _model_input(session: Session, channel: str, i: int) -> np.ndarray:
     return luma(crop_roi(session.color_frame(i), roi))
 
 
-def _score_visual(session: Session, model: BackgroundModel) -> np.ndarray:
-    man = session.manifest
-    roi_area = man.roi[2] * man.roi[3]
-    out = np.empty(man.frame_count, np.float64)
-    for i in range(man.frame_count):
-        mask = model.update_and_classify(_model_input(session, model.channel, i))
-        out[i] = foreground_area(morph_smooth(mask)) / roi_area
-    return out
-
-
 def _score_audio(session: Session) -> np.ndarray:
     man = session.manifest
     chunks = chunk_audio(session.audio, man.audio_rate, man.video_rate, man.frame_count)
@@ -100,24 +90,34 @@ def make_models(session: Session, config: Config | None = None):
 
 
 def score_session(session: Session, depth_model: BackgroundModel,
-                  color_model: BackgroundModel, workers: int = 1) -> dict[str, np.ndarray]:
+                  color_model: BackgroundModel) -> dict[str, np.ndarray]:
     """Run both background models over the session and score all channels.
 
-    Returns one float64 array per score channel.  ``workers=1`` runs the
-    channels sequentially; ``workers>1`` scores them in parallel threads, each
-    frame store read from one thread only.  The two produce bitwise-identical
-    scores.
+    Returns one float64 array per score channel.  Audio is scored first, so
+    audio too short for the frame count raises ``AudioUnderrunError`` before
+    any frame is read.  The depth and the color frames are then scored by
+    ``session.run_frame_loops``: the color model on a helper thread when
+    ``session.use_helper_thread`` holds for the roi area, otherwise on the
+    caller after the depth model.  Both give bitwise-identical scores and
+    raise the same error: that of the failing frame with the lowest index,
+    its depth error before its color error.  No thread is left running on
+    return or raise.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    jobs = {"depth": (_score_visual, session, depth_model),
-            "color": (_score_visual, session, color_model),
-            "audio": (_score_audio, session)}
-    if workers == 1:
-        return {ch: fn(*args) for ch, (fn, *args) in jobs.items()}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {ch: pool.submit(*job) for ch, job in jobs.items()}
-        return {ch: f.result() for ch, f in futures.items()}
+    man = session.manifest
+    audio = _score_audio(session)
+    roi_area = man.roi[2] * man.roi[3]
+    depth = np.empty(man.frame_count, np.float64)
+    color = np.empty(man.frame_count, np.float64)
+
+    def step(model, out):
+        def score(i):
+            mask = model.update_and_classify(_model_input(session, model.channel, i))
+            out[i] = foreground_area(morph_smooth(mask)) / roi_area
+        return score
+
+    run_frame_loops(man.frame_count, step(depth_model, depth), step(color_model, color),
+                    use_helper_thread(roi_area))
+    return {"depth": depth, "color": color, "audio": audio}
 
 
 def format_scores_csv(scores: dict) -> str:

@@ -35,11 +35,14 @@ the whole depth stream and it reads the audio whole, so code that needs only
 the geometry and rates (the report) calls ``load_manifest``, which reads
 nothing but ``manifest.txt``.
 
-``write_session`` reads, checks and writes the depth store on the calling
-thread.  When a color frame holds at least ``_THREAD_MIN_PX`` pixels, one
-helper thread does the same for the color store meanwhile; smaller frames
-are written on the caller alone, depth first.  Either way the error raised
-is that of the first invalid frame in depth-then-color order.
+The thread policy lives here too.  ``write_session`` and
+``scoring.score_session`` each run one loop over the depth frames and one
+over the color frames through ``run_frame_loops``: the caller runs the depth
+loop, and the color loop runs on one helper thread meanwhile when
+``use_helper_thread`` says so (frames of at least ``_THREAD_MIN_PX`` pixels
+and more than one usable CPU), otherwise on the caller after the depth loop.
+Either way the error raised is that of the first failing frame in
+depth-then-color order.
 """
 
 from __future__ import annotations
@@ -60,10 +63,13 @@ MANIFEST_NAME = "manifest.txt"
 DEPTH_MAX = 2047
 # Bytes of whole frames a loaded stream maps at a time (at least one frame).
 WINDOW_BYTES = 4 << 20
-# Color frame pixels from which ``write_session`` writes the color stream on a
-# helper thread.  Measured on generate + write (2-vCPU Xeon): the thread makes
-# 640x480 frames 46 % faster and 64x64 to 128x128 ones about 30 %, but the
-# 48x48 posture_test preset 9 % slower in the median of 8 runs.
+# Frame pixels from which ``use_helper_thread`` runs the color loop on a
+# helper thread (2-vCPU Xeon).  Generate + write: the thread makes 640x480
+# frames 46 % faster and 64x64 to 128x128 ones about 30 %, but the 48x48
+# posture_test preset 9 % slower (medians of 8 runs).  ``score_session``,
+# two threads against one (medians of 7 runs): 1.03x at a 32x32 roi, 0.88x
+# at 96x96, 1.06x at 128x128, 1.27x at 181x181; ``detect`` at the 320x350
+# paper roi 1.4x (20 bench runs), but 0.92x there on one usable CPU.
 _THREAD_MIN_PX = 1 << 14
 
 
@@ -205,6 +211,88 @@ def load_manifest(path: str | os.PathLike) -> SessionManifest:
         raise CorruptSessionError(f"corrupt session: {exc}") from exc
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def use_helper_thread(frame_px: int) -> bool:
+    """Whether two frame loops over frames of ``frame_px`` pixels run on two threads.
+
+    True when a frame holds at least ``_THREAD_MIN_PX`` pixels and the
+    process may run on more than one CPU; below either, the helper thread's
+    interpreter-lock hand-offs cost more than the overlap gains.
+    """
+    return frame_px >= _THREAD_MIN_PX and _usable_cpus() > 1
+
+
+def run_frame_loops(n: int, depth_step, color_step, threaded: bool) -> None:
+    """Call ``depth_step(i)`` and ``color_step(i)`` for every frame ``i`` in ``range(n)``.
+
+    The calling thread runs the depth loop.  With ``threaded`` one helper
+    thread runs the color loop meanwhile; otherwise the caller runs it after
+    the depth loop.  Each step is called from one thread only, in frame
+    order.  A step that raises stops both loops: neither calls a frame past
+    the failing one, and an interrupt (an exception that is not an
+    ``Exception``) stops them at once.  The error raised is an interrupt if
+    either loop met one, else the one a single pass calling the depth step
+    before the color step in each frame would meet first: the failing frame
+    with the lowest index, and its depth error before its color error.  No
+    thread is left running on return or raise.
+    """
+    # Frames past ``limit[0]`` are not called: it drops to the first failing
+    # frame either loop has met, and to -1 on an interrupt.  It is written only
+    # by a loop that then stops and by an interrupted caller, so when one write
+    # overwrites a concurrent one, the loop the lost write would stop has
+    # stopped already.
+    limit = [n]
+    failures = []   # (not an interrupt, frame, order, exception): each loop's first failure
+
+    def loop(order, step):
+        i = 0
+        try:
+            for i in range(n):
+                if i > limit[0]:
+                    return
+                step(i)
+        except BaseException as exc:
+            error = isinstance(exc, Exception)
+            failures.append((error, i, order, exc))
+            limit[0] = min(limit[0], i if error else -1)
+
+    # The caller waits on ``done`` before it joins, because in CPython 3.11 a
+    # join cut short by an interrupt marks the thread stopped while it runs on.
+    done = threading.Event()
+
+    def helper_loop():
+        try:
+            loop(1, color_step)
+        finally:
+            done.set()
+
+    helper = None
+    try:
+        if threaded:
+            helper = threading.Thread(target=helper_loop, name="color frame loop")
+            helper.start()
+        loop(0, depth_step)
+        if helper is None:
+            loop(1, color_step)
+        else:
+            done.wait()
+            helper.join()
+    except BaseException:
+        limit[0] = -1
+        if helper is not None and helper.is_alive():
+            helper.join()
+        raise
+    if failures:
+        raise min(failures, key=lambda f: f[:3])[3]
+
+
 def write_session(session: Session, path: str | os.PathLike) -> None:
     """Write manifest and streams, checking each frame as it is written.
 
@@ -213,15 +301,13 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
     and the manifest is written last.  Two writes of the same session produce
     byte-identical files.
 
-    The depth and color streams each have their own check-and-write loop.
-    The calling thread reads, checks and writes the depth stream; when a
-    color frame holds at least ``_THREAD_MIN_PX`` pixels, one helper thread
-    does the same for the color stream meanwhile, otherwise the caller runs
-    the color loop after the depth loop.  Each store is read from one thread
-    only, at most once per frame and in frame order.  The error raised is the one a
-    single pass that checks depth before color in each frame would meet
-    first: the failing frame with the lowest index, and its depth error
-    before its color error.  No thread is left running on return or raise.
+    The depth and color streams each have their own check-and-write loop,
+    run by ``run_frame_loops``: the color loop is on a helper thread when
+    ``use_helper_thread`` holds for the color frame size.  Each store is
+    read at most once per frame, in frame order and from one thread only.
+    The error raised is that of the failing frame with the lowest index, its
+    depth error before its color error.  No thread is left running on
+    return or raise.
     """
     man = session.manifest
     n = man.frame_count
@@ -252,49 +338,19 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
             raise ManifestMismatchError(f"manifest mismatch: color frame {i} has shape {c.shape}")
         return np.ascontiguousarray(c, dtype=np.uint8)
 
-    # Frames past ``limit[0]`` are not read: it drops to the first failing
-    # frame either loop has met, and to -1 when the caller is interrupted.
-    limit = [n]
-    failures = []   # (frame, order, exception): each loop's first failure
-
-    def write_stream(order, read, check, file):
-        """Read, check and write frames in order until one fails or passes ``limit``."""
-        i = 0
-        try:
-            for i in range(n):
-                if i > limit[0]:
-                    return
-                file.write(check(i, read(i)))
-        except BaseException as exc:
-            failures.append((i, order, exc))
-            limit[0] = min(limit[0], i)
-
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     names = (man.depth_file, man.color_file, man.audio_file)
     partials = [out / (name + ".partial") for name in names]
-    helper = None
     try:
         with open(partials[0], "wb") as fd, open(partials[1], "wb") as fc:
-            color_loop = (1, session.color_frame, check_color, fc)
-            if man.color_width * man.color_height >= _THREAD_MIN_PX:
-                helper = threading.Thread(target=write_stream, args=color_loop,
-                                          name="write_session color")
-                helper.start()
-            write_stream(0, session.depth_frame, check_depth, fd)
-            if helper is None:
-                write_stream(*color_loop)
-            else:
-                helper.join()
-        if failures:
-            raise min(failures, key=lambda f: f[:2])[2]
+            run_frame_loops(n, lambda i: fd.write(check_depth(i, session.depth_frame(i))),
+                            lambda i: fc.write(check_color(i, session.color_frame(i))),
+                            use_helper_thread(man.color_width * man.color_height))
         partials[2].write_bytes(np.ascontiguousarray(audio, dtype="<i2"))
         for partial, name in zip(partials, names):
             os.replace(partial, out / name)
     except BaseException:
-        limit[0] = -1
-        if helper is not None and helper.is_alive():
-            helper.join()
         for partial in partials:
             partial.unlink(missing_ok=True)
         raise

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from sleepmon import session
 from sleepmon.session import Session, SessionManifest
 
 
@@ -27,6 +30,35 @@ def sessions_equal(a: Session, b: Session) -> bool:
     return all(np.array_equal(a.depth_frame(i), b.depth_frame(i))
                and np.array_equal(a.color_frame(i), b.color_frame(i))
                for i in range(a.manifest.frame_count))
+
+
+class ScriptedFrames:
+    """Frame store over ``frames`` whose read of frame ``at`` raises ``exc``.
+
+    Each other read first sleeps ``delay`` seconds; ``read`` lists the indices
+    read, in order.
+    """
+
+    def __init__(self, frames, at=None, exc=None, delay=0.0):
+        self.frames, self.at, self.exc, self.delay = frames, at, exc, delay
+        self.read = []
+
+    def __len__(self):
+        return len(self.frames)
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        if i == self.at:
+            raise self.exc
+        time.sleep(self.delay)
+        return self.frames[i]
+
+
+def force_helper_thread(monkeypatch, on):
+    """Make ``session.use_helper_thread`` answer ``on`` at every frame size."""
+    monkeypatch.setattr(session, "_usable_cpus", lambda: 2 if on else 1)
+    if on:
+        monkeypatch.setattr(session, "_THREAD_MIN_PX", 0)
 
 
 @pytest.fixture

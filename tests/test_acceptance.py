@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from sleepmon import actigraphy, analysis, events, scoring, synth
+from sleepmon import actigraphy, analysis, events, scoring, session, synth
 from sleepmon.cli import main
 
 from test_events import detect_ref
@@ -221,35 +221,36 @@ def test_criterion_7_cole_sadeh_sanity(trouble_run):
           f"{abs(rep.efficiency - rep.sadeh_efficiency):.3f})")
 
 
-def test_criterion_8_determinism(tmp_path):
-    """Byte-identical outputs across reruns and across worker counts."""
+def test_criterion_8_determinism(tmp_path, monkeypatch):
+    """Byte-identical outputs across reruns and across one or two threads.
+
+    The 128x128 roi holds ``_THREAD_MIN_PX`` pixels, so with two usable CPUs
+    ``write_session`` and ``score_session`` each run a helper thread, and
+    with one CPU neither does.
+    """
     sc_path = tmp_path / "sc.txt"
     synth.write_scenario(synth.Scenario(duration=40, seed=808, timeline=(
         synth.TimelineItem(15, 18, synth.FULL_TURN, 0.5),
-        synth.TimelineItem(25, 28, synth.TALK, 0.5))), sc_path)
-    cfg2 = tmp_path / "two_workers.txt"
-    cfg2.write_text("workers=2\n")
+        synth.TimelineItem(25, 28, synth.TALK, 0.5)),
+        frame_width=144, frame_height=144, roi=(8, 8, 128, 128)), sc_path)
+    assert 128 * 128 >= session._THREAD_MIN_PX
 
     outputs = []
-    for tag, cfg in (("a", None), ("b", None), ("c", cfg2)):
+    for tag, cpus in (("a", 2), ("b", 2), ("c", 1)):
+        monkeypatch.setattr(session, "_usable_cpus", lambda cpus=cpus: cpus)
         sess, det = tmp_path / f"sess_{tag}", tmp_path / f"det_{tag}"
         assert main(["generate", "--scenario", str(sc_path), "--out", str(sess)]) == 0
-        args = ["detect", "--session", str(sess), "--out", str(det)]
-        if cfg is not None:
-            args += ["--config", str(cfg)]
-        assert main(args) == 0
+        assert main(["detect", "--session", str(sess), "--out", str(det)]) == 0
         assert main(["report", "--session", str(sess), "--detect", str(det)]) == 0
         outputs.append((sess, det))
-    (sess_a, det_a), (sess_b, det_b), (sess_c, det_c) = outputs
-    for name in ("manifest.txt", "depth.raw", "color.raw", "audio.raw", "groundtruth.log"):
-        assert filecmp.cmp(sess_a / name, sess_b / name, shallow=False), name
-    for name in ("events.log", "scores.csv", "epochs.csv", "report.txt"):
-        assert filecmp.cmp(det_a / name, det_b / name, shallow=False), name
-        if name != "report.txt":  # workers config differs only in the sidecar
-            assert filecmp.cmp(det_a / name, det_c / name, shallow=False), name
-    assert filecmp.cmp(det_a / "report.txt", det_c / "report.txt", shallow=False)
+    (sess_a, det_a), *others = outputs
+    for sess, det in others:
+        for name in ("manifest.txt", "depth.raw", "color.raw", "audio.raw", "groundtruth.log"):
+            assert filecmp.cmp(sess_a / name, sess / name, shallow=False), name
+        for name in ("events.log", "scores.csv", "epochs.csv", "report.txt", "config_used.txt"):
+            assert filecmp.cmp(det_a / name, det / name, shallow=False), name
     print("\nACCEPTANCE 8 PASS: generate/detect/report byte-identical across "
-          "reruns and across 1 vs 2 worker threads")
+          "reruns and across one vs two threads at a 128x128 roi")
 
 
 def test_criterion_9_throughput():

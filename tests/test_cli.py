@@ -18,6 +18,8 @@ from sleepmon.scoring import format_scores_csv
 from sleepmon.synth import (FULL_TURN, LIGHT_ON, TALK, Scenario, TimelineItem,
                             write_scenario)
 
+from conftest import force_helper_thread
+
 
 def small_scenario(duration=40, seed=11, items=None):
     if items is None:
@@ -103,7 +105,7 @@ class TestDetect:
             assert (out / name).is_file()
         text = (out / "config_used.txt").read_text()
         assert "depth_threshold=0.02" in text
-        assert "workers=1" in text
+        assert "class_min_absent_epochs=10" in text
 
     def test_partial_config_gets_defaults_echoed(self, tmp_path, session_dir):
         cfg = tmp_path / "cfg.txt"
@@ -157,14 +159,14 @@ class TestDetect:
                    "--truth", session_dir / "groundtruth.log", "--tolerance", 2)
         assert code == 0
 
-    def test_byte_identical_reruns_and_worker_independence(self, tmp_path, session_dir):
+    def test_byte_identical_reruns_and_worker_independence(self, tmp_path, session_dir,
+                                                           monkeypatch):
         out1, out2, out3 = tmp_path / "d1", tmp_path / "d2", tmp_path / "d3"
-        cfg = tmp_path / "workers.txt"
-        cfg.write_text("workers=2\n")
         run("detect", "--session", session_dir, "--out", out1)
         run("detect", "--session", session_dir, "--out", out2)
-        run("detect", "--session", session_dir, "--config", cfg, "--out", out3)
-        for name in ("events.log", "scores.csv", "epochs.csv"):
+        force_helper_thread(monkeypatch, True)     # the 32x32 roi is scored on one thread
+        run("detect", "--session", session_dir, "--out", out3)
+        for name in ("events.log", "scores.csv", "epochs.csv", "config_used.txt"):
             assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
             assert filecmp.cmp(out1 / name, out3 / name, shallow=False), name
 
@@ -262,6 +264,13 @@ class TestReportPath:
         monkeypatch.setattr(session, "load_session", refuse)
         assert run("report", "--session", sess, "--detect", det) == 0
         assert (det / "report.txt").read_bytes() == before
+
+    def test_config_used_that_sets_workers_exits_1(self, detected, capsys):
+        sess, det, _ = detected
+        with open(det / "config_used.txt", "a", encoding="utf-8") as fh:
+            fh.write("workers=1\n")
+        assert run("report", "--session", sess, "--detect", det) == 1
+        assert "unknown config key 'workers'" in capsys.readouterr().err
 
     def test_missing_manifest_exits_1(self, detected, capsys):
         sess, det, _ = detected

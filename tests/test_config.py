@@ -52,10 +52,10 @@ def test_class_bad_order_rejected():
 
 def test_round_trip_keeps_int_and_float_keys(tmp_path):
     config = Config(gmm_components=4, gmm_match_k=2.25, burn_in_seconds=7,
-                    class_min_absent_epochs=12, workers=2)
+                    class_min_absent_epochs=12)
     write_config(config, tmp_path / "cfg.txt")
     text = (tmp_path / "cfg.txt").read_text()
-    assert "gmm_components=4\n" in text and "workers=2\n" in text
+    assert "gmm_components=4\n" in text and "class_min_absent_epochs=12\n" in text
     assert "gmm_match_k=2.25\n" in text and "depth_threshold=0.02\n" in text
     back = read_config(tmp_path / "cfg.txt")
     assert back == config

@@ -198,12 +198,12 @@ CONFIG_CASES = {
     "default": Config(),
     "custom": Config(gmm_components=4, gmm_match_k=2.25, gmm_learning_rate=0.1 + 0.2,
                      gmm_luma_initial_variance=1e3 / 3, depth_threshold=1e-300,
-                     burn_in_seconds=7, class_min_absent_epochs=12, workers=2),
+                     burn_in_seconds=7, class_min_absent_epochs=12),
 }
 
 CONFIG_GOLDEN = {
-    "default": "3e7e181eb4b23efe4bf8e53d3e2fea9c425489e7b21ca9bbca9d3d8e14fe7bc3",
-    "custom": "3d232b6505cf02f6d0cae8651ad5bc7eb71a425e093a24c49428d805b713980b",
+    "default": "0fb2a243c2b933f71c23ce0473cd7daf5de0ffbe58bb2f4bc89bf8441b04edf7",
+    "custom": "d4b240ec33be112fd215d474a42f9344d525af0ab3a081180da69209797b4df5",
 }
 
 

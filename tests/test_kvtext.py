@@ -41,7 +41,7 @@ def configs(draw):
         class_tiny=tiny, class_limb=limb, class_full=full,
         class_exit=draw(st.floats(full, 1.0)),
         class_absent=draw(st.floats(0.0, tiny, exclude_max=True)),
-        class_min_absent_epochs=draw(st.integers(1, 10 ** 6)), workers=draw(st.integers(1, 64)))
+        class_min_absent_epochs=draw(st.integers(1, 10 ** 6)))
 
 
 @st.composite
@@ -119,18 +119,21 @@ def test_floats_are_written_with_repr_and_ints_with_str():
 
 
 def test_missing_keys_keep_defaults_unless_required():
-    assert from_pairs(Config, [("workers", "2")], "config", required=False) == Config(workers=2)
+    assert from_pairs(Config, [("burn_in_seconds", "12")], "config", required=False) \
+        == Config(burn_in_seconds=12)
     with pytest.raises(ValueError, match="config missing keys"):
-        from_pairs(Config, [("workers", "2")], "config", required=True)
+        from_pairs(Config, [("burn_in_seconds", "12")], "config", required=True)
 
 
 @pytest.mark.parametrize("pairs, message", [
     ([("mystery", "1")], "unknown config key 'mystery'"),
-    ([("workers", "1"), ("workers", "2")], "duplicate config key 'workers'"),
-    ([("workers", "two")], "bad config value for workers"),
+    ([("burn_in_seconds", "1"), ("burn_in_seconds", "2")],
+     "duplicate config key 'burn_in_seconds'"),
+    ([("class_min_absent_epochs", "two")], "bad config value for class_min_absent_epochs"),
     ([("burn_in_seconds", "2.5")], "bad config value for burn_in_seconds"),
     ([("gmm_match_k", "nan")], r"invalid config \(match_k must be finite"),
-    ([("workers", "0")], r"invalid config \(workers must be >= 1\)"),
+    ([("class_min_absent_epochs", "0")], r"invalid config \(min_absent_epochs must be >= 1\)"),
+    ([("workers", "1")], "unknown config key 'workers'"),
 ])
 def test_bad_pairs_rejected(pairs, message):
     with pytest.raises(ValueError, match=message):

@@ -1,17 +1,21 @@
 """Score normalization, audio chunking, and whole-session scoring."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sleepmon import background
 from sleepmon.background import foreground_area
 from sleepmon.errors import AudioUnderrunError
 from sleepmon.scoring import (CHANNELS, audio_score, chunk_audio, chunk_bounds,
                               exact_visual_scores, format_scores_csv, make_models,
                               parse_scores_csv, score_session)
+from sleepmon.session import _THREAD_MIN_PX
 
-from conftest import build_session
+from conftest import ScriptedFrames, build_session, force_helper_thread
 
 
 class TestVisualScore:
@@ -122,13 +126,70 @@ class TestScoreSession:
         for ch in CHANNELS:
             assert np.array_equal(out1[ch], out2[ch])
 
-    def test_worker_count_does_not_change_output(self):
-        s = build_session(frame_count=60, width=12, height=10, roi=(1, 1, 8, 8), seed=4)
-        seq = score_session(s, *make_models(s), workers=1)
-        par = score_session(s, *make_models(s), workers=3)
-        assert list(par) == list(seq)
+    def test_worker_count_does_not_change_output(self, monkeypatch):
+        """One thread or two give bitwise-identical scores on a roi above
+        ``_THREAD_MIN_PX`` whose zero-depth holes cross row-band edges."""
+        monkeypatch.setattr(background, "_BAND_PX", 7 * 140)      # 7-row bands
+        rng = np.random.default_rng(4)
+        s = build_session(frame_count=40, width=150, height=140, roi=(5, 5, 140, 130))
+        assert 140 * 130 >= _THREAD_MIN_PX
+        s.depth = (1000 + rng.integers(-3, 4, s.depth.shape)).astype(np.uint16)
+        s.depth[10:20, 30:90, 40:100] += 300
+        s.depth[:, 8:30, 20:60] = 0                 # roi rows 3-24, from frame 0
+        s.depth[rng.random(s.depth.shape) < 0.05] = 0
+        s.color = (100 + rng.integers(-2, 3, s.color.shape)).astype(np.uint8)
+        s.color[15:25] += 120
+        out = {}
+        for threaded in (False, True):
+            force_helper_thread(monkeypatch, threaded)
+            out[threaded] = score_session(s, *make_models(s))
+        assert list(out[True]) == list(out[False]) == list(CHANNELS)
         for ch in CHANNELS:
-            assert np.array_equal(seq[ch], par[ch])
+            assert np.array_equal(out[True][ch], out[False][ch])
+        assert 0 < out[True]["depth"][15] < 1 and 0 < out[True]["color"][15] < 1
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    @pytest.mark.parametrize("depth_fail, color_fail, want", [
+        ((3, RuntimeError), None, "depth 3"),
+        (None, (3, RuntimeError), "color 3"),
+        ((5, RuntimeError), (3, RuntimeError), "color 3"),
+        ((3, RuntimeError), (5, RuntimeError), "depth 3"),
+        ((4, RuntimeError), (4, RuntimeError), "depth 4"),
+        ((3, KeyboardInterrupt), (5, RuntimeError), "depth 3"),
+    ])
+    def test_error_of_the_first_failing_frame_depth_first(self, monkeypatch, threaded,
+                                                          depth_fail, color_fail, want):
+        force_helper_thread(monkeypatch, threaded)
+        s = build_session(frame_count=12, width=12, height=10, roi=(1, 1, 8, 8), seed=6)
+        models = make_models(s)
+        for ch, fail in (("depth", depth_fail), ("color", color_fail)):
+            at, exc = fail or (None, None)
+            setattr(s, ch, ScriptedFrames(getattr(s, ch), at=at, exc=exc and exc(f"{ch} {at}")))
+        threads = threading.active_count()
+        with pytest.raises((RuntimeError, KeyboardInterrupt), match=want):
+            score_session(s, *models)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("failing", ["depth", "color"])
+    def test_a_failure_stops_the_other_channel(self, monkeypatch, failing):
+        force_helper_thread(monkeypatch, True)
+        s = build_session(frame_count=40, width=12, height=10, roi=(1, 1, 8, 8), seed=7)
+        models = make_models(s)
+        other = "color" if failing == "depth" else "depth"
+        setattr(s, failing, ScriptedFrames(getattr(s, failing), at=1, exc=RuntimeError("stop")))
+        setattr(s, other, ScriptedFrames(getattr(s, other), delay=0.01))
+        with pytest.raises(RuntimeError, match="stop"):
+            score_session(s, *models)
+        assert getattr(s, other).read[:2] == [0, 1] and len(getattr(s, other).read) < 10
+
+    def test_audio_underrun_raises_before_any_frame_is_read(self):
+        s = build_session(frame_count=30, width=12, height=10, roi=(1, 1, 8, 8), seed=8)
+        models = make_models(s)
+        s.audio = s.audio[:-1]
+        s.depth, s.color = ScriptedFrames(s.depth), ScriptedFrames(s.color)
+        with pytest.raises(AudioUnderrunError, match="audio underrun at chunk 29"):
+            score_session(s, *models)
+        assert s.depth.read == [] and s.color.read == []
 
     def test_depth_series_ignores_color_stream(self):
         s1 = build_session(frame_count=45, width=12, height=10, roi=(1, 1, 8, 8), seed=5)

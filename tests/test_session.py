@@ -2,6 +2,8 @@
 
 import gc
 import os
+import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -13,11 +15,13 @@ from hypothesis import strategies as st
 
 from sleepmon.errors import (CorruptSessionError, InvalidDepthError,
                              ManifestMismatchError, RoiBoundsError)
+from sleepmon import session
 from sleepmon.session import (_THREAD_MIN_PX, DEPTH_MAX, MANIFEST_NAME, WINDOW_BYTES,
                               Session, SessionManifest, crop_roi, load_manifest,
-                              load_session, write_session)
+                              load_session, run_frame_loops, use_helper_thread,
+                              write_session)
 
-from conftest import build_session, sessions_equal
+from conftest import ScriptedFrames, build_session, sessions_equal
 
 
 class GeneratedFrames:
@@ -41,28 +45,6 @@ class GeneratedFrames:
         top = 2048 if self.dtype == np.uint16 else 256
         return ((np.arange(np.prod(self.shape)) + 7 * i) % top).astype(self.dtype).reshape(
             self.shape)
-
-
-class ScriptedFrames:
-    """Frame store over ``frames`` whose read of frame ``at`` raises ``exc``.
-
-    Each other read first sleeps ``delay`` seconds; ``read`` lists the indices
-    read, in order.
-    """
-
-    def __init__(self, frames, at=None, exc=None, delay=0.0):
-        self.frames, self.at, self.exc, self.delay = frames, at, exc, delay
-        self.read = []
-
-    def __len__(self):
-        return len(self.frames)
-
-    def __getitem__(self, i):
-        self.read.append(i)
-        if i == self.at:
-            raise self.exc
-        time.sleep(self.delay)
-        return self.frames[i]
 
 
 def generated_session(frame_count, width=320, height=240):
@@ -271,9 +253,17 @@ class TestMappedLoad:
 
 
 class TestWriteValidation:
-    """Write checks with frames below ``_THREAD_MIN_PX``: both streams on the caller."""
+    """Write checks with frames below ``_THREAD_MIN_PX``: both streams on the caller.
+
+    The process is made to see two usable CPUs, so the frame size alone picks
+    the path on any machine.
+    """
 
     SIZE = (8, 6)
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(session, "_usable_cpus", lambda: 2)
 
     def session(self, frame_count=3):
         return build_session(frame_count=frame_count, width=self.SIZE[0], height=self.SIZE[1])
@@ -378,6 +368,98 @@ class TestWriteValidationThreaded(TestWriteValidation):
     """The same checks with frames of ``_THREAD_MIN_PX``: color on a helper thread."""
 
     SIZE = (128, _THREAD_MIN_PX // 128)
+
+
+class TestRunFrameLoops:
+    def test_an_interrupt_beats_an_error_of_an_earlier_frame(self):
+        interrupted = threading.Event()
+
+        def depth_step(i):
+            if i == 5:
+                interrupted.set()
+                raise KeyboardInterrupt
+
+        def color_step(i):
+            if i == 3:
+                assert interrupted.wait(10)
+                raise RuntimeError("color 3")
+
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            run_frame_loops(8, depth_step, color_step, threaded=True)
+        assert threading.active_count() == threads
+
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_an_interrupt_stops_the_other_loop_at_once(self, threaded):
+        color_calls = []
+
+        def depth_step(i):
+            if i == 10:
+                raise KeyboardInterrupt
+
+        def color_step(i):
+            color_calls.append(i)
+            time.sleep(0.01)
+
+        with pytest.raises(KeyboardInterrupt):
+            run_frame_loops(40, depth_step, color_step, threaded)
+        assert len(color_calls) < 5
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    def test_an_interrupt_while_waiting_stops_and_joins_the_helper(self):
+        color_calls = []
+
+        def color_step(i):
+            color_calls.append(i)
+            if i == 3:      # the caller finished its loop long ago and waits
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.01)
+
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            run_frame_loops(40, lambda i: None, color_step, threaded=True)
+        assert threading.active_count() == threads
+        assert color_calls == [0, 1, 2, 3]
+
+    def test_error_order_holds_under_frequent_thread_switches(self):
+        rng = np.random.default_rng(3)
+
+        def failing_at(name, at):
+            def step(i):
+                if i == at:
+                    raise RuntimeError(f"{name} {at}")
+            return step
+
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for depth_at, color_at in rng.integers(0, 30, (200, 2)):
+                with pytest.raises(RuntimeError) as info:
+                    run_frame_loops(30, failing_at("depth", depth_at),
+                                    failing_at("color", color_at), threaded=True)
+                want = f"depth {depth_at}" if depth_at <= color_at else f"color {color_at}"
+                assert str(info.value) == want
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+
+
+class TestHelperThreadRule:
+    @pytest.mark.parametrize("cpus, px, want", [
+        (2, _THREAD_MIN_PX - 1, False), (2, _THREAD_MIN_PX, True), (64, 640 * 480, True),
+        (1, _THREAD_MIN_PX, False), (1, 640 * 480, False)])
+    def test_needs_a_large_frame_and_a_second_cpu(self, monkeypatch, cpus, px, want):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert use_helper_thread(px) is want
+
+    @pytest.mark.parametrize("count, want", [(None, False), (1, False), (2, True)])
+    def test_cpu_count_stands_in_without_an_affinity_call(self, monkeypatch, count, want):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert use_helper_thread(_THREAD_MIN_PX) is want
 
 
 class TestCropRoi:
