@@ -9,9 +9,12 @@ construction.  A model reads its mixture parameters from the ``gmm_*`` fields
 of a ``config.Config``, its initial variance from the field of its channel.
 
 State is stored as stacked (K, H, W) float32 arrays.  A frame is folded in
-horizontal row bands of about 2**15 pixels: a fixed sequence of ufuncs runs
-over each band's (K, rows, W) view of the state into work buffers sized to
-one band, so the working set stays in a core's L2 cache.  Masked updates are
+ceil(H*W / _BAND_PX) horizontal row bands of equal height (the last may be
+shorter): a fixed sequence of ufuncs runs over each band's (K, rows, W) view
+of the state into work buffers sized to one band, two of them K deep.  Each
+numpy call releases the interpreter lock and takes it back, so when the depth
+and the luma model run on two threads the calls per frame, and with them the
+band count, set the cost of the lock hand-offs.  Masked updates are
 arithmetic selects on 0/1 masks, exact while squared residuals stay finite
 (any 16-bit depth or 8-bit luma frame).  Updates are per-pixel independent
 (no cross-pixel reads), so the result is bitwise independent of the band
@@ -39,14 +42,18 @@ from .config import Config
 
 _F = np.float32
 
-# Pixels per row band.  Measured on the 320x350 roi: 16 k-56 k are equally
-# fast, smaller bands pay per-band dispatch, larger ones spill out of L2.
-# With the depth and luma models on two threads (2-vCPU Xeon, score_session
-# on the bench's detect_paper input, medians of 8 runs) 2**15 / 2**16 / 2**17
-# gave 167 / 182 / 192 fps, as fewer bands mean fewer interpreter-lock
-# hand-offs, but on one CPU 128 / 115 / 108 fps, and the work buffers raise a
-# `detect` run's peak RSS from 52.6 MB to about 57 / 64.5 MB.
-_BAND_PX = 1 << 15
+# Pixels per row band: a frame folds in ceil(H*W / _BAND_PX) bands of equal
+# height, the 320x350 paper roi in three of 117/117/116 rows and a 640x480
+# frame in seven of 69 rows (the last 66).  Each of a band's 45-65 numpy
+# calls releases the interpreter lock and takes it back, so with the depth and
+# the luma model on two threads fewer bands mean fewer hand-offs; a band's
+# state and buffers (about 3 MB at this size) do not fit a core's 2 MB L2 at
+# any size tried.  ``detect`` in-process on the bench's detect_paper input
+# (2-vCPU Xeon, medians of 5 runs) at 2**15 / 3 << 14 / 2**16 / 2**17 px:
+# 187 / 203 / 209 / 192 fps on two CPUs, 124 / 136 / 118 / 111 fps under
+# ``taskset -c 0``, peak RSS 51.2 / 51.9 / 54.0 / 61.6 MB: the fastest size on
+# one CPU, within noise of the fastest on two, at under 1 MB more memory.
+_BAND_PX = 3 << 14
 
 
 def luma(color_frame: np.ndarray) -> np.ndarray:
@@ -73,7 +80,7 @@ class BackgroundModel:
             raise ValueError("first observation must be a 2-D single-channel frame")
         self.config = config
         self.channel = channel
-        self._initial_variance = getattr(config, f"gmm_{channel}_initial_variance")
+        initial_variance = getattr(config, f"gmm_{channel}_initial_variance")
         self.shape = first_frame.shape
         k = config.gmm_components
         stack = (k,) + self.shape
@@ -81,19 +88,27 @@ class BackgroundModel:
         self._w[0] = 1.0
         self._mu = np.zeros(stack, _F)
         self._mu[0] = first_frame
-        self._var = np.full(stack, self._initial_variance, _F)
+        self._var = np.full(stack, initial_variance, _F)
         self._never_observed = np.zeros(self.shape, bool)
         if channel == "depth":
             np.equal(first_frame, 0, out=self._never_observed)
-        # One band's work buffers, reused by every band and frame, and each
-        # band's views of them and of the state; ``unseen``: never-observed
-        # pixels are left in the band.
+        self._alpha = _F(config.gmm_learning_rate)
+        self._decay = _F(1.0 - config.gmm_learning_rate)
+        self._match_k2 = _F(config.gmm_match_k * config.gmm_match_k)
+        self._floor = _F(config.gmm_variance_floor)
+        self._new_weight = _F(config.gmm_replacement_weight)
+        self._new_var = _F(initial_variance)
+        self._fraction = _F(config.gmm_background_fraction)
+        # ``nb`` bands of equal height (the last may be shorter), each one's
+        # views of the state and of one band's work buffers, reused by every
+        # band and frame; ``unseen``: never-observed pixels are left in the band.
         h, width = self.shape
-        rows = max(1, min(h, _BAND_PX // max(width, 1)))
+        nb = max(1, -(-h * width // _BAND_PX))
+        rows = max(1, -(-h // nb))
         plane, band = (rows, width), (k, rows, width)
         bufs = {**{n: np.empty(plane, _F) for n in ("x", "rho", "plane")},
                 **{n: np.empty(plane, bool) for n in ("skip", "valid", "seen", "test")},
-                **{n: np.empty(band, _F) for n in ("d", "t", "r")},
+                **{n: np.empty(band, _F) for n in ("t", "r")},
                 "near": np.empty(band, bool), "up": np.empty((k - 1,) + plane, bool)}
         self._bands = []
         for top in range(0, h, rows):
@@ -140,11 +155,10 @@ class BackgroundModel:
 
     def _update_band(self, b: SimpleNamespace, frame: np.ndarray, foreground: np.ndarray):
         """Fold band ``b`` of a frame into the model; its mask goes to ``foreground``."""
-        c = self.config
-        k = c.gmm_components
-        w, mu, var, x, rho, plane = b.w, b.mu, b.var, b.x, b.rho, b.plane
-        d, t, r, near, seen, test = b.d, b.t, b.r, b.near, b.seen, b.test
-        alpha = _F(c.gmm_learning_rate)
+        k = self.config.gmm_components
+        w, mu, var, rho, plane = b.w, b.mu, b.var, b.rho, b.plane
+        t, r, near, test = b.t, b.r, b.near, b.test
+        alpha = self._alpha
 
         # Skipped pixels ("no reading") match nothing, are never replaced and
         # are normalized by 1, so every update below leaves them as they are.
@@ -156,21 +170,29 @@ class BackgroundModel:
             reseed = b.never.copy() if valid is None else b.never & valid
             reseed = reseed if reseed.any() else None
 
-        np.copyto(x, frame, casting="unsafe")
+        # Only read below, so a float32 frame (luma) needs no copy.
+        x = frame
+        if frame.dtype != _F:
+            x = b.x
+            np.copyto(x, frame, casting="unsafe")
 
         # First matching component in rank order: ``near`` becomes one-hot
         # per matched pixel and ``seen`` marks the pixels with a match.
-        np.subtract(x, mu, out=d)
-        np.multiply(d, d, out=t)
-        np.multiply(var, _F(c.gmm_match_k * c.gmm_match_k), out=r)
+        np.subtract(x, mu, out=t)
+        t *= t
+        np.multiply(var, self._match_k2, out=r)
         np.less_equal(t, r, out=near)
         if valid is not None:
             near &= valid
-        np.copyto(seen, near[0])
+        seen = near[0]
         for i in range(1, k):
             np.greater(near[i], seen, out=near[i])
-            seen |= near[i]
+            seen = np.logical_or(seen, near[i], out=b.seen)
+        # Weights decay by 1 - alpha where any component matched: ``none``
+        # is still ~seen here, so the factor is 1 at skipped pixels too.
         none = np.logical_not(seen, out=foreground)
+        np.multiply(seen, self._decay, out=plane)
+        plane += none
         if valid is not None:
             none &= valid
 
@@ -186,27 +208,26 @@ class BackgroundModel:
 
         # Masked updates as exact arithmetic selects: an unmatched component
         # sees only x1 and +0, which leave finite values bit-exact (variances
-        # already sit at or above the floor).  Weights decay by 1 - alpha
-        # where any component matched.
-        np.multiply(seen, _F(1.0 - c.gmm_learning_rate), out=plane)
-        plane += ~seen
+        # already sit at or above the floor).  ``mu`` has not moved when
+        # x - mu is taken the second time, so it equals the match residual.
         w *= plane
         np.multiply(r, alpha, out=t)
         w += t
         r *= rho
-        np.multiply(r, d, out=t)
+        np.subtract(x, mu, out=t)
+        t *= r
         mu += t
-        np.subtract(x, mu, out=d)
-        d *= d
-        d -= var
-        d *= r
-        var += d
-        np.maximum(var, _F(c.gmm_variance_floor), out=var)
+        np.subtract(x, mu, out=t)
+        t *= t
+        t -= var
+        t *= r
+        var += t
+        np.maximum(var, self._floor, out=var)
 
         if none.any():
-            np.copyto(w[k - 1], _F(c.gmm_replacement_weight), where=none)
+            np.copyto(w[k - 1], self._new_weight, where=none)
             np.copyto(mu[k - 1], x, where=none)
-            np.copyto(var[k - 1], _F(self._initial_variance), where=none)
+            np.copyto(var[k - 1], self._new_var, where=none)
 
         np.add.reduce(w, axis=0, out=plane)
         if skip is not None:
@@ -229,11 +250,13 @@ class BackgroundModel:
                 flat[:, moved] = flat[order, moved]
 
         # Background iff the weight of the components ranked above the
-        # matched one does not exceed the fraction threshold.
-        plane.fill(0.0)
+        # matched one does not exceed the fraction threshold.  The prefix
+        # sums start at w[0], which equals 0 + w[0] bit for bit.
+        prefix = w[0]
         for i in range(1, k):
-            plane += w[i - 1]
-            np.greater(plane, _F(c.gmm_background_fraction), out=test)
+            if i > 1:
+                prefix = np.add(prefix, w[i - 1], out=plane)
+            np.greater(prefix, self._fraction, out=test)
             test &= near[i]
             foreground |= test
 
@@ -242,7 +265,7 @@ class BackgroundModel:
             np.copyto(w[0], _F(1.0), where=reseed)
             np.copyto(mu, _F(0.0), where=reseed)
             np.copyto(mu[0], x, where=reseed)
-            np.copyto(var, _F(self._initial_variance), where=reseed)
+            np.copyto(var, self._new_var, where=reseed)
             foreground &= ~reseed
             b.never &= ~reseed
             b.unseen = bool(b.never.any())

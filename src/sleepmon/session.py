@@ -67,9 +67,10 @@ WINDOW_BYTES = 4 << 20
 # helper thread (2-vCPU Xeon).  Generate + write: the thread makes 640x480
 # frames 46 % faster and 64x64 to 128x128 ones about 30 %, but the 48x48
 # posture_test preset 9 % slower (medians of 8 runs).  ``score_session``,
-# two threads against one (medians of 7 runs): 1.03x at a 32x32 roi, 0.88x
-# at 96x96, 1.06x at 128x128, 1.27x at 181x181; ``detect`` at the 320x350
-# paper roi 1.4x (20 bench runs), but 0.92x there on one usable CPU.
+# two threads against one (medians of 7 runs, two sets above 32x32): 0.86x
+# at a 32x32 roi, 0.85-0.94x at 96x96, 1.24-1.49x at 128x128, 1.34-1.56x at
+# 181x181; at the 320x350 paper roi 1.43x (9 runs each), but 0.97x there on
+# one usable CPU (12 runs each).
 _THREAD_MIN_PX = 1 << 14
 
 

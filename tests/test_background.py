@@ -522,10 +522,22 @@ class TestBandSplit:
             for got, want in zip(split, runs[0]):
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
+    @pytest.mark.parametrize("shape, heights", [((350, 320), [117, 117, 116]),
+                                                ((480, 640), [69] * 6 + [66])])
+    def test_band_layout_at_sensor_scale(self, shape, heights):
+        # ceil(h*w / _BAND_PX) bands of ceil(h / bands) rows: the paper roi
+        # in three balanced bands, a whole 640x480 frame in seven.
+        m = BackgroundModel(CONFIG, np.ones(shape, _F), "luma")
+        cuts = [b.rows for b in m._bands]
+        assert [c.stop - c.start for c in cuts] == heights
+        assert np.array_equal(np.concatenate([np.arange(shape[0])[c] for c in cuts]),
+                              np.arange(shape[0]))
+
 
 class TestModelMemory:
     def test_update_scratch_below_one_stack_at_sensor_scale(self):
-        # 480x640, K=3: the work buffers must not be whole (K, H, W) stacks.
+        # 480x640, K=3: the work buffers are sized to one row band, never to
+        # a whole (K, H, W) stack.
         shape, k = (480, 640), 3
         rng = np.random.default_rng(5)
         first = rng.integers(1, 2048, shape).astype(np.float32)
@@ -536,6 +548,7 @@ class TestModelMemory:
         tracemalloc.start()
         try:
             m = BackgroundModel(config, first, "depth")
+            setup = tracemalloc.get_traced_memory()[0]
             m.update_and_classify(frame)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -543,6 +556,14 @@ class TestModelMemory:
         state = sum(getattr(m, a).nbytes
                     for a in ("weights", "means", "variances", "never_observed"))
         assert peak - state < k * shape[0] * shape[1] * np.dtype(np.float32).itemsize
+        # In units of one K-wide float32 band buffer: two of them, a K-wide
+        # and a (K-1)-wide bool buffer, three float32 and four bool planes
+        # make 3.75 at K=3, and the update's temporaries (the frame's mask,
+        # the rank sort's gathers) add about 1.5.  A third K-wide float32
+        # buffer would make these 4.75 and about 6.25.
+        k_band = k * (m._bands[0].rows.stop * shape[1]) * np.dtype(np.float32).itemsize
+        assert setup - state < 4 * k_band
+        assert peak - state < 6 * k_band
 
 
 class TestRankSortGather:

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sleepmon import synth
+from sleepmon import background, synth
 from sleepmon.cli import main
 from sleepmon.config import Config, write_config
 from sleepmon.session import write_session
@@ -96,10 +96,10 @@ def _zero_holes(sess):
 def _multi_band(sess):
     """An 18 s, 8 fps session with a 256x320 roi, holes across row 128.
 
-    The roi holds 81 920 pixels, so the background models update it in
-    three or more row bands of about 2**15 pixels; the never-observed strip
-    (roi rows 120..135, 6 s) crosses a band edge at every band size from
-    2**12 to 2**15 pixels.
+    The roi holds 81 920 pixels, which the background models update in two
+    row bands of 160 rows at the default band size; at band sizes of 2**12,
+    2**13 and 2**14 pixels (bands of 16, 32 and 64 rows) the never-observed
+    strip (roi rows 120..135, 6 s) crosses the band edge at row 128.
     """
     scenario = synth.Scenario(duration=18, seed=505, frame_width=272, frame_height=336,
                               roi=(8, 8, 256, 320), video_rate=8, timeline=(
@@ -113,13 +113,21 @@ def _multi_band(sess):
                                          ("zero_holes", _zero_holes),
                                          ("multi_band", _multi_band)])
 def test_artifact_hashes(tmp_path, case, build):
+    assert _artifact_hashes(tmp_path, build) == GOLDEN[case]
+
+
+def test_multi_band_hashes_with_holes_across_a_band_edge(tmp_path, monkeypatch):
+    monkeypatch.setattr(background, "_BAND_PX", 1 << 14)      # five bands of 64 rows
+    assert _artifact_hashes(tmp_path, _multi_band) == GOLDEN["multi_band"]
+
+
+def _artifact_hashes(tmp_path, build):
     sess, det = tmp_path / "sess", tmp_path / "det"
     build(sess)
     assert main(["detect", "--session", str(sess), "--out", str(det)]) == 0
     assert main(["report", "--session", str(sess), "--detect", str(det)]) == 0
-    got = {name: hashlib.sha256((det / name).read_bytes()).hexdigest()
-           for name in ARTIFACTS}
-    assert got == GOLDEN[case]
+    return {name: hashlib.sha256((det / name).read_bytes()).hexdigest()
+            for name in ARTIFACTS}
 
 
 STREAMS = ("depth.raw", "color.raw", "audio.raw")
