@@ -5,6 +5,8 @@ Criterion 8 checks determinism within one run; these pins hold the bytes of
 across commits, and the bytes of the ``depth.raw``, ``color.raw`` and
 ``audio.raw`` streams the synthesizer writes for three small scenarios and
 one at the sensor's 640x480 geometry.  The
+ground truth is pinned as ``groundtruth.log`` and the per-epoch truth classes
+of the presets and those scenarios.  The
 key=value text files are pinned too: ``config_used.txt`` as ``write_config``
 writes it, scenario files, and the ``manifest.txt`` that ``generate`` writes.
 A change that alters any of them changes behaviour and must say so; it is not
@@ -17,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sleepmon import background, synth
+from sleepmon import background, events, synth
 from sleepmon.cli import main
 from sleepmon.config import Config, write_config
 from sleepmon.session import write_session
@@ -199,6 +201,43 @@ def test_stream_hashes(tmp_path, case):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in STREAMS}
     assert got == STREAM_GOLDEN[case]
+
+
+TRUTH_CASES = {**{name: synth.preset(name) for name in synth.PRESETS}, **STREAM_SCENARIOS}
+
+# sha256 of groundtruth.log, then of the truth classes, one value per line.
+TRUTH_GOLDEN = {
+    "every_kind": (
+        "a76de081feeb688530e8579bde7b10a95adea9fe21fb92806205c6a268d532c2",
+        "94610558b47f109dc97607ee7e79be87450df895df80f2e71c8eda0b7967025c"),
+    "noiseless": (
+        "a76de081feeb688530e8579bde7b10a95adea9fe21fb92806205c6a268d532c2",
+        "94610558b47f109dc97607ee7e79be87450df895df80f2e71c8eda0b7967025c"),
+    "off_centre": (
+        "070c4836e4e8963e163211ca50e1ddf773c0a635a4e8531fe900e027511d85c8",
+        "678247af1c5c768ed00f49c609508ade0fca6998d03404abaab3261e6405e6ef"),
+    "paper": (
+        "93da15bb4ef1a318ab849d1ece6ca5d555eaae71bcafa9bb801b48587ed1b930",
+        "e100f977a70e859a350acc6a3526e5233c147ae5a29110f22968aab66e69b975"),
+    "posture_test": (
+        "0bbc19df01bd0a4e8a0016a5b75d1033b050110c5799331b7779aa9b393391bc",
+        "95fbfb3a6e9c64a69de2e01c726597ff2723725ae0a2be515b2f19afca748a2f"),
+    "successful_sleeping": (
+        "14947798a392d0508a86295aeac1814bfbbf2c89eba98c3f185c28de1b0c29e5",
+        "523098b307b9ba025633c098cefe443a9f89ce5b4715cb87f55ad681590b50d8"),
+    "trouble_sleeping": (
+        "de3bf3eb201c91ae5175991e1c3513bc3564034eff4a4a3f7d90a279364c1cd2",
+        "c8306ea85d156b29569aa7c487d34f80e5f68d0304159be43f4e4bc41684e7ab"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRUTH_CASES))
+def test_truth_hashes(case):
+    _, truth = synth.generate(TRUTH_CASES[case])
+    log = events.format_event_log(truth.events).encode()
+    classes = "".join(c.value + "\n" for c in truth.classes).encode()
+    got = (hashlib.sha256(log).hexdigest(), hashlib.sha256(classes).hexdigest())
+    assert got == TRUTH_GOLDEN[case]
 
 
 # Awkward floats: 0.1 + 0.2 and 1e3 / 3 need all 17 digits, 1e-300 an exponent.

@@ -1,4 +1,5 @@
-"""Import layering: every module imports on its own, and the set-up path stays small.
+"""Import layering: every module imports on its own, the set-up path stays small,
+and the runtime needs no third-party package but numpy.
 
 Each check runs in a fresh interpreter, so an import cycle that only shows
 when a module is imported first fails here.  ``config`` is the base module
@@ -48,3 +49,16 @@ def test_setup_path_loads_only_the_model_layer():
     assert loaded == ["sleepmon"] + [f"sleepmon.{m}" for m in
                                      ("background", "config", "errors", "kvtext", "scoring",
                                       "session")]
+
+
+def test_runtime_needs_only_numpy():
+    # The modules loaded before the import are the baseline: ``site`` may
+    # already load third-party helpers (``_distutils_hack``, ``certifi``).
+    proc = _python("-c", "import importlib, json, sys\n"
+                         "before = {m.split('.')[0] for m in sys.modules}\n"
+                         f"for name in {MODULES!r}:\n"
+                         "    importlib.import_module('sleepmon.' + name)\n"
+                         "added = {m.split('.')[0] for m in sys.modules} - before\n"
+                         "print(json.dumps(sorted(added - set(sys.stdlib_module_names))))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["numpy", "sleepmon"]

@@ -1,21 +1,25 @@
 """Scenario validation, deterministic generation, and ground-truth fidelity."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sleepmon import events
-from sleepmon.analysis import EpochClass
-from sleepmon.session import load_session, write_session
+from sleepmon import analysis, events
+from sleepmon.analysis import EpochClass, sleep_efficiency
+from sleepmon.cli import _match_spans
+from sleepmon.config import CHANNELS
+from sleepmon.events import Event, clip_range
+from sleepmon.session import SessionManifest, load_session, write_session
 from sleepmon.synth import (AMBIENT_LUMA, BED_DEPTH, BLOB_LUMA_OFFSET, BODY_DEPTH, CALM,
-                            EARLIEST_ITEM_START, FULL_TURN, LEAVE_BED, LIGHT_OFF, LIGHT_ON,
-                            LIGHT_STEP, LIMB_MOVE, MIN_ABSENCE_SECONDS, PRESETS, RETURN_BED,
-                            TALK, TINY_TWITCH, Scenario, TimelineItem,
-                            _blob_rect, _body_rect, _chaos_active, _chaos_value, _DEPTH_KINDS,
+                            EARLIEST_ITEM_START, FULL_TURN, KINDS, LEAVE_BED, LIGHT_OFF,
+                            LIGHT_ON, LIGHT_STEP, LIMB_MOVE, MIN_ABSENCE_SECONDS, PRESETS,
+                            RETURN_BED, TALK, TINY_TWITCH, GroundTruth, Scenario, TimelineItem,
+                            _blob_rect, _body_rect, _chaos_active, _chaos_value,
                             generate, preset, read_scenario, validate_scenario, write_scenario)
 
 from conftest import sessions_equal
@@ -29,6 +33,21 @@ def scenario(duration=40, seed=5, items=()):
     return Scenario(duration=duration, seed=seed, timeline=tuple(items))
 
 
+# The kind sets of the synthesizer the oracles below were taken from, copied
+# so that the oracles stand alone.
+_DEPTH_KINDS = frozenset({CALM, TINY_TWITCH, LIMB_MOVE, FULL_TURN, LEAVE_BED, RETURN_BED})
+_MOVEMENT_KINDS = frozenset({TINY_TWITCH, LIMB_MOVE, FULL_TURN})
+_LIGHT_KINDS = frozenset({LIGHT_ON, LIGHT_OFF})
+_EVENT_MOTION_KINDS = frozenset({LIMB_MOVE, FULL_TURN, LEAVE_BED, RETURN_BED})
+_CLASS_OF_KIND = {
+    TINY_TWITCH: EpochClass.TINY_MOVEMENT,
+    LIMB_MOVE: EpochClass.LIMB_MOVEMENT,
+    FULL_TURN: EpochClass.FULL_POSTURE_CHANGE,
+    LEAVE_BED: EpochClass.FULL_POSTURE_CHANGE,
+    RETURN_BED: EpochClass.FULL_POSTURE_CHANGE,
+}
+
+
 class TestValidation:
     def test_empty_timeline_ok(self):
         validate_scenario(scenario())
@@ -38,7 +57,7 @@ class TestValidation:
             validate_scenario(scenario(items=[TimelineItem(15, 18, "jump")]))
 
     def test_item_outside_duration(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"item 0 \[30, 45\) outside 0\.\.40"):
             validate_scenario(scenario(items=[TimelineItem(30, 45, TINY_TWITCH)]))
 
     def test_non_integer_times(self):
@@ -46,8 +65,52 @@ class TestValidation:
             validate_scenario(scenario(items=[TimelineItem(15.5, 18, TINY_TWITCH)]))
 
     def test_magnitude_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"item 0 magnitude 1\.5 outside \[0, 1\]"):
             validate_scenario(scenario(items=[TimelineItem(15, 18, TINY_TWITCH, 1.5)]))
+
+    def test_duration_at_least_one_second(self):
+        with pytest.raises(ValueError, match="duration must be >= 1 second"):
+            validate_scenario(scenario(duration=0))
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_unsigned_64_bit(self, seed):
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            validate_scenario(scenario(seed=seed))
+
+    @pytest.mark.parametrize("roi", [(8, 8, 15, 32), (8, 8, 32, 15)])
+    def test_roi_at_least_16x16(self, roi):
+        with pytest.raises(ValueError, match="roi must be at least 16x16"):
+            validate_scenario(replace(scenario(), roi=roi))
+
+    def test_items_ordered_by_start(self):
+        items = [TimelineItem(20, 22, TINY_TWITCH), TimelineItem(15, 17, TINY_TWITCH)]
+        with pytest.raises(ValueError, match="ordered by start time"):
+            validate_scenario(scenario(items=items))
+
+    def test_light_items_three_seconds_apart(self):
+        items = [TimelineItem(15, 16, LIGHT_ON), TimelineItem(18, 19, LIGHT_OFF)]
+        with pytest.raises(ValueError, match="light items must be at least 3 seconds apart"):
+            validate_scenario(scenario(items=items))
+        validate_scenario(scenario(items=[TimelineItem(15, 16, LIGHT_ON),
+                                          TimelineItem(19, 20, LIGHT_OFF)]))
+
+    @pytest.mark.parametrize("kind, end", [(LEAVE_BED, 16), (LEAVE_BED, 18), (RETURN_BED, 18)])
+    def test_leave_and_return_last_two_seconds(self, kind, end):
+        with pytest.raises(ValueError, match=f"{kind} items must last exactly 2 seconds"):
+            validate_scenario(scenario(items=[TimelineItem(15, end, kind)]))
+
+    def test_leave_while_out_of_bed(self):
+        items = [TimelineItem(15, 17, LEAVE_BED), TimelineItem(20, 22, LEAVE_BED)]
+        with pytest.raises(ValueError, match="leave_bed while already out of bed"):
+            validate_scenario(scenario(items=items))
+
+    def test_leave_two_seconds_after_return(self):
+        items = [TimelineItem(15, 17, LEAVE_BED), TimelineItem(30, 32, RETURN_BED),
+                 TimelineItem(33, 35, LEAVE_BED), TimelineItem(50, 52, RETURN_BED)]
+        with pytest.raises(ValueError, match="at least 2 seconds after a return_bed"):
+            validate_scenario(scenario(duration=60, items=items))
+        validate_scenario(scenario(duration=60, items=items[:2] + [
+            TimelineItem(34, 36, LEAVE_BED), TimelineItem(50, 52, RETURN_BED)]))
 
     def test_items_inside_warm_up_rejected(self):
         with pytest.raises(ValueError, match="warm-up"):
@@ -126,6 +189,146 @@ class TestValidation:
             validate_scenario(read_scenario(path))
 
 
+class SeedValidator:
+    """``validate_scenario`` as it stood before the timeline was compiled into
+    one per-second table, kept verbatim as the oracle."""
+
+    @staticmethod
+    def validate_scenario(scenario: Scenario) -> None:
+        if scenario.duration < 1:
+            raise ValueError("scenario duration must be >= 1 second")
+        if not (0 <= scenario.seed < 2 ** 64):
+            raise ValueError("seed must be an unsigned 64-bit integer")
+        for noise in (scenario.depth_noise, scenario.luma_noise, scenario.audio_noise):
+            if not (math.isfinite(noise) and noise >= 0):
+                raise ValueError("noise levels must be finite and >= 0")
+        SessionManifest(depth_width=scenario.frame_width, depth_height=scenario.frame_height,
+                        color_width=scenario.frame_width, color_height=scenario.frame_height,
+                        video_rate=scenario.video_rate, audio_rate=scenario.audio_rate,
+                        roi=tuple(scenario.roi))
+        if scenario.audio_rate < scenario.video_rate:
+            raise ValueError("audio_rate must be >= video_rate so that every frame has audio")
+        if scenario.roi[2] < 16 or scenario.roi[3] < 16:
+            raise ValueError("roi must be at least 16x16 for the body geometry")
+
+        last_end = {"depth": None, "light": None, "audio": None}
+        prev_start = None
+        absent = False
+        light_on = False
+        last_return_end = None
+        for i, item in enumerate(scenario.timeline):
+            if item.kind not in KINDS:
+                raise ValueError(f"unknown timeline kind {item.kind!r}; known kinds: {KINDS}")
+            if not (isinstance(item.start, int) and isinstance(item.end, int)):
+                raise ValueError("item times must be integer seconds")
+            if not 0 <= item.start < item.end <= scenario.duration:
+                raise ValueError(f"item {i} [{item.start}, {item.end}) outside 0..{scenario.duration}")
+            if not 0.0 <= item.magnitude <= 1.0:
+                raise ValueError(f"item {i} magnitude {item.magnitude} outside [0, 1]")
+            if item.kind != CALM and item.start < EARLIEST_ITEM_START:
+                raise ValueError(
+                    f"item {i} starts at {item.start}s, inside the model warm-up; "
+                    f"items must start at or after {EARLIEST_ITEM_START}s")
+            if prev_start is not None and item.start < prev_start:
+                raise ValueError("timeline items must be ordered by start time")
+            prev_start = item.start
+
+            group = ("depth" if item.kind in _DEPTH_KINDS
+                     else "light" if item.kind in _LIGHT_KINDS else "audio")
+            if last_end[group] is not None and item.start < last_end[group]:
+                raise ValueError(f"item {i} overlaps a previous {group} item")
+            if group == "light" and last_end[group] is not None and item.start < last_end[group] + 3:
+                raise ValueError("light items must be at least 3 seconds apart")
+            last_end[group] = item.end
+
+            if item.kind in (LEAVE_BED, RETURN_BED) and item.end - item.start != 2:
+                raise ValueError(f"{item.kind} items must last exactly 2 seconds")
+            if item.kind == LEAVE_BED:
+                if absent:
+                    raise ValueError("leave_bed while already out of bed")
+                if last_return_end is not None and item.start < last_return_end + 2:
+                    raise ValueError("leave_bed must start at least 2 seconds after a return_bed")
+                absent = True
+                absence_start = item.end
+            elif item.kind == RETURN_BED:
+                if not absent:
+                    raise ValueError("return_bed without a preceding leave_bed")
+                if item.start - absence_start < MIN_ABSENCE_SECONDS:
+                    raise ValueError(
+                        f"absence must last at least {MIN_ABSENCE_SECONDS} seconds "
+                        f"for the out-of-view machine")
+                absent = False
+                last_return_end = item.end
+            elif item.kind in _MOVEMENT_KINDS and absent:
+                raise ValueError("cannot script movement while out of view")
+            elif item.kind == LIGHT_ON:
+                if light_on:
+                    raise ValueError("light_on while the light is already on")
+                light_on = True
+            elif item.kind == LIGHT_OFF:
+                if not light_on:
+                    raise ValueError("light_off while the light is already off")
+                light_on = False
+        if absent:
+            raise ValueError("leave_bed without a matching return_bed")
+
+
+def verdict(validate, sc):
+    """None if ``validate`` accepts ``sc``, else the text of its ValueError."""
+    try:
+        validate(sc)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def arbitrary_timelines(draw):
+    """Mostly invalid timelines: any kind, times in 0..duration+2, any order.
+
+    Seven items in eight are well-formed on their own (a short span after the
+    previous start, magnitude in [0, 1]), so that many timelines reach the
+    rules between items before they fail.
+    """
+    items = []
+    t = draw(st.integers(EARLIEST_ITEM_START - 2, EARLIEST_ITEM_START))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(KINDS + ("jump",)))
+        if draw(st.integers(0, 7)):
+            t += draw(st.integers(0, 16))
+            start = t
+            end = t + (2 if kind in (LEAVE_BED, RETURN_BED) else draw(st.integers(1, 3)))
+            magnitude = draw(st.floats(0.0, 1.0))
+        else:
+            start, end = draw(st.integers(0, t + 4)), draw(st.integers(0, t + 4))
+            magnitude = draw(st.floats(-0.5, 1.5))
+        items.append(TimelineItem(start, end, kind, magnitude))
+    if not draw(st.integers(0, 4)):
+        items = draw(st.permutations(items))
+    last = max((item.end for item in items), default=0)
+    return Scenario(duration=max(1, last + draw(st.integers(-2, 3))), seed=3,
+                    timeline=tuple(items), audio_rate=800)
+
+
+def _absences(*items):
+    return Scenario(duration=60, seed=3, timeline=tuple(TimelineItem(*it) for it in items))
+
+
+class TestValidatorOracle:
+    # The rules the strategy reaches least often.
+    @example(_absences((15, 17, LEAVE_BED), (20, 22, LEAVE_BED)))
+    @example(_absences((15, 17, LEAVE_BED), (30, 32, RETURN_BED), (33, 35, LEAVE_BED)))
+    @example(_absences((15, 17, LEAVE_BED), (20, 21, TINY_TWITCH)))
+    @example(_absences((15, 17, LEAVE_BED), (20, 21, CALM), (29, 31, RETURN_BED),
+                       (33, 36, FULL_TURN)))
+    @example(_absences((15, 17, LIGHT_ON), (16, 18, LIGHT_OFF)))
+    @example(_absences((15, 17, TALK), (16, 18, TALK)))
+    @settings(max_examples=400, deadline=None)
+    @given(arbitrary_timelines())
+    def test_same_verdict_and_message_as_seed_validator(self, sc):
+        assert verdict(validate_scenario, sc) == verdict(SeedValidator.validate_scenario, sc)
+
+
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
         sc = scenario(duration=15, items=[TimelineItem(12, 14, TINY_TWITCH)])
@@ -201,6 +404,56 @@ def random_timelines(draw):
                     audio_rate=800)
 
 
+class SeedTruth:
+    """The per-item ground-truth derivation as it stood before the timeline
+    was compiled into one per-second table, kept verbatim as the oracle."""
+
+    @staticmethod
+    def derive_ground_truth(scenario: Scenario, manifest: SessionManifest, audio_len: int):
+        classes = [EpochClass.CALMNESS] * scenario.duration
+        spans = {ch: [] for ch in CHANNELS.values()}   # [start, end, peak] per event
+
+        def add(channel, start, end, peak):
+            # An item that abuts the previous span of its channel extends it.
+            run = spans[channel]
+            if run and run[-1][1] + 1 == start:
+                run[-1][1] = end
+                run[-1][2] = max(run[-1][2], peak)
+            else:
+                run.append([start, end, peak])
+
+        absence_from = None
+        for idx, item in enumerate(scenario.timeline):
+            if item.kind in _CLASS_OF_KIND:
+                for t in range(item.start, item.end):
+                    classes[t] = _CLASS_OF_KIND[item.kind]
+            if item.kind == LEAVE_BED:
+                absence_from = item.end
+            if item.kind == RETURN_BED:
+                for t in range(absence_from, item.start):
+                    classes[t] = EpochClass.OUT_OF_VIEW
+                absence_from = None
+            if item.kind in _EVENT_MOTION_KINDS:
+                if item.kind in (LEAVE_BED, RETURN_BED):
+                    _, _, bh, bw = _body_rect(scenario.roi)
+                else:
+                    _, _, bh, bw = _blob_rect(item.kind, item.magnitude, scenario.roi, idx)
+                add("motion", item.start, item.end - 1, bh * bw / (scenario.roi[2] * scenario.roi[3]))
+            elif item.kind in _LIGHT_KINDS:
+                spans["light"].append([item.start, item.start, 1.0])
+            elif item.kind == TALK:
+                add("noise", item.start, item.end - 1, 0.25 + 0.25 * item.magnitude)
+
+        def clips(channel, s, e):
+            return clip_range(channel, s, e, video_rate=manifest.video_rate,
+                              audio_rate=manifest.audio_rate,
+                              frame_count=manifest.frame_count, audio_samples=audio_len)
+
+        events = {ch: [Event(ch, s, e, peak, *clips(ch, s, e)) for s, e, peak in run]
+                  for ch, run in spans.items()}
+        return GroundTruth(classes=classes, efficiency=sleep_efficiency(classes), events=events)
+
+
 class TestGroundTruth:
     def test_classes_and_efficiency_consistent(self):
         sc = scenario(duration=60, items=[
@@ -258,6 +511,15 @@ class TestGroundTruth:
         assert spans(parsed["motion"]) == spans(truth.events["motion"])
         assert spans(parsed["noise"]) == spans(truth.events["noise"])
 
+    @settings(max_examples=60, deadline=None)
+    @given(random_timelines())
+    def test_truth_equals_seed_truth(self, sc):
+        session, truth = generate(sc)
+        want = SeedTruth.derive_ground_truth(sc, session.manifest, len(session.audio))
+        assert truth.classes == want.classes
+        assert truth.efficiency == want.efficiency
+        assert truth.events == want.events
+
 
 class TestPipelineAgreement:
     def test_empty_timeline_detects_nothing(self):
@@ -290,6 +552,40 @@ class TestPipelineAgreement:
         noise = np.random.default_rng([sc.seed, 2, 12]).normal(0.0, sc.audio_noise * 32768.0, rate)
         want = np.clip(np.rint(noise + 0.325 * 32767.0 * tiled), -32768, 32767).astype(np.int16)
         assert np.array_equal(session.audio[12 * rate:13 * rate], want)
+
+
+# ROADMAP item 2's two counterexamples: valid timelines that the default
+# detector does not reproduce.  Mending item 2 flips these.
+LIGHT_MISS = Scenario(duration=34, seed=0, audio_rate=800, timeline=(
+    TimelineItem(13, 14, LIGHT_ON, 0.5), TimelineItem(18, 19, LIGHT_OFF, 0.5),
+    TimelineItem(26, 27, LIGHT_ON, 0.5), TimelineItem(30, 31, LIGHT_OFF, 0.5)))
+ABSENCE_MISS = Scenario(duration=76, seed=0, audio_rate=800, timeline=(
+    TimelineItem(12, 14, LEAVE_BED, 1.0), TimelineItem(26, 28, RETURN_BED, 1.0),
+    TimelineItem(30, 32, LEAVE_BED, 1.0), TimelineItem(45, 47, RETURN_BED, 1.0),
+    TimelineItem(52, 56, FULL_TURN, 0.0),
+    TimelineItem(56, 58, LEAVE_BED, 1.0), TimelineItem(71, 73, RETURN_BED, 1.0)))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+class TestKnownMisses:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: after two on/off cycles the luma "
+                       "mixture keeps the off level as background, so a toggle is missed")
+    def test_light_toggles_at_minimum_spacing_are_detected(self, seed):
+        session, truth = generate(replace(LIGHT_MISS, seed=seed))
+        found = events.run_detector(session).events["light"]
+        assert _match_spans(found, truth.events["light"], 2) == (4, 4, 4)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the depth peak decays through "
+                       "0.265 after the last exit spike, so that absence is not out of view")
+    def test_repeated_absences_keep_the_truth_efficiency(self, seed):
+        sc = replace(ABSENCE_MISS, seed=seed)
+        session, truth = generate(sc)
+        res = events.run_detector(session)
+        report = analysis.sleep_report(res.scores["depth"], res.events["light"],
+                                       res.events["noise"], sc.video_rate)
+        assert truth.efficiency == pytest.approx(0.289, abs=1e-3)
+        # One epoch of 76 is 0.013: a one-epoch wake/sleep slip still passes.
+        assert report.efficiency == pytest.approx(truth.efficiency, abs=0.02)
 
 
 class TestPresets:
@@ -440,14 +736,21 @@ ORACLE_TIMELINE = (
 
 @st.composite
 def oracle_scenarios(draw):
+    """ORACLE_TIMELINE or a random valid timeline, on random geometry and noise.
+
+    A random timeline runs at 1 or 7 fps only, so that a long one stays cheap.
+    """
+    timed = draw(st.one_of(st.just(Scenario(duration=33, seed=0, timeline=ORACLE_TIMELINE)),
+                           random_timelines()))
+    rates = [1, 7, 30] if timed.timeline == ORACLE_TIMELINE else [1, 7]
     fw, fh = draw(st.integers(16, 40)), draw(st.integers(16, 40))
     w, h = draw(st.integers(16, fw)), draw(st.integers(16, fh))
     noise = st.sampled_from([0.0, 0.5, 2.0, 37.5])
-    return Scenario(duration=33, seed=draw(st.integers(0, 2 ** 64 - 1)),
-                    timeline=ORACLE_TIMELINE, depth_noise=draw(noise),
+    return Scenario(duration=timed.duration, seed=draw(st.integers(0, 2 ** 64 - 1)),
+                    timeline=timed.timeline, depth_noise=draw(noise),
                     luma_noise=draw(noise), frame_width=fw, frame_height=fh,
                     roi=(draw(st.integers(0, fw - w)), draw(st.integers(0, fh - h)), w, h),
-                    video_rate=draw(st.sampled_from([1, 7, 30])))
+                    video_rate=draw(st.sampled_from(rates)))
 
 
 class TestPerFrameSynthOracle:
