@@ -30,10 +30,44 @@ All randomness is sensor noise drawn from streams keyed by (seed, channel,
 second): the same seed always yields bit-identical sessions, and depth
 frames are independent of light items entirely.
 
-Ground truth is derived from the timeline alone, assuming the default
-detector and classification thresholds; the validator rejects timelines the
-default pipeline could not reproduce faithfully (items inside the warm-up
-interval, absences too short to classify, and so on).
+One walk of the timeline, in item order, checks every rule below and
+compiles the scenario into a per-second table: the depth item that disturbs
+each second, whether the body is in bed, the ambient light level, the talk
+amplitude and the truth class, plus the truth event spans.
+``validate_scenario`` is that walk; ``generate`` runs it once and draws the
+frames, the audio and the ground truth from the table.  An absence, from a
+``leave_bed`` to its ``return_bed``, is read in one place: the body is gone
+from the start of ``leave_bed`` to the start of ``return_bed``, and the truth
+is out of view, and the absence's length counted, from the end of
+``leave_bed``.
+
+The truth assumes the default detector and classification thresholds.  The
+rules, each a ``ValueError`` (``generate`` prefixes "invalid timeline: "):
+
+- ``duration``, ``seed``, the frame size, the rates and the roi entries are
+  integers; the duration is at least 1 s, the seed unsigned 64-bit, the
+  noise levels finite and >= 0, the geometry a valid ``SessionManifest``,
+  ``audio_rate >= video_rate`` and the roi at least 16x16;
+- an item has a known kind, integer times with
+  ``0 <= start < end <= duration`` and a magnitude in [0, 1]; items are
+  ordered by start time;
+- every item but ``calm`` starts at or after ``EARLIEST_ITEM_START`` (two
+  seconds past ``Config.burn_in_seconds``);
+- items of one stream (the depth kinds, the light kinds, ``talk``) do not
+  overlap, and a light item starts at least 3 s after the previous one ends;
+- ``light_on`` and ``light_off`` alternate, from ``light_on``;
+- ``leave_bed`` and ``return_bed`` last exactly 2 s and alternate, from
+  ``leave_bed`` to a closing ``return_bed``; an absence lasts at least
+  ``MIN_ABSENCE_SECONDS`` (two seconds past
+  ``Config.class_min_absent_epochs``); a ``leave_bed`` starts at least 2 s
+  after the previous ``return_bed`` ends; no movement is scripted while out
+  of bed.
+
+Each rule keeps an item within reach of the default pipeline, but together
+they do not make every accepted timeline reproducible: ``TestKnownMisses``
+in ``tests/test_synth.py`` holds two accepted timelines the pipeline gets
+wrong (a light toggle missed after two on/off cycles, and an absence lost
+after repeated absences).
 
 Frame stores are lazy and draw one frame at a time: a frame is drawn into
 one float64 scratch plane per store, then rounded and cast into a fresh,
@@ -70,12 +104,20 @@ LIGHT_ON = "light_on"
 LIGHT_OFF = "light_off"
 TALK = "talk"
 
-KINDS = (CALM, TINY_TWITCH, LIMB_MOVE, FULL_TURN, LEAVE_BED, RETURN_BED,
-         LIGHT_ON, LIGHT_OFF, TALK)
-_DEPTH_KINDS = frozenset({CALM, TINY_TWITCH, LIMB_MOVE, FULL_TURN, LEAVE_BED, RETURN_BED})
-_MOVEMENT_KINDS = frozenset({TINY_TWITCH, LIMB_MOVE, FULL_TURN})
-_LIGHT_KINDS = frozenset({LIGHT_ON, LIGHT_OFF})
-_EVENT_MOTION_KINDS = frozenset({LIMB_MOVE, FULL_TURN, LEAVE_BED, RETURN_BED})
+# kind: (stream group, truth class of its seconds or None, whether it is a
+# motion event).  A depth kind with a class disturbs the depth scene.
+_KIND = {
+    CALM: ("depth", None, False),
+    TINY_TWITCH: ("depth", EpochClass.TINY_MOVEMENT, False),
+    LIMB_MOVE: ("depth", EpochClass.LIMB_MOVEMENT, True),
+    FULL_TURN: ("depth", EpochClass.FULL_POSTURE_CHANGE, True),
+    LEAVE_BED: ("depth", EpochClass.FULL_POSTURE_CHANGE, True),
+    RETURN_BED: ("depth", EpochClass.FULL_POSTURE_CHANGE, True),
+    LIGHT_ON: ("light", None, False),
+    LIGHT_OFF: ("light", None, False),
+    TALK: ("audio", None, False),
+}
+KINDS = tuple(_KIND)
 
 BED_DEPTH = 1100
 BODY_DEPTH = 700
@@ -86,14 +128,6 @@ CHAOS_FRAMES = 20       # leading disturbed frames of leave/return items
 # Two seconds past the default model warm-up and the default out-of-view quiet run.
 EARLIEST_ITEM_START = Config.burn_in_seconds + 2
 MIN_ABSENCE_SECONDS = Config.class_min_absent_epochs + 2
-
-_CLASS_OF_KIND = {
-    TINY_TWITCH: EpochClass.TINY_MOVEMENT,
-    LIMB_MOVE: EpochClass.LIMB_MOVEMENT,
-    FULL_TURN: EpochClass.FULL_POSTURE_CHANGE,
-    LEAVE_BED: EpochClass.FULL_POSTURE_CHANGE,
-    RETURN_BED: EpochClass.FULL_POSTURE_CHANGE,
-}
 
 
 @dataclass(frozen=True)
@@ -181,6 +215,29 @@ def _chaos_active(kind: str, local_frame: int) -> bool:
 
 
 def validate_scenario(scenario: Scenario) -> None:
+    """Raise ValueError if ``scenario`` breaks a rule of the module docstring."""
+    _compile(scenario)
+
+
+@dataclass
+class _Table:
+    """A scenario compiled to one entry per second, plus its truth event spans."""
+
+    depth: list             # (item, disturbed rect) of the depth item, or None
+    body: np.ndarray        # whether the body is in bed
+    light: np.ndarray       # ambient luma level
+    talk: np.ndarray        # talk square-wave amplitude, in sample units
+    classes: list           # truth EpochClass
+    spans: dict             # channel -> [start, end, peak] per truth event
+
+
+def _compile(scenario: Scenario) -> _Table:
+    """Check ``scenario`` against every rule and compile it in one timeline walk."""
+    for name in ("duration", "seed", "frame_width", "frame_height", "video_rate", "audio_rate"):
+        if not isinstance(getattr(scenario, name), int):
+            raise ValueError(f"{name} must be an integer")
+    if not all(isinstance(v, int) for v in scenario.roi):
+        raise ValueError("roi entries must be integers")
     if scenario.duration < 1:
         raise ValueError("scenario duration must be >= 1 second")
     if not (0 <= scenario.seed < 2 ** 64):
@@ -197,66 +254,95 @@ def validate_scenario(scenario: Scenario) -> None:
     if scenario.roi[2] < 16 or scenario.roi[3] < 16:
         raise ValueError("roi must be at least 16x16 for the body geometry")
 
+    dur, roi = scenario.duration, tuple(scenario.roi)
+    table = _Table(depth=[None] * dur, body=np.ones(dur, bool),
+                   light=np.full(dur, AMBIENT_LUMA, np.float64), talk=np.zeros(dur),
+                   classes=[EpochClass.CALMNESS] * dur,
+                   spans={ch: [] for ch in CHANNELS.values()})
+
+    def add(channel, start, end, peak):
+        # An item that abuts the previous span of its channel extends it.
+        run = table.spans[channel]
+        if run and run[-1][1] + 1 == start:
+            run[-1][1] = end
+            run[-1][2] = max(run[-1][2], peak)
+        else:
+            run.append([start, end, peak])
+
     last_end = {"depth": None, "light": None, "audio": None}
     prev_start = None
-    absent = False
-    light_on = False
+    leave = None            # the leave_bed item of the absence under way
     last_return_end = None
+    lit = False
     for i, item in enumerate(scenario.timeline):
-        if item.kind not in KINDS:
+        if item.kind not in _KIND:
             raise ValueError(f"unknown timeline kind {item.kind!r}; known kinds: {KINDS}")
         if not (isinstance(item.start, int) and isinstance(item.end, int)):
             raise ValueError("item times must be integer seconds")
-        if not 0 <= item.start < item.end <= scenario.duration:
-            raise ValueError(f"item {i} [{item.start}, {item.end}) outside 0..{scenario.duration}")
+        start, end = item.start, item.end
+        if not 0 <= start < end <= dur:
+            raise ValueError(f"item {i} [{start}, {end}) outside 0..{dur}")
         if not 0.0 <= item.magnitude <= 1.0:
             raise ValueError(f"item {i} magnitude {item.magnitude} outside [0, 1]")
-        if item.kind != CALM and item.start < EARLIEST_ITEM_START:
+        if item.kind != CALM and start < EARLIEST_ITEM_START:
             raise ValueError(
-                f"item {i} starts at {item.start}s, inside the model warm-up; "
+                f"item {i} starts at {start}s, inside the model warm-up; "
                 f"items must start at or after {EARLIEST_ITEM_START}s")
-        if prev_start is not None and item.start < prev_start:
+        if prev_start is not None and start < prev_start:
             raise ValueError("timeline items must be ordered by start time")
-        prev_start = item.start
+        prev_start = start
 
-        group = ("depth" if item.kind in _DEPTH_KINDS
-                 else "light" if item.kind in _LIGHT_KINDS else "audio")
-        if last_end[group] is not None and item.start < last_end[group]:
+        group, cls, motion = _KIND[item.kind]
+        if last_end[group] is not None and start < last_end[group]:
             raise ValueError(f"item {i} overlaps a previous {group} item")
-        if group == "light" and last_end[group] is not None and item.start < last_end[group] + 3:
+        if group == "light" and last_end[group] is not None and start < last_end[group] + 3:
             raise ValueError("light items must be at least 3 seconds apart")
-        last_end[group] = item.end
+        last_end[group] = end
 
-        if item.kind in (LEAVE_BED, RETURN_BED) and item.end - item.start != 2:
+        if item.kind in (LEAVE_BED, RETURN_BED) and end - start != 2:
             raise ValueError(f"{item.kind} items must last exactly 2 seconds")
         if item.kind == LEAVE_BED:
-            if absent:
+            if leave is not None:
                 raise ValueError("leave_bed while already out of bed")
-            if last_return_end is not None and item.start < last_return_end + 2:
+            if last_return_end is not None and start < last_return_end + 2:
                 raise ValueError("leave_bed must start at least 2 seconds after a return_bed")
-            absent = True
-            absence_start = item.end
+            leave = item
         elif item.kind == RETURN_BED:
-            if not absent:
+            if leave is None:
                 raise ValueError("return_bed without a preceding leave_bed")
-            if item.start - absence_start < MIN_ABSENCE_SECONDS:
+            # The absence: the body is gone from the start of leave_bed; the
+            # truth is out of view, and the absence counted, from its end.
+            if start - leave.end < MIN_ABSENCE_SECONDS:
                 raise ValueError(
                     f"absence must last at least {MIN_ABSENCE_SECONDS} seconds "
                     f"for the out-of-view machine")
-            absent = False
-            last_return_end = item.end
-        elif item.kind in _MOVEMENT_KINDS and absent:
+            table.body[leave.start:start] = False
+            table.classes[leave.end:start] = [EpochClass.OUT_OF_VIEW] * (start - leave.end)
+            leave = None
+            last_return_end = end
+        elif cls is not None and leave is not None:
             raise ValueError("cannot script movement while out of view")
-        elif item.kind == LIGHT_ON:
-            if light_on:
-                raise ValueError("light_on while the light is already on")
-            light_on = True
-        elif item.kind == LIGHT_OFF:
-            if not light_on:
-                raise ValueError("light_off while the light is already off")
-            light_on = False
-    if absent:
+        elif group == "light":
+            if lit == (item.kind == LIGHT_ON):
+                state = "on" if lit else "off"
+                raise ValueError(f"{item.kind} while the light is already {state}")
+            lit = not lit
+            table.light[start:] = AMBIENT_LUMA + LIGHT_STEP * lit
+            add("light", start, start, 1.0)
+
+        if cls is not None:
+            rect = _blob_rect(item.kind, item.magnitude, roi, i)
+            table.depth[start:end] = [(item, rect)] * (end - start)
+            table.classes[start:end] = [cls] * (end - start)
+            if motion:
+                add("motion", start, end - 1, rect[2] * rect[3] / (roi[2] * roi[3]))
+        elif item.kind == TALK:
+            level = 0.25 + 0.25 * item.magnitude
+            table.talk[start:end] = level * 32767.0
+            add("noise", start, end - 1, level)
+    if leave is not None:
         raise ValueError("leave_bed without a matching return_bed")
+    return table
 
 
 class _LazyFrames:
@@ -301,106 +387,31 @@ class _LazyFrames:
         return self._last[1]
 
 
-def _derive_ground_truth(scenario: Scenario, manifest: SessionManifest,
-                         audio_len: int) -> GroundTruth:
-    classes = [EpochClass.CALMNESS] * scenario.duration
-    spans = {ch: [] for ch in CHANNELS.values()}   # [start, end, peak] per event
-
-    def add(channel, start, end, peak):
-        # An item that abuts the previous span of its channel extends it.
-        run = spans[channel]
-        if run and run[-1][1] + 1 == start:
-            run[-1][1] = end
-            run[-1][2] = max(run[-1][2], peak)
-        else:
-            run.append([start, end, peak])
-
-    absence_from = None
-    for idx, item in enumerate(scenario.timeline):
-        if item.kind in _CLASS_OF_KIND:
-            for t in range(item.start, item.end):
-                classes[t] = _CLASS_OF_KIND[item.kind]
-        if item.kind == LEAVE_BED:
-            absence_from = item.end
-        if item.kind == RETURN_BED:
-            for t in range(absence_from, item.start):
-                classes[t] = EpochClass.OUT_OF_VIEW
-            absence_from = None
-        if item.kind in _EVENT_MOTION_KINDS:
-            if item.kind in (LEAVE_BED, RETURN_BED):
-                _, _, bh, bw = _body_rect(scenario.roi)
-            else:
-                _, _, bh, bw = _blob_rect(item.kind, item.magnitude, scenario.roi, idx)
-            add("motion", item.start, item.end - 1, bh * bw / (scenario.roi[2] * scenario.roi[3]))
-        elif item.kind in _LIGHT_KINDS:
-            spans["light"].append([item.start, item.start, 1.0])
-        elif item.kind == TALK:
-            add("noise", item.start, item.end - 1, 0.25 + 0.25 * item.magnitude)
-
-    def clips(channel, s, e):
-        return clip_range(channel, s, e, video_rate=manifest.video_rate,
-                          audio_rate=manifest.audio_rate,
-                          frame_count=manifest.frame_count, audio_samples=audio_len)
-
-    events = {ch: [Event(ch, s, e, peak, *clips(ch, s, e)) for s, e, peak in run]
-              for ch, run in spans.items()}
-    return GroundTruth(classes=classes, efficiency=sleep_efficiency(classes), events=events)
-
-
 def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
     """Materialize a scenario into a session plus its expected ground truth."""
     try:
-        validate_scenario(scenario)
+        table = _compile(scenario)
     except ValueError as exc:
         raise ValueError(f"invalid timeline: {exc}") from exc
 
     dur = scenario.duration
     fps = scenario.video_rate
     fh, fw = scenario.frame_height, scenario.frame_width
-    roi = tuple(scenario.roi)
-    body = _body_rect(roi)
-
-    depth_item = [None] * dur
-    light_level = np.full(dur, AMBIENT_LUMA, np.float64)
-    talk_amp = np.zeros(dur)   # square-wave amplitude per second
-    level = AMBIENT_LUMA
-    for idx, item in enumerate(scenario.timeline):
-        if item.kind in _DEPTH_KINDS and item.kind != CALM:
-            for s in range(item.start, item.end):
-                depth_item[s] = (idx, item)
-        elif item.kind == LIGHT_ON:
-            level += LIGHT_STEP
-            light_level[item.start:] = level
-        elif item.kind == LIGHT_OFF:
-            level -= LIGHT_STEP
-            light_level[item.start:] = level
-        elif item.kind == TALK:
-            talk_amp[item.start:item.end] = (0.25 + 0.25 * item.magnitude) * 32767.0
-
-    body_present = np.ones(dur, bool)
-    absence_from = None
-    for item in scenario.timeline:
-        if item.kind == LEAVE_BED:
-            absence_from = item.start
-        elif item.kind == RETURN_BED:
-            body_present[absence_from:item.start] = False
-            absence_from = None
 
     # The depth scene while the body is in bed; without it, the bed is flat.
     body_plane = np.full((fh, fw), float(BED_DEPTH))
-    t, l, bh, bw = body
+    t, l, bh, bw = _body_rect(scenario.roi)
     body_plane[t:t + bh, l:l + bw] = BODY_DEPTH
 
     def disturbance(sec: int):
         """(rect, per-frame chaos depth or None) for the depth item this second."""
-        entry = depth_item[sec]
+        entry = table.depth[sec]
         if entry is None:
             return None, [None] * fps
-        idx, item = entry
+        item, rect = entry
         first = fps * (sec - item.start)
-        return (_blob_rect(item.kind, item.magnitude, roi, idx),
-                [_chaos_value(lf) if _chaos_active(item.kind, lf) else None
-                 for lf in range(first, first + fps)])
+        return rect, [_chaos_value(lf) if _chaos_active(item.kind, lf) else None
+                      for lf in range(first, first + fps)]
 
     def draw_frame(z, rng, sigma, base, rect, value):
         """Next noisy frame of ``rng``'s stream, rounded, in place in ``z``.
@@ -423,7 +434,7 @@ def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
 
     def depth_frames(sec: int, z: np.ndarray):
         rng = np.random.default_rng([scenario.seed, 0, sec])
-        base = body_plane if body_present[sec] else float(BED_DEPTH)
+        base = body_plane if table.body[sec] else float(BED_DEPTH)
         rect, values = disturbance(sec)
         for value in values:
             draw_frame(z, rng, scenario.depth_noise, base, rect, value)
@@ -431,7 +442,7 @@ def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
 
     def color_frames(sec: int, z: np.ndarray):
         rng = np.random.default_rng([scenario.seed, 1, sec])
-        level = light_level[sec]
+        level = table.light[sec]
         rect, values = disturbance(sec)
         for value in values:
             blob = None if value is None else level + BLOB_LUMA_OFFSET
@@ -451,17 +462,21 @@ def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
     for sec in range(dur):
         samples = np.random.default_rng([scenario.seed, 2, sec]).normal(
             0.0, scenario.audio_noise * 32768.0, ar)
-        samples += talk_amp[sec] * square
+        samples += table.talk[sec] * square
         audio[sec * ar:(sec + 1) * ar] = np.clip(np.rint(samples), -32768, 32767)
     manifest = SessionManifest(
         depth_width=fw, depth_height=fh, color_width=fw, color_height=fh,
-        video_rate=fps, audio_rate=ar, frame_count=dur * fps, roi=roi)
+        video_rate=fps, audio_rate=ar, frame_count=dur * fps, roi=tuple(scenario.roi))
     session = Session(manifest=manifest,
                       depth=_LazyFrames(dur * fps, fps, (fh, fw), depth_frames),
                       color=_LazyFrames(dur * fps, fps, (fh, fw), color_frames),
                       audio=audio)
-    truth = _derive_ground_truth(scenario, manifest, len(audio))
-    return session, truth
+    events = {ch: [Event(ch, s, e, peak, *clip_range(
+                  ch, s, e, video_rate=fps, audio_rate=ar, frame_count=dur * fps,
+                  audio_samples=len(audio))) for s, e, peak in run]
+              for ch, run in table.spans.items()}
+    return session, GroundTruth(classes=table.classes,
+                                efficiency=sleep_efficiency(table.classes), events=events)
 
 
 PRESETS = ("posture_test", "trouble_sleeping", "successful_sleeping")

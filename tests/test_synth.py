@@ -164,6 +164,19 @@ class TestValidation:
         session, _ = generate(Scenario(duration=15, seed=3, audio_rate=30))
         assert len(events.run_detector(session).scores["audio"]) == 15 * 30
 
+    @pytest.mark.parametrize("field, value", [
+        ("duration", 2.5), ("seed", 3.5), ("video_rate", 2.5), ("audio_rate", 800.0),
+        ("frame_width", 48.0), ("frame_height", 48.0), ("roi", (8.0, 8, 32, 32)),
+        ("roi", (8, 8, 32, 32.0))])
+    def test_non_integer_field_rejected(self, field, value):
+        # Same rule as item times: a float, even a whole one, is not an integer.
+        bad = replace(scenario(), **{field: value})
+        want = "roi entries must be integers" if field == "roi" else f"{field} must be an integer"
+        with pytest.raises(ValueError, match=want):
+            validate_scenario(bad)
+        with pytest.raises(ValueError, match=f"invalid timeline: {want}"):
+            generate(bad)
+
     def test_generate_wraps_as_invalid_timeline(self):
         with pytest.raises(ValueError, match="invalid timeline"):
             generate(scenario(items=[TimelineItem(15, 18, "jump")]))
@@ -310,19 +323,19 @@ def arbitrary_timelines(draw):
                     timeline=tuple(items), audio_rate=800)
 
 
-def _absences(*items):
+def _sixty_seconds(*items):
     return Scenario(duration=60, seed=3, timeline=tuple(TimelineItem(*it) for it in items))
 
 
 class TestValidatorOracle:
     # The rules the strategy reaches least often.
-    @example(_absences((15, 17, LEAVE_BED), (20, 22, LEAVE_BED)))
-    @example(_absences((15, 17, LEAVE_BED), (30, 32, RETURN_BED), (33, 35, LEAVE_BED)))
-    @example(_absences((15, 17, LEAVE_BED), (20, 21, TINY_TWITCH)))
-    @example(_absences((15, 17, LEAVE_BED), (20, 21, CALM), (29, 31, RETURN_BED),
+    @example(_sixty_seconds((15, 17, LEAVE_BED), (20, 22, LEAVE_BED)))
+    @example(_sixty_seconds((15, 17, LEAVE_BED), (30, 32, RETURN_BED), (33, 35, LEAVE_BED)))
+    @example(_sixty_seconds((15, 17, LEAVE_BED), (20, 21, TINY_TWITCH)))
+    @example(_sixty_seconds((15, 17, LEAVE_BED), (20, 21, CALM), (29, 31, RETURN_BED),
                        (33, 36, FULL_TURN)))
-    @example(_absences((15, 17, LIGHT_ON), (16, 18, LIGHT_OFF)))
-    @example(_absences((15, 17, TALK), (16, 18, TALK)))
+    @example(_sixty_seconds((15, 17, LIGHT_ON), (16, 18, LIGHT_OFF)))
+    @example(_sixty_seconds((15, 17, TALK), (16, 18, TALK)))
     @settings(max_examples=400, deadline=None)
     @given(arbitrary_timelines())
     def test_same_verdict_and_message_as_seed_validator(self, sc):
