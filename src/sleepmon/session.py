@@ -30,10 +30,12 @@ each store is read from one thread only.  ``load_session`` returns read-only
 frames: each is a view into a window of whole frames mapped from the stream
 file, so a loaded session holds about ``WINDOW_BYTES`` per stream in memory
 however long the recording is.  A frame the caller holds keeps its own window
-mapped, so later reads never overwrite it.  Its load-time checks still scan
-the whole depth stream and it reads the audio whole, so code that needs only
-the geometry and rates (the report) calls ``load_manifest``, which reads
-nothing but ``manifest.txt``.
+mapped, so later reads never overwrite it.  Each depth window is checked for
+samples above ``DEPTH_MAX`` as it is mapped, so the depth stream is read once:
+an out-of-range sample raises ``InvalidDepthError`` at the first read of a
+frame in its window, not at load.  ``load_session`` still reads the audio
+whole, so code that needs only the geometry and rates (the report) calls
+``load_manifest``, which reads nothing but ``manifest.txt``.
 
 The thread policy lives here too.  ``write_session`` and
 ``scoring.score_session`` each run one loop over the depth frames and one
@@ -98,6 +100,8 @@ class SessionManifest:
         for name in ("depth_width", "depth_height", "color_width", "color_height"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if len(self.roi) != 4:
+            raise ValueError("roi must have four entries (x, y, w, h)")
         x, y, w, h = self.roi
         if w <= 0 or h <= 0 or x < 0 or y < 0:
             raise ValueError("roi must have positive size and non-negative origin")
@@ -110,10 +114,6 @@ class SessionManifest:
     def min_audio_samples(self) -> int:
         """Samples needed so every frame slot has a complete audio chunk."""
         return self.frame_count * self.audio_rate // self.video_rate
-
-    @property
-    def duration_seconds(self) -> float:
-        return self.frame_count / self.video_rate
 
 
 @dataclass
@@ -137,51 +137,93 @@ class Session:
         return self.color[i]
 
 
+def frame_index(i, count: int) -> int:
+    """Frame ``i`` of a store of ``count`` frames as an index in ``range(count)``.
+
+    ``i`` is anything ``operator.index`` accepts, negatives counting from the
+    end; an index outside ``[-count, count)`` raises ``IndexError``.
+    """
+    i = operator.index(i)
+    if not -count <= i < count:
+        raise IndexError(f"frame index out of range: {i}")
+    return i % count
+
+
+def _check_depth_range(frames: np.ndarray, first: int) -> None:
+    """Raise ``InvalidDepthError`` at the first frame holding a sample above ``DEPTH_MAX``.
+
+    ``frames`` is a stack of depth frames that begins at frame ``first``.
+    """
+    over = frames.max(axis=(1, 2), initial=0) > DEPTH_MAX
+    if over.any():
+        raise InvalidDepthError(
+            f"invalid depth sample in frame {first + int(over.argmax())}: value > {DEPTH_MAX}")
+
+
+def _check_rates(man: SessionManifest) -> None:
+    """Raise ``ManifestMismatchError`` when some video frames would have no audio."""
+    if man.audio_rate < man.video_rate:
+        raise ManifestMismatchError(
+            f"manifest mismatch: audio_rate {man.audio_rate} is below video_rate "
+            f"{man.video_rate}, so some video frames would have no audio")
+
+
 class _MappedFrames:
     """Read-only frames of a raw stream, mapped one window of frames at a time.
 
-    Indexing returns a view into the window that holds the frame, and maps a
-    new window only when the index falls outside the current one.  A view
-    keeps its own window mapped, so no frame a caller holds is ever reused.
+    The file must hold exactly ``count`` frames.  Indexing returns a view into
+    the window that holds the frame, and maps a new window only when the index
+    falls outside the current one.  A view keeps its own window mapped, so no
+    frame a caller holds is ever reused.  ``check(frames, start)``, if given,
+    is called on each window as it is mapped, before any of its frames is
+    handed out.
     """
 
-    def __init__(self, path: Path, dtype: str, frame_shape: tuple[int, ...], count: int):
+    def __init__(self, path: Path, dtype: str, frame_shape: tuple, count: int, check=None):
         self._path = path
         self._dtype = np.dtype(dtype)
         self._frame_shape = frame_shape
         self._count = count
+        self._check = check
         self._frame_bytes = self._dtype.itemsize * math.prod(frame_shape)
         self.window_frames = max(1, WINDOW_BYTES // self._frame_bytes)
+        size = path.stat().st_size
+        if size != count * self._frame_bytes:
+            raise ManifestMismatchError(f"manifest mismatch: {path.name} holds {size} bytes, "
+                                        f"expected {count * self._frame_bytes}")
         # (first frame, frames) of the current window, replaced as one value
         # so that a reader never pairs one window's start with another's frames.
-        self._window = (0, np.empty((0,) + frame_shape, self._dtype))
+        self._window = (0, ())
 
     def __len__(self) -> int:
         return self._count
 
     def __getitem__(self, i) -> np.ndarray:
-        i = operator.index(i)
-        if i < 0:
-            i += self._count
-        if not 0 <= i < self._count:
-            raise IndexError(f"frame index out of range: {i}")
+        i = frame_index(i, self._count)
         start, frames = self._window
         if not start <= i < start + len(frames):
+            # Let go of the old window first, so that it is not still resident
+            # while the new one is mapped and checked.
+            del frames
+            self._window = (0, ())
             start = i - i % self.window_frames
             frames = self._frames_at(start)
             self._window = (start, frames)
         return frames[i - start]
 
     def _frames_at(self, start: int) -> np.ndarray:
-        """Map the window of frames that begins at frame ``start``.
+        """Map and check the window of frames that begins at frame ``start``.
 
         The window is a plain ndarray view of the map, so arrays computed from
         a frame are ndarrays too, not ``np.memmap`` instances.
         """
         count = min(self.window_frames, self._count - start)
-        return np.memmap(self._path, dtype=self._dtype, mode="r",
-                         offset=start * self._frame_bytes,
-                         shape=(count,) + self._frame_shape).view(np.ndarray)
+        frames = np.memmap(self._path, dtype=self._dtype, mode="r",
+                           offset=start * self._frame_bytes,
+                           shape=(count,) + self._frame_shape).view(np.ndarray)
+        if self._check is not None:
+            self._check(frames, start)
+        return frames
 
 
 def crop_roi(frame: np.ndarray, roi: tuple[int, int, int, int]) -> np.ndarray:
@@ -202,10 +244,9 @@ def load_manifest(path: str | os.PathLike) -> SessionManifest:
     missing manifest and a missing, duplicate, unknown or invalid key raise
     ``CorruptSessionError``.
     """
-    root = Path(path)
-    manifest_path = root / MANIFEST_NAME
+    manifest_path = Path(path) / MANIFEST_NAME
     if not manifest_path.is_file():
-        raise CorruptSessionError(f"corrupt session: missing {MANIFEST_NAME} in {root}")
+        raise CorruptSessionError(f"corrupt session: missing {MANIFEST_NAME} in {path}")
     try:
         return from_pairs(SessionManifest, read_pairs(manifest_path), "manifest", required=True)
     except ValueError as exc:
@@ -312,6 +353,7 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
     """
     man = session.manifest
     n = man.frame_count
+    _check_rates(man)
     if len(session.depth) != n or len(session.color) != n:
         raise ManifestMismatchError(
             f"manifest mismatch: stream holds {len(session.depth)} depth / "
@@ -324,18 +366,14 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
             f"manifest mismatch: audio holds {audio.size} samples, "
             f"need at least {man.min_audio_samples}")
 
-    depth_shape = (man.depth_height, man.depth_width)
-    color_shape = (man.color_height, man.color_width, 3)
-
     def check_depth(i, d):
-        if d.shape != depth_shape:
+        if d.shape != (man.depth_height, man.depth_width):
             raise ManifestMismatchError(f"manifest mismatch: depth frame {i} has shape {d.shape}")
-        if d.max(initial=0) > DEPTH_MAX:
-            raise InvalidDepthError(f"invalid depth sample in frame {i}: value > {DEPTH_MAX}")
+        _check_depth_range(d[np.newaxis], i)
         return np.ascontiguousarray(d, dtype="<u2")
 
     def check_color(i, c):
-        if c.shape != color_shape:
+        if c.shape != (man.color_height, man.color_width, 3):
             raise ManifestMismatchError(f"manifest mismatch: color frame {i} has shape {c.shape}")
         return np.ascontiguousarray(c, dtype=np.uint8)
 
@@ -359,51 +397,31 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
 
 
 def load_session(path: str | os.PathLike) -> Session:
-    """Load a session directory, verifying sizes and the depth value range.
+    """Load a session directory, verifying the manifest and the stream sizes.
 
     The manifest is read by ``load_manifest``, and its audio rate must not be
-    below its video rate, so that every frame slot has audio.  The depth
-    range is then checked window by window over the whole stream, so a bad
-    sample anywhere raises ``InvalidDepthError`` at load, and the audio stream
-    is read whole; frames are mapped on demand (see the module docstring).  A
-    caller that needs only the manifest calls ``load_manifest`` and pays for
-    none of this.
+    below its video rate, so that every frame slot has audio.  Then only the
+    stream file sizes are checked and the audio stream is read whole; the
+    depth and color frames are mapped on demand, and a depth sample above
+    ``DEPTH_MAX`` raises ``InvalidDepthError`` when its window is first read
+    (see the module docstring).  A caller that needs only the manifest calls
+    ``load_manifest`` and pays for none of this.
     """
     root = Path(path)
     man = load_manifest(root)
-    if man.audio_rate < man.video_rate:
-        raise ManifestMismatchError(
-            f"manifest mismatch: audio_rate {man.audio_rate} is below video_rate "
-            f"{man.video_rate}, so some video frames would have no audio")
+    _check_rates(man)
+    for name in (man.depth_file, man.color_file, man.audio_file):
+        if not (root / name).is_file():
+            raise CorruptSessionError(f"corrupt session: missing stream file {name}")
 
-    paths = {name: root / getattr(man, name) for name in ("depth_file", "color_file", "audio_file")}
-    for name, p in paths.items():
-        if not p.is_file():
-            raise CorruptSessionError(f"corrupt session: missing stream file {p.name}")
-
-    n = man.frame_count
-    depth_bytes = n * man.depth_height * man.depth_width * 2
-    color_bytes = n * man.color_height * man.color_width * 3
-    if paths["depth_file"].stat().st_size != depth_bytes:
-        raise ManifestMismatchError(
-            f"manifest mismatch: depth file holds {paths['depth_file'].stat().st_size} bytes, "
-            f"expected {depth_bytes}")
-    if paths["color_file"].stat().st_size != color_bytes:
-        raise ManifestMismatchError(
-            f"manifest mismatch: color file holds {paths['color_file'].stat().st_size} bytes, "
-            f"expected {color_bytes}")
-    audio_size = paths["audio_file"].stat().st_size
+    depth = _MappedFrames(root / man.depth_file, "<u2", (man.depth_height, man.depth_width),
+                          man.frame_count, check=_check_depth_range)
+    color = _MappedFrames(root / man.color_file, "u1", (man.color_height, man.color_width, 3),
+                          man.frame_count)
+    audio_size = (root / man.audio_file).stat().st_size
     if audio_size % 2 != 0 or audio_size // 2 < man.min_audio_samples:
         raise ManifestMismatchError(
             f"manifest mismatch: audio file holds {audio_size // 2} samples, "
             f"need at least {man.min_audio_samples}")
-
-    depth = _MappedFrames(paths["depth_file"], "<u2", (man.depth_height, man.depth_width), n)
-    for start in range(0, n, depth.window_frames):
-        frames = depth._frames_at(start)
-        if frames.max() > DEPTH_MAX:
-            bad = start + int(np.argmax(frames.max(axis=(1, 2)) > DEPTH_MAX))
-            raise InvalidDepthError(f"invalid depth sample in frame {bad}: value > {DEPTH_MAX}")
-    color = _MappedFrames(paths["color_file"], "u1", (man.color_height, man.color_width, 3), n)
-    audio = np.fromfile(paths["audio_file"], dtype="<i2").astype(np.int16, copy=False)
+    audio = np.fromfile(root / man.audio_file, dtype="<i2").astype(np.int16, copy=False)
     return Session(manifest=man, depth=depth, color=color, audio=audio)

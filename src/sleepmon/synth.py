@@ -83,7 +83,6 @@ into one array.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -92,7 +91,7 @@ from .analysis import EpochClass, sleep_efficiency
 from .config import CHANNELS, Config
 from .events import Event, clip_range
 from .kvtext import from_pairs, read_pairs, to_pairs, write_pairs
-from .session import Session, SessionManifest
+from .session import Session, SessionManifest, frame_index
 
 CALM = "calm"
 TINY_TWITCH = "tiny_twitch"
@@ -354,8 +353,8 @@ class _LazyFrames:
     draws each frame once; a read of an earlier frame, or of another second,
     restarts that second and redraws up to the frame.  A repeated read hands
     out the last frame again, so frames are read-only, like loaded ones.
-    Indexing accepts what ``operator.index`` does, negatives counting from the
-    end.  A store must not be read from two threads at once.
+    Indexing follows ``session.frame_index``, negatives counting from the end.
+    A store must not be read from two threads at once.
     """
 
     def __init__(self, n_frames: int, fps: int, plane_shape: tuple[int, int], start):
@@ -370,11 +369,7 @@ class _LazyFrames:
         return self._n
 
     def __getitem__(self, i) -> np.ndarray:
-        i = operator.index(i)
-        if i < 0:
-            i += self._n
-        if not 0 <= i < self._n:
-            raise IndexError(f"frame index out of range: {i}")
+        i = frame_index(i, self._n)
         if i != self._last[0]:
             sec, j = divmod(i, self._fps)
             if sec != self._sec or j < self._next:

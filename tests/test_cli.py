@@ -2,6 +2,7 @@
 
 import filecmp
 import itertools
+import os
 import shutil
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from sleepmon.scoring import format_scores_csv
 from sleepmon.synth import (FULL_TURN, LIGHT_ON, TALK, Scenario, TimelineItem,
                             write_scenario)
 
-from conftest import force_helper_thread
+from conftest import build_session, force_helper_thread
 
 
 def small_scenario(duration=40, seed=11, items=None):
@@ -151,6 +152,23 @@ class TestDetect:
         assert "manifest mismatch: audio_rate 20 is below video_rate 30" in err
         assert "empty chunk" not in err
         assert not (tmp_path / "det").exists()
+
+    def test_out_of_range_depth_in_last_frame_exits_1_and_writes_nothing(self, tmp_path,
+                                                                         capsys):
+        # 320x240 depth frames: the stream spans three windows and one frame.
+        per_window = session.WINDOW_BYTES // (320 * 240 * 2)
+        s = build_session(frame_count=3 * per_window + 1, width=320, height=240,
+                          roi=(0, 0, 16, 16))
+        n = s.manifest.frame_count
+        path = tmp_path / "sess"
+        session.write_session(s, path)
+        with open(path / "depth.raw", "r+b") as fh:
+            fh.seek(-2, os.SEEK_END)
+            fh.write((2048).to_bytes(2, "little"))
+        out = tmp_path / "det"
+        assert run("detect", "--session", path, "--out", out) == 1
+        assert f"invalid depth sample in frame {n - 1}: value > 2047" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_detected_events_match_ground_truth(self, tmp_path, session_dir):
         out = tmp_path / "det"

@@ -7,6 +7,8 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from hypothesis import strategies as st
 from sleepmon.errors import (CorruptSessionError, InvalidDepthError,
                              ManifestMismatchError, RoiBoundsError)
 from sleepmon import session
+from sleepmon.events import run_detector
 from sleepmon.session import (_THREAD_MIN_PX, DEPTH_MAX, MANIFEST_NAME, WINDOW_BYTES,
-                              Session, SessionManifest, crop_roi, load_manifest,
+                              Session, SessionManifest, crop_roi, frame_index, load_manifest,
                               load_session, run_frame_loops, use_helper_thread,
                               write_session)
 
@@ -80,6 +83,11 @@ class TestManifest:
     def test_roi_must_fit_both_frames(self):
         with pytest.raises(ValueError):
             SessionManifest(roi=(630, 470, 320, 350))
+
+    @pytest.mark.parametrize("roi", [(1, 2, 3), (0, 0, 4, 4, 4), ()])
+    def test_roi_must_have_four_entries(self, roi):
+        with pytest.raises(ValueError, match=r"roi must have four entries \(x, y, w, h\)"):
+            SessionManifest(roi=roi)
 
     def test_rates_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -147,8 +155,11 @@ class TestLoadErrors:
         raw = bytearray((tmp_path / "depth.raw").read_bytes())
         raw[0:2] = (2048).to_bytes(2, "little")
         (tmp_path / "depth.raw").write_bytes(bytes(raw))
-        with pytest.raises(InvalidDepthError, match="invalid depth sample"):
-            load_session(tmp_path)
+        loaded = load_session(tmp_path)  # the depth range is checked as windows are read
+        assert np.array_equal(loaded.color_frame(0), small_session.color_frame(0))
+        for i in (0, -1):
+            with pytest.raises(InvalidDepthError, match="invalid depth sample in frame 0: "):
+                loaded.depth_frame(i)
 
     def test_short_audio_is_manifest_mismatch(self, small_session, tmp_path):
         write_session(small_session, tmp_path)
@@ -223,15 +234,60 @@ class TestMappedLoad:
         assert corners == [(int(s.depth.frame(i)[-1, -1]), int(s.color.frame(i)[-1, -1, -1]))
                            for i in range(len(s.depth))]
 
-    def test_out_of_range_depth_in_last_frame_rejected_at_load(self, tmp_path):
+    def test_out_of_range_depth_in_last_frame_rejected_when_its_window_is_read(self, tmp_path):
         s = several_windows_session()
         write_session(s, tmp_path)
         with open(tmp_path / "depth.raw", "r+b") as fh:
             fh.seek(-2, os.SEEK_END)
             fh.write((2048).to_bytes(2, "little"))
-        with pytest.raises(InvalidDepthError,
-                           match=f"invalid depth sample in frame {len(s.depth) - 1}"):
-            load_session(tmp_path)
+        loaded = load_session(tmp_path)
+        n, per_window = len(s.depth), loaded.depth.window_frames
+        last_start = (n - 1) // per_window * per_window
+        assert last_start >= 4 * per_window
+        for i in range(last_start):
+            assert np.array_equal(loaded.depth_frame(i), s.depth.frame(i))
+        # Every frame of the bad window raises, each time it is asked for, and
+        # the earlier windows still read afterwards.
+        message = f"invalid depth sample in frame {n - 1}: "
+        for i in (last_start, n - 1, last_start):
+            with pytest.raises(InvalidDepthError, match=message):
+                loaded.depth_frame(i)
+        assert np.array_equal(loaded.depth_frame(0), s.depth.frame(0))
+        assert np.array_equal(loaded.color_frame(n - 1), s.color.frame(n - 1))
+
+    def test_each_window_is_mapped_once_by_detection_and_none_at_load(self, long_session,
+                                                                      monkeypatch):
+        s, out = long_session
+        mapped = []
+        frames_at = session._MappedFrames._frames_at
+
+        def spy(store, start):
+            mapped.append((store, start))
+            return frames_at(store, start)
+
+        monkeypatch.setattr(session._MappedFrames, "_frames_at", spy)
+        loaded = load_session(out)
+        assert mapped == []
+        run_detector(loaded)
+        n = len(s.depth)
+        for store in (loaded.depth, loaded.color):
+            starts = [start for owner, start in mapped if owner is store]
+            assert starts == list(range(0, n, store.window_frames))  # ceil(n / window) calls
+
+    def test_old_window_is_let_go_before_the_next_is_mapped(self, long_session, monkeypatch):
+        loaded = load_session(long_session[1])
+        loaded.depth_frame(0)
+        old_window = weakref.ref(loaded.depth._window[1])
+        alive = []
+        frames_at = session._MappedFrames._frames_at
+
+        def spy(store, start):
+            alive.append(old_window() is not None)
+            return frames_at(store, start)
+
+        monkeypatch.setattr(session._MappedFrames, "_frames_at", spy)
+        loaded.depth_frame(loaded.depth.window_frames)
+        assert alive == [False]
 
     def test_loaded_frames_are_read_only(self, long_session):
         loaded = load_session(long_session[1])
@@ -282,15 +338,19 @@ class TestWriteValidation:
         with pytest.raises(ManifestMismatchError, match="manifest mismatch"):
             write_session(s, tmp_path / "bad")
 
-    @pytest.mark.parametrize("defect", ["frame_count", "audio_dtype", "audio_length"])
+    @pytest.mark.parametrize("defect", ["frame_count", "audio_dtype", "audio_length",
+                                        "audio_rate"])
     def test_cheap_checks_run_before_any_file_is_created(self, tmp_path, defect):
         s = self.session(frame_count=3)
         if defect == "frame_count":
             s.color = s.color[:2]
         elif defect == "audio_dtype":
             s.audio = s.audio.astype(np.int32)
-        else:
+        elif defect == "audio_length":
             s.audio = s.audio[:-1]
+        else:
+            s.manifest = replace(s.manifest, audio_rate=20)
+            assert s.audio.size >= s.manifest.min_audio_samples
         with pytest.raises(ManifestMismatchError, match="manifest mismatch"):
             write_session(s, tmp_path / "bad")
         assert not (tmp_path / "bad").exists()
@@ -460,6 +520,23 @@ class TestHelperThreadRule:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         assert use_helper_thread(_THREAD_MIN_PX) is want
+
+
+class TestFrameIndex:
+    @pytest.mark.parametrize("i, want", [(0, 0), (2, 2), (-1, 2), (-3, 0), (np.int64(1), 1),
+                                         (True, 1)])
+    def test_wraps_negatives_and_accepts_integer_types(self, i, want):
+        got = frame_index(i, 3)
+        assert got == want and type(got) is int
+
+    @pytest.mark.parametrize("i, count", [(3, 3), (-4, 3), (0, 0), (-1, 0)])
+    def test_out_of_range(self, i, count):
+        with pytest.raises(IndexError, match=f"frame index out of range: {i}$"):
+            frame_index(i, count)
+
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            frame_index(1.0, 3)
 
 
 class TestCropRoi:

@@ -177,6 +177,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"invalid timeline: {want}"):
             generate(bad)
 
+    @pytest.mark.parametrize("roi", [(8, 8, 32), (8, 8, 32, 32, 32)])
+    def test_roi_of_wrong_length_is_named(self, roi):
+        bad = Scenario(duration=5, seed=1, roi=roi)
+        want = r"roi must have four entries \(x, y, w, h\)"
+        with pytest.raises(ValueError, match=want):
+            validate_scenario(bad)
+        with pytest.raises(ValueError, match=f"invalid timeline: {want}"):
+            generate(bad)
+
     def test_generate_wraps_as_invalid_timeline(self):
         with pytest.raises(ValueError, match="invalid timeline"):
             generate(scenario(items=[TimelineItem(15, 18, "jump")]))
