@@ -26,7 +26,7 @@ import numpy as np
 from .background import BackgroundModel, foreground_area, luma, morph_smooth
 from .config import CHANNELS, Config
 from .errors import AudioUnderrunError
-from .session import Session, crop_roi, run_frame_loops, use_helper_thread
+from .session import Session, _check_rates, crop_roi, run_frame_loops, use_helper_thread
 
 PCM_FULL_SCALE = 32768.0
 
@@ -35,23 +35,6 @@ def chunk_bounds(audio_rate: int, video_rate: int, frame_count: int) -> np.ndarr
     """Sample index boundaries; chunk i covers [bounds[i], bounds[i+1])."""
     idx = np.arange(frame_count + 1, dtype=np.int64)
     return idx * audio_rate // video_rate
-
-
-def chunk_audio(audio: np.ndarray, audio_rate: int, video_rate: int,
-                frame_count: int) -> list[np.ndarray]:
-    """Split the stream prefix into one window per video frame slot.
-
-    Chunk i covers samples floor(i*audio_rate/video_rate) ..
-    floor((i+1)*audio_rate/video_rate) - 1; windows are gapless and
-    non-overlapping.
-    """
-    bounds = chunk_bounds(audio_rate, video_rate, frame_count)
-    if frame_count and len(audio) < bounds[-1]:
-        first_bad = int(np.searchsorted(bounds[1:], len(audio), side="right"))
-        raise AudioUnderrunError(
-            f"audio underrun at chunk {first_bad}: stream holds {len(audio)} samples, "
-            f"chunk needs samples up to {int(bounds[first_bad + 1]) - 1}")
-    return [audio[bounds[i]:bounds[i + 1]] for i in range(frame_count)]
 
 
 def audio_score(chunk: np.ndarray) -> float:
@@ -72,9 +55,26 @@ def _model_input(session: Session, channel: str, i: int) -> np.ndarray:
 
 
 def _score_audio(session: Session) -> np.ndarray:
+    """``audio_score`` of each frame slot's chunk, read one chunk at a time.
+
+    Chunk i covers samples ``chunk_bounds(...)[i]`` up to ``[i + 1]``; the
+    chunks are gapless and non-overlapping.  Each chunk is let go before the
+    next is read, so a mapped stream keeps about one window in memory.  Audio
+    too short for the last chunk raises ``AudioUnderrunError`` before any is
+    scored.
+    """
     man = session.manifest
-    chunks = chunk_audio(session.audio, man.audio_rate, man.video_rate, man.frame_count)
-    return np.array([audio_score(c) for c in chunks], np.float64)
+    audio = session.audio
+    bounds = chunk_bounds(man.audio_rate, man.video_rate, man.frame_count)
+    if man.frame_count and len(audio) < bounds[-1]:
+        first_bad = int(np.searchsorted(bounds[1:], len(audio), side="right"))
+        raise AudioUnderrunError(
+            f"audio underrun at chunk {first_bad}: stream holds {len(audio)} samples, "
+            f"chunk needs samples up to {int(bounds[first_bad + 1]) - 1}")
+    scores = np.empty(man.frame_count, np.float64)
+    for i in range(man.frame_count):
+        scores[i] = audio_score(audio[bounds[i]:bounds[i + 1]])
+    return scores
 
 
 def make_models(session: Session, config: Config | None = None):
@@ -93,17 +93,19 @@ def score_session(session: Session, depth_model: BackgroundModel,
                   color_model: BackgroundModel) -> dict[str, np.ndarray]:
     """Run both background models over the session and score all channels.
 
-    Returns one float64 array per score channel.  Audio is scored first, so
-    audio too short for the frame count raises ``AudioUnderrunError`` before
-    any frame is read.  The depth and the color frames are then scored by
-    ``session.run_frame_loops``: the color model on a helper thread when
-    ``session.use_helper_thread`` holds for the roi area, otherwise on the
-    caller after the depth model.  Both give bitwise-identical scores and
+    Returns one float64 array per score channel.  A manifest whose audio
+    rate is below its video rate raises ``ManifestMismatchError`` first.
+    Audio is scored next, so audio too short for the frame count raises
+    ``AudioUnderrunError`` before any frame is read.  The depth and the
+    color frames are then scored by ``session.run_frame_loops``: the color
+    model on a helper thread when ``session.use_helper_thread`` holds for the
+    roi area, otherwise on the caller after the depth model.  Both give bitwise-identical scores and
     raise the same error: that of the failing frame with the lowest index,
     its depth error before its color error.  No thread is left running on
     return or raise.
     """
     man = session.manifest
+    _check_rates(man)
     audio = _score_audio(session)
     roi_area = man.roi[2] * man.roi[3]
     depth = np.empty(man.frame_count, np.float64)

@@ -23,19 +23,21 @@ timestamps.  The audio stream must hold at least
 ``floor(frame_count * audio_rate / video_rate)`` samples so that every video
 frame slot has a complete audio chunk.
 
-Frame stores only need ``len()`` and integer indexing, so sessions may be
-backed by eager ndarrays, memory maps, or lazily generated frames; observable
-behavior is identical either way.  A lazy store need not be thread-safe, so
-each store is read from one thread only.  ``load_session`` returns read-only
-frames: each is a view into a window of whole frames mapped from the stream
-file, so a loaded session holds about ``WINDOW_BYTES`` per stream in memory
-however long the recording is.  A frame the caller holds keeps its own window
+Frame stores only need ``len()`` and integer indexing, and the audio only
+``len()``, contiguous slices and ``np.asarray``, so sessions may be backed by
+eager ndarrays, memory maps, or lazily generated frames and samples;
+observable behavior is identical either way.  A lazy store need not be
+thread-safe, so each store is read from one thread only.  ``load_session``
+maps all three streams the same way, as read-only views into a window of
+whole frames (for the audio, of samples) mapped from the stream file, so a
+loaded session holds about ``WINDOW_BYTES`` per stream in memory however long
+the recording is.  A frame or slice the caller holds keeps its own window
 mapped, so later reads never overwrite it.  Each depth window is checked for
 samples above ``DEPTH_MAX`` as it is mapped, so the depth stream is read once:
 an out-of-range sample raises ``InvalidDepthError`` at the first read of a
-frame in its window, not at load.  ``load_session`` still reads the audio
-whole, so code that needs only the geometry and rates (the report) calls
-``load_manifest``, which reads nothing but ``manifest.txt``.
+frame in its window, not at load.  ``load_session`` reads no stream bytes; code
+that needs only the geometry and rates (the report) calls ``load_manifest``,
+which opens nothing but ``manifest.txt``.
 
 The thread policy lives here too.  ``write_session`` and
 ``scoring.score_session`` each run one loop over the depth frames and one
@@ -63,8 +65,14 @@ from .kvtext import from_pairs, read_pairs, to_pairs, write_pairs
 
 MANIFEST_NAME = "manifest.txt"
 DEPTH_MAX = 2047
-# Bytes of whole frames a loaded stream maps at a time (at least one frame).
-WINDOW_BYTES = 4 << 20
+# Bytes of whole frames a loaded stream maps at a time (at least one frame):
+# one 640x480 depth (614 kB) or color (922 kB) frame, 227 depth or 151 color
+# frames at 48x48, 32 s of 16 kHz audio.  At 4 MiB the depth range check
+# touched all six frames of a 640x480 window and the color roi four:
+# detect_paper (bench, 10 pairs of 30 s runs, 2-vCPU Xeon) peaked at 52.7 MB
+# then, with the audio read whole, and at 47.4 MB here; fps 250 against 242
+# (medians, inside the run-to-run spread of 211-277).
+WINDOW_BYTES = 1 << 20
 # Frame pixels from which ``use_helper_thread`` runs the color loop on a
 # helper thread (2-vCPU Xeon).  Generate + write: the thread makes 640x480
 # frames 46 % faster and 64x64 to 128x128 ones about 30 %, but the 48x48
@@ -120,15 +128,16 @@ class SessionManifest:
 class Session:
     """One loaded or generated session.
 
-    ``depth`` indexes to ``(depth_height, depth_width)`` uint16 frames,
-    ``color`` to ``(color_height, color_width, 3)`` uint8 frames, and
-    ``audio`` is a 1-D int16 array.
+    ``depth`` indexes to ``(depth_height, depth_width)`` uint16 frames and
+    ``color`` to ``(color_height, color_width, 3)`` uint8 frames.  ``audio``
+    is anything with ``len()``, contiguous slices and ``np.asarray`` that
+    gives 1-D int16 samples: an ndarray, a mapped or a lazily drawn stream.
     """
 
     manifest: SessionManifest
     depth: object
     color: object
-    audio: np.ndarray
+    audio: object
 
     def depth_frame(self, i: int) -> np.ndarray:
         return self.depth[i]
@@ -147,6 +156,17 @@ def frame_index(i, count: int) -> int:
     if not -count <= i < count:
         raise IndexError(f"frame index out of range: {i}")
     return i % count
+
+
+def _span(key: slice, count: int) -> tuple[int, int]:
+    """``(start, stop)`` of a contiguous slice of a store of ``count`` items, ``start <= stop``.
+
+    A slice with a step other than 1 raises ``IndexError``.
+    """
+    start, stop, step = key.indices(count)
+    if step != 1:
+        raise IndexError(f"only contiguous slices are supported, not step {step}")
+    return start, max(start, stop)
 
 
 def _check_depth_range(frames: np.ndarray, first: int) -> None:
@@ -171,12 +191,17 @@ def _check_rates(man: SessionManifest) -> None:
 class _MappedFrames:
     """Read-only frames of a raw stream, mapped one window of frames at a time.
 
-    The file must hold exactly ``count`` frames.  Indexing returns a view into
-    the window that holds the frame, and maps a new window only when the index
-    falls outside the current one.  A view keeps its own window mapped, so no
-    frame a caller holds is ever reused.  ``check(frames, start)``, if given,
-    is called on each window as it is mapped, before any of its frames is
-    handed out.
+    The file must hold exactly ``count`` frames.  An integer index returns a
+    view into the window that holds the frame (a scalar for 0-d frames, such
+    as audio samples), and maps a new window, aligned to ``window_frames``,
+    only when the index falls outside the current one.  A contiguous slice
+    returns a view too, and maps a window that starts at the slice, and is
+    long enough for it, when the slice is not inside the current one.  A view
+    keeps its own window mapped, so nothing a caller holds is ever reused.
+    ``np.asarray`` reads the whole stream into memory.  ``check(frames,
+    start)``, if given, is called on each window as it is mapped, and on the
+    whole stream read by ``np.asarray``, before any of its frames is handed
+    out.
     """
 
     def __init__(self, path: Path, dtype: str, frame_shape: tuple, count: int, check=None):
@@ -198,26 +223,40 @@ class _MappedFrames:
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, i) -> np.ndarray:
-        i = frame_index(i, self._count)
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            first, stop = _span(key, self._count)
+            if first == stop:
+                return np.empty((0,) + self._frame_shape, self._dtype)
+            window = (first, max(self.window_frames, stop - first))
+        else:
+            first = frame_index(key, self._count)
+            stop = first + 1
+            window = (first - first % self.window_frames, self.window_frames)
         start, frames = self._window
-        if not start <= i < start + len(frames):
+        if not (start <= first and stop <= start + len(frames)):
             # Let go of the old window first, so that it is not still resident
             # while the new one is mapped and checked.
             del frames
             self._window = (0, ())
-            start = i - i % self.window_frames
-            frames = self._frames_at(start)
+            start, frames = window[0], self._frames_at(*window)
             self._window = (start, frames)
-        return frames[i - start]
+        view = frames[first - start:stop - start]
+        return view if isinstance(key, slice) else view[0]
 
-    def _frames_at(self, start: int) -> np.ndarray:
-        """Map and check the window of frames that begins at frame ``start``.
+    def __array__(self, dtype=None, copy=None):
+        frames = np.fromfile(self._path, self._dtype).reshape((self._count,) + self._frame_shape)
+        if self._check is not None:
+            self._check(frames, 0)
+        return frames if dtype is None else frames.astype(dtype, copy=False)
+
+    def _frames_at(self, start: int, count: int) -> np.ndarray:
+        """Map and check up to ``count`` frames from frame ``start`` on, as one window.
 
         The window is a plain ndarray view of the map, so arrays computed from
         a frame are ndarrays too, not ``np.memmap`` instances.
         """
-        count = min(self.window_frames, self._count - start)
+        count = min(count, self._count - start)
         frames = np.memmap(self._path, dtype=self._dtype, mode="r",
                            offset=start * self._frame_bytes,
                            shape=(count,) + self._frame_shape).view(np.ndarray)
@@ -338,6 +377,8 @@ def run_frame_loops(n: int, depth_step, color_step, threaded: bool) -> None:
 def write_session(session: Session, path: str | os.PathLike) -> None:
     """Write manifest and streams, checking each frame as it is written.
 
+    The audio is read and written a window of ``WINDOW_BYTES`` at a time.
+
     An invalid session leaves no file behind: the streams are written to
     ``<name>.partial`` files, renamed into place once every frame has passed,
     and the manifest is written last.  Two writes of the same session produce
@@ -358,12 +399,18 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
         raise ManifestMismatchError(
             f"manifest mismatch: stream holds {len(session.depth)} depth / "
             f"{len(session.color)} color frames, manifest declares {n}")
-    audio = np.asarray(session.audio)
-    if audio.ndim != 1 or audio.dtype != np.int16:
-        raise ManifestMismatchError("manifest mismatch: audio must be 1-D int16")
-    if audio.size < man.min_audio_samples:
+    audio = session.audio
+
+    def audio_window(start, stop):
+        window = np.asarray(audio[start:stop])
+        if window.ndim != 1 or window.dtype != np.int16:
+            raise ManifestMismatchError("manifest mismatch: audio must be 1-D int16")
+        return window
+
+    audio_window(0, 0)
+    if len(audio) < man.min_audio_samples:
         raise ManifestMismatchError(
-            f"manifest mismatch: audio holds {audio.size} samples, "
+            f"manifest mismatch: audio holds {len(audio)} samples, "
             f"need at least {man.min_audio_samples}")
 
     def check_depth(i, d):
@@ -386,7 +433,10 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
             run_frame_loops(n, lambda i: fd.write(check_depth(i, session.depth_frame(i))),
                             lambda i: fc.write(check_color(i, session.color_frame(i))),
                             use_helper_thread(man.color_width * man.color_height))
-        partials[2].write_bytes(np.ascontiguousarray(audio, dtype="<i2"))
+        with open(partials[2], "wb") as fa:
+            step = WINDOW_BYTES // 2
+            for start in range(0, len(audio), step):
+                fa.write(np.ascontiguousarray(audio_window(start, start + step), dtype="<i2"))
         for partial, name in zip(partials, names):
             os.replace(partial, out / name)
     except BaseException:
@@ -401,8 +451,8 @@ def load_session(path: str | os.PathLike) -> Session:
 
     The manifest is read by ``load_manifest``, and its audio rate must not be
     below its video rate, so that every frame slot has audio.  Then only the
-    stream file sizes are checked and the audio stream is read whole; the
-    depth and color frames are mapped on demand, and a depth sample above
+    stream file sizes are checked; the depth and color frames and the audio
+    samples are mapped on demand, and a depth sample above
     ``DEPTH_MAX`` raises ``InvalidDepthError`` when its window is first read
     (see the module docstring).  A caller that needs only the manifest calls
     ``load_manifest`` and pays for none of this.
@@ -423,5 +473,5 @@ def load_session(path: str | os.PathLike) -> Session:
         raise ManifestMismatchError(
             f"manifest mismatch: audio file holds {audio_size // 2} samples, "
             f"need at least {man.min_audio_samples}")
-    audio = np.fromfile(root / man.audio_file, dtype="<i2").astype(np.int16, copy=False)
+    audio = _MappedFrames(root / man.audio_file, "<i2", (), audio_size // 2)
     return Session(manifest=man, depth=depth, color=color, audio=audio)

@@ -76,8 +76,8 @@ index of the next frame to draw, the last frame it handed out and the
 scratch plane, so hour-long sessions and 640x480 frames stay small in
 memory.  A store is not thread-safe: ``write_session`` and ``score_session``
 read each store from one thread only, in frame order, so two stores may be
-drawn on two threads at once.  The audio stream is written second by second
-into one array.
+drawn on two threads at once.  The audio is lazy too: it is drawn one second
+at a time, when a slice asks for it, and the last second drawn is kept.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ from .analysis import EpochClass, sleep_efficiency
 from .config import CHANNELS, Config
 from .events import Event, clip_range
 from .kvtext import from_pairs, read_pairs, to_pairs, write_pairs
-from .session import Session, SessionManifest, frame_index
+from .session import Session, SessionManifest, _span, frame_index
 
 CALM = "calm"
 TINY_TWITCH = "tiny_twitch"
@@ -382,6 +382,47 @@ class _LazyFrames:
         return self._last[1]
 
 
+class _LazyAudio:
+    """Audio samples drawn one second at a time, on demand.
+
+    ``draw(sec)`` returns the ``rate`` int16 samples of second ``sec``.  A
+    contiguous slice returns a fresh array of the samples it covers, drawing
+    each second it touches; the last second drawn is kept, so reading chunk
+    after chunk draws each second once.  ``np.asarray`` gives the whole
+    stream.
+    """
+
+    def __init__(self, seconds: int, rate: int, draw):
+        self._n = seconds * rate
+        self._rate = rate
+        self._draw = draw
+        self._last = (-1, None)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def _second(self, sec: int) -> np.ndarray:
+        if sec != self._last[0]:
+            self._last = (sec, self._draw(sec))
+        return self._last[1]
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        r = self._rate
+        start, stop = _span(key, self._n)
+        out = np.empty(stop - start, np.int16)
+        at = start
+        while at < stop:
+            sec = at // r
+            end = min(stop, (sec + 1) * r)
+            out[at - start:end - start] = self._second(sec)[at - sec * r:end - sec * r]
+            at = end
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        samples = self[0:self._n]
+        return samples if dtype is None else samples.astype(dtype, copy=False)
+
+
 def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
     """Materialize a scenario into a session plus its expected ground truth."""
     try:
@@ -453,22 +494,23 @@ def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
     ar = scenario.audio_rate
     # A 40-sample-period square wave, one second long at any audio rate.
     square = np.where(np.arange(ar) % 40 < 20, 1.0, -1.0)
-    audio = np.empty(dur * ar, np.int16)
-    for sec in range(dur):
+
+    def audio_second(sec: int) -> np.ndarray:
         samples = np.random.default_rng([scenario.seed, 2, sec]).normal(
             0.0, scenario.audio_noise * 32768.0, ar)
         samples += table.talk[sec] * square
-        audio[sec * ar:(sec + 1) * ar] = np.clip(np.rint(samples), -32768, 32767)
+        return np.clip(np.rint(samples), -32768, 32767).astype(np.int16)
+
     manifest = SessionManifest(
         depth_width=fw, depth_height=fh, color_width=fw, color_height=fh,
         video_rate=fps, audio_rate=ar, frame_count=dur * fps, roi=tuple(scenario.roi))
     session = Session(manifest=manifest,
                       depth=_LazyFrames(dur * fps, fps, (fh, fw), depth_frames),
                       color=_LazyFrames(dur * fps, fps, (fh, fw), color_frames),
-                      audio=audio)
+                      audio=_LazyAudio(dur, ar, audio_second))
     events = {ch: [Event(ch, s, e, peak, *clip_range(
                   ch, s, e, video_rate=fps, audio_rate=ar, frame_count=dur * fps,
-                  audio_samples=len(audio))) for s, e, peak in run]
+                  audio_samples=dur * ar)) for s, e, peak in run]
               for ch, run in table.spans.items()}
     return session, GroundTruth(classes=table.classes,
                                 efficiency=sleep_efficiency(table.classes), events=events)

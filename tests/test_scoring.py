@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from sleepmon import background
 from sleepmon.background import foreground_area
-from sleepmon.errors import AudioUnderrunError
-from sleepmon.scoring import (CHANNELS, audio_score, chunk_audio, chunk_bounds,
+from sleepmon.errors import AudioUnderrunError, ManifestMismatchError
+from sleepmon.events import run_detector
+from sleepmon.scoring import (CHANNELS, audio_score, chunk_bounds,
                               exact_visual_scores, format_scores_csv, make_models,
                               parse_scores_csv, score_session)
 from sleepmon.session import _THREAD_MIN_PX
@@ -42,12 +43,10 @@ class TestVisualScore:
 
 class TestChunkAudio:
     def test_known_boundaries(self):
-        audio = np.zeros(16000, np.int16)
-        chunks = chunk_audio(audio, 16000, 30, 30)
-        assert len(chunks) == 30
-        assert len(chunks[0]) == 533          # samples 0..532
-        assert len(chunks[1]) == 533          # samples 533..1065
         bounds = chunk_bounds(16000, 30, 30)
+        assert len(bounds) == 31 and bounds[-1] == 16000
+        assert np.diff(bounds)[0] == 533      # samples 0..532
+        assert np.diff(bounds)[1] == 533      # samples 533..1065
         assert bounds[1] == 533 and bounds[2] == 1066
 
     def test_gapless_and_non_overlapping(self):
@@ -56,9 +55,11 @@ class TestChunkAudio:
         assert np.all(np.diff(bounds) > 0)
 
     def test_underrun_names_first_incomplete_chunk(self):
-        audio = np.zeros(15999, np.int16)
-        with pytest.raises(AudioUnderrunError, match="audio underrun at chunk 29"):
-            chunk_audio(audio, 16000, 30, 30)
+        s = build_session(frame_count=30, width=12, height=10, roi=(1, 1, 8, 8),
+                          audio=np.zeros(15999, np.int16))
+        with pytest.raises(AudioUnderrunError, match="audio underrun at chunk 29: stream "
+                           "holds 15999 samples, chunk needs samples up to 15999"):
+            score_session(s, *make_models(s))
 
     @settings(max_examples=100, deadline=None)
     @given(audio_rate=st.integers(1, 48000), video_rate=st.integers(1, 60),
@@ -190,6 +191,11 @@ class TestScoreSession:
         with pytest.raises(AudioUnderrunError, match="audio underrun at chunk 29"):
             score_session(s, *models)
         assert s.depth.read == [] and s.color.read == []
+
+    def test_audio_rate_below_video_rate_is_a_manifest_mismatch(self):
+        s = build_session(frame_count=3, width=16, height=16, roi=(0, 0, 16, 16), audio_rate=20)
+        with pytest.raises(ManifestMismatchError, match="audio_rate 20 is below video_rate 30"):
+            run_detector(s)
 
     def test_depth_series_ignores_color_stream(self):
         s1 = build_session(frame_count=45, width=12, height=10, roi=(1, 1, 8, 8), seed=5)

@@ -19,6 +19,8 @@ from sleepmon.errors import (CorruptSessionError, InvalidDepthError,
                              ManifestMismatchError, RoiBoundsError)
 from sleepmon import session
 from sleepmon.events import run_detector
+from sleepmon.kvtext import to_pairs, write_pairs
+from sleepmon.scoring import make_models, score_session
 from sleepmon.session import (_THREAD_MIN_PX, DEPTH_MAX, MANIFEST_NAME, WINDOW_BYTES,
                               Session, SessionManifest, crop_roi, frame_index, load_manifest,
                               load_session, run_frame_loops, use_helper_thread,
@@ -261,9 +263,9 @@ class TestMappedLoad:
         mapped = []
         frames_at = session._MappedFrames._frames_at
 
-        def spy(store, start):
+        def spy(store, start, count):
             mapped.append((store, start))
-            return frames_at(store, start)
+            return frames_at(store, start, count)
 
         monkeypatch.setattr(session._MappedFrames, "_frames_at", spy)
         loaded = load_session(out)
@@ -281,9 +283,9 @@ class TestMappedLoad:
         alive = []
         frames_at = session._MappedFrames._frames_at
 
-        def spy(store, start):
+        def spy(store, start, count):
             alive.append(old_window() is not None)
-            return frames_at(store, start)
+            return frames_at(store, start, count)
 
         monkeypatch.setattr(session._MappedFrames, "_frames_at", spy)
         loaded.depth_frame(loaded.depth.window_frames)
@@ -306,6 +308,168 @@ class TestMappedLoad:
         assert np.array_equal(held_depth, s.depth.frame(0))
         assert np.array_equal(held_color, s.color.frame(0))
         assert sessions_equal(s, loaded)
+
+
+def write_long_audio_session(out, frame_count, audio_samples, width=16, height=16):
+    """Write a small-frame session whose audio holds ``audio_samples`` random samples."""
+    s = build_session(frame_count=frame_count, width=width, height=height,
+                      roi=(0, 0, width, height), seed=frame_count)
+    s.audio = np.random.default_rng(audio_samples).integers(
+        -32768, 32768, audio_samples, dtype=np.int16)
+    write_session(s, out)
+    return s
+
+
+class TestWindowGeometry:
+    @staticmethod
+    def stores(tmp_path, width, height):
+        man = SessionManifest(depth_width=width, depth_height=height, color_width=width,
+                              color_height=height, frame_count=2, roi=(0, 0, 16, 16))
+        write_pairs(tmp_path / MANIFEST_NAME, to_pairs(man))
+        for name, frame_bytes in (("depth.raw", 2), ("color.raw", 3)):
+            with open(tmp_path / name, "wb") as fh:
+                fh.truncate(2 * frame_bytes * width * height)
+        with open(tmp_path / "audio.raw", "wb") as fh:
+            fh.truncate(2 * man.min_audio_samples)
+        loaded = load_session(tmp_path)
+        return loaded.depth, loaded.color, loaded.audio
+
+    def test_one_frame_per_window_at_sensor_size(self, tmp_path):
+        depth, color, audio = self.stores(tmp_path, 640, 480)
+        assert depth.window_frames == color.window_frames == 1
+        assert audio.window_frames == WINDOW_BYTES // 2 >= 16000
+
+    def test_over_a_hundred_frames_per_window_at_desk_size(self, tmp_path):
+        depth, color, _ = self.stores(tmp_path, 48, 48)
+        assert depth.window_frames >= 100 and color.window_frames >= 100
+
+
+class TestMappedAudio:
+    @pytest.fixture(scope="class")
+    def audio_session(self, tmp_path_factory):
+        """A session whose audio spans two and a half windows."""
+        out = tmp_path_factory.mktemp("audio")
+        samples = WINDOW_BYTES + WINDOW_BYTES // 4
+        return write_long_audio_session(out, 30, samples), out
+
+    def test_load_maps_no_window_and_reads_no_audio(self, audio_session, monkeypatch):
+        mapped = []
+        monkeypatch.setattr(session._MappedFrames, "_frames_at",
+                            lambda store, start, count: mapped.append(start))
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("stream bytes read at load")
+
+        monkeypatch.setattr(np, "fromfile", no_read)
+        monkeypatch.setattr(np, "memmap", no_read)
+        tracemalloc.start()
+        try:
+            loaded = load_session(audio_session[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mapped == []
+        assert len(loaded.audio) == len(audio_session[0].audio)
+        assert peak < 64 << 10, peak
+
+    def test_slices_and_whole_stream_equal_the_file(self, audio_session):
+        s, out = audio_session
+        want = np.fromfile(out / "audio.raw", "<i2")
+        assert np.array_equal(want, s.audio)
+        loaded = load_session(out)
+        edge = loaded.audio.window_frames
+        assert np.array_equal(loaded.audio[5:9], want[5:9])
+        # Not inside the first window: a window is mapped from the slice on.
+        across = loaded.audio[edge - 100:edge + 100]
+        assert np.array_equal(across, want[edge - 100:edge + 100])
+        assert loaded.audio._window[0] == edge - 100
+        assert int(loaded.audio[-1]) == int(want[-1])
+        assert np.array_equal(loaded.audio[:], want)        # longer than a window
+        assert loaded.audio[7:7].shape == (0,)
+        whole = np.asarray(loaded.audio)
+        assert whole.dtype == np.int16 and np.array_equal(whole, want)
+        with pytest.raises(IndexError, match="contiguous"):
+            loaded.audio[::2]
+
+    def test_held_slice_keeps_its_values(self, audio_session):
+        s, out = audio_session
+        loaded = load_session(out)
+        held = loaded.audio[0:100]
+        loaded.audio[len(loaded.audio) - 100:]
+        gc.collect()
+        assert not held.flags.writeable
+        assert np.array_equal(held, s.audio[0:100])
+
+
+class TestBoundedDetection:
+    """Detection maps each window once and holds one window per stream."""
+
+    @pytest.fixture
+    def small_windows(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(session, "WINDOW_BYTES", 1 << 12)
+        s = write_long_audio_session(tmp_path, 60, 32000)
+        return s, tmp_path
+
+    def spy_windows(self, monkeypatch):
+        """Record each map as ``(store, start, weak refs to the store's earlier windows)``."""
+        mapped, windows = [], {}
+        frames_at = session._MappedFrames._frames_at
+
+        def spy(store, start, count):
+            earlier = windows.setdefault(store, [])
+            mapped.append((store, start, [w() is not None for w in earlier]))
+            frames = frames_at(store, start, count)
+            earlier.append(weakref.ref(frames))
+            return frames
+
+        monkeypatch.setattr(session._MappedFrames, "_frames_at", spy)
+        return mapped
+
+    def test_each_audio_window_is_mapped_once(self, small_windows, monkeypatch):
+        s, out = small_windows
+        mapped = self.spy_windows(monkeypatch)
+        loaded = load_session(out)
+        run_detector(loaded)
+        starts = [start for store, start, _ in mapped if store is loaded.audio]
+        window = loaded.audio.window_frames
+        assert window == 2048
+        # A window is mapped from a chunk's first sample when the chunk does
+        # not fit in the current one.
+        man, want, end = s.manifest, [], 0
+        for i in range(man.frame_count):
+            lo, hi = i * man.audio_rate // man.video_rate, (i + 1) * man.audio_rate // man.video_rate
+            if hi > end:
+                want.append(lo)
+                end = lo + window
+        assert starts == want and len(want) >= 10
+
+    def test_never_holds_two_windows_of_one_stream(self, small_windows, monkeypatch):
+        mapped = self.spy_windows(monkeypatch)
+        run_detector(load_session(small_windows[1]))
+        stores = {store for store, _, _ in mapped}
+        assert len(stores) == 3
+        for store in stores:
+            assert sum(1 for owner, _, _ in mapped if owner is store) >= 3
+        assert [alive for _, _, alive in mapped if any(alive)] == []
+
+    def test_peak_memory_does_not_grow_with_the_audio(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(session, "WINDOW_BYTES", 1 << 16)
+        peaks = []
+        for frames in (300, 1200):
+            out = tmp_path / str(frames)
+            write_long_audio_session(out, frames, frames * 16000 // 30)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                loaded = load_session(out)
+                score_session(loaded, *make_models(loaded))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del loaded
+        # The longer audio is 960 kB more, 15 windows; three score arrays and
+        # the chunk bounds grow by 32 bytes a frame.
+        assert peaks[1] - peaks[0] < 128 << 10, peaks
 
 
 class TestWriteValidation:

@@ -923,12 +923,36 @@ class TestFrameAtATimeStore:
         bound = 3 * plane + 4 * (depth_frame + color_frame) + 4 * audio_bytes
         assert peak < bound, (peak, bound)
 
-    def test_generate_holds_one_copy_of_the_audio(self):
+    def test_generate_draws_the_audio_on_demand(self):
         tracemalloc.start()
         try:
             session, _ = generate(Scenario(duration=300, seed=2))
+            generated = tracemalloc.get_traced_memory()[1]
+            audio = session.audio
+            for start in range(0, len(audio), 533):
+                audio[start:start + 533]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The stream plus one second of float64 temporaries, not a second copy.
-        assert peak < session.audio.nbytes + (1 << 20), (peak, session.audio.nbytes)
+        # The stream is 9.6 MB.  generate draws none of it, and a chunk by
+        # chunk read holds one second and its float64 temporaries (400 kB).
+        assert 2 * len(audio) == 9_600_000
+        assert generated < 1 << 19, generated
+        assert peak < 1 << 20, peak
+
+    def test_audio_slices_agree_with_the_whole_stream(self, tmp_path):
+        gen = _short_session()
+        rate = gen.manifest.audio_rate
+        whole = np.asarray(gen.audio)
+        assert whole.dtype == np.int16 and whole.shape == (4 * rate,)
+        write_session(gen, tmp_path / "s")
+        assert np.array_equal(np.fromfile(tmp_path / "s" / "audio.raw", "<i2"), whole)
+        draws = []
+        draw = gen.audio._draw
+        gen.audio._draw = lambda sec: draws.append(sec) or draw(sec)
+        for start, stop in ((0, 5), (5, rate - 3), (rate - 3, 2 * rate + 7), (2 * rate + 7,
+                            4 * rate), (-1, None), (3, 3)):
+            assert np.array_equal(gen.audio[start:stop], whole[start:stop]), (start, stop)
+        assert draws == [0, 1, 2, 3]
+        with pytest.raises(IndexError, match="contiguous"):
+            gen.audio[::2]
