@@ -26,7 +26,7 @@ import numpy as np
 from .background import BackgroundModel, foreground_area, luma, morph_smooth
 from .config import CHANNELS, Config
 from .errors import AudioUnderrunError
-from .session import Session, _check_rates, crop_roi, run_frame_loops, use_helper_thread
+from .session import Session, crop_roi, run_frame_loops, use_helper_thread
 
 PCM_FULL_SCALE = 32768.0
 
@@ -93,19 +93,17 @@ def score_session(session: Session, depth_model: BackgroundModel,
                   color_model: BackgroundModel) -> dict[str, np.ndarray]:
     """Run both background models over the session and score all channels.
 
-    Returns one float64 array per score channel.  A manifest whose audio
-    rate is below its video rate raises ``ManifestMismatchError`` first.
-    Audio is scored next, so audio too short for the frame count raises
-    ``AudioUnderrunError`` before any frame is read.  The depth and the
-    color frames are then scored by ``session.run_frame_loops``: the color
-    model on a helper thread when ``session.use_helper_thread`` holds for the
-    roi area, otherwise on the caller after the depth model.  Both give bitwise-identical scores and
+    Returns one float64 array per score channel.  Audio is scored first, so
+    audio too short for the frame count raises ``AudioUnderrunError`` before
+    any frame is read.  The depth and the color frames are then scored by
+    ``session.run_frame_loops``: the color model on a helper thread when
+    ``session.use_helper_thread`` holds for the roi area, otherwise on the
+    caller after the depth model.  Both give bitwise-identical scores and
     raise the same error: that of the failing frame with the lowest index,
     its depth error before its color error.  No thread is left running on
     return or raise.
     """
     man = session.manifest
-    _check_rates(man)
     audio = _score_audio(session)
     roi_area = man.roi[2] * man.roi[3]
     depth = np.empty(man.frame_count, np.float64)

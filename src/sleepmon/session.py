@@ -25,19 +25,22 @@ frame slot has a complete audio chunk.
 
 Frame stores only need ``len()`` and integer indexing, and the audio only
 ``len()``, contiguous slices and ``np.asarray``, so sessions may be backed by
-eager ndarrays, memory maps, or lazily generated frames and samples;
-observable behavior is identical either way.  A lazy store need not be
-thread-safe, so each store is read from one thread only.  ``load_session``
-maps all three streams the same way, as read-only views into a window of
-whole frames (for the audio, of samples) mapped from the stream file, so a
-loaded session holds about ``WINDOW_BYTES`` per stream in memory however long
-the recording is.  A frame or slice the caller holds keeps its own window
-mapped, so later reads never overwrite it.  Each depth window is checked for
-samples above ``DEPTH_MAX`` as it is mapped, so the depth stream is read once:
-an out-of-range sample raises ``InvalidDepthError`` at the first read of a
-frame in its window, not at load.  ``load_session`` reads no stream bytes; code
-that needs only the geometry and rates (the report) calls ``load_manifest``,
-which opens nothing but ``manifest.txt``.
+eager ndarrays or by windowed stores; observable behavior is identical
+either way.  A windowed store (``_WindowedStore``) is the one stream store:
+it holds one window of whole frames (for the audio, of samples) at a time,
+and a window source fills each window.  There are three sources:
+``load_session`` maps each stream from its file, ``WINDOW_BYTES`` of whole
+frames a window, so a loaded session holds about ``WINDOW_BYTES`` per
+stream in memory however long the recording is, and ``synth.generate``
+draws its audio one second a window and its frames one frame a window.  A
+frame or slice the caller holds keeps its own window alive, so later reads
+never overwrite it.  A store need not be thread-safe, so each store is read
+from one thread only.  Each depth window is checked for samples above
+``DEPTH_MAX`` as it is mapped, so the depth stream is read once: an
+out-of-range sample raises ``InvalidDepthError`` at the first read of a
+frame in its window, not at load.  ``load_session`` reads no stream bytes;
+code that needs only the geometry and rates (the report) calls
+``load_manifest``, which opens nothing but ``manifest.txt``.
 
 The thread policy lives here too.  ``write_session`` and
 ``scoring.score_session`` each run one loop over the depth frames and one
@@ -86,7 +89,11 @@ _THREAD_MIN_PX = 1 << 14
 
 @dataclass(frozen=True)
 class SessionManifest:
-    """Stream geometry, rates, and file names for one recording session."""
+    """Stream geometry, rates, and file names for one recording session.
+
+    The rates are positive, and the audio rate is not below the video rate,
+    so that every video frame slot has a complete audio chunk.
+    """
 
     depth_width: int = 640
     depth_height: int = 480
@@ -103,6 +110,9 @@ class SessionManifest:
     def __post_init__(self):
         if self.video_rate <= 0 or self.audio_rate <= 0:
             raise ValueError("stream rates must be positive")
+        if self.audio_rate < self.video_rate:
+            raise ValueError(f"audio_rate {self.audio_rate} is below video_rate "
+                             f"{self.video_rate}, so some video frames would have no audio")
         if self.frame_count < 0:
             raise ValueError("frame_count must be >= 0")
         for name in ("depth_width", "depth_height", "color_width", "color_height"):
@@ -131,7 +141,9 @@ class Session:
     ``depth`` indexes to ``(depth_height, depth_width)`` uint16 frames and
     ``color`` to ``(color_height, color_width, 3)`` uint8 frames.  ``audio``
     is anything with ``len()``, contiguous slices and ``np.asarray`` that
-    gives 1-D int16 samples: an ndarray, a mapped or a lazily drawn stream.
+    gives 1-D int16 samples.  Loaded and generated sessions hold
+    ``_WindowedStore`` streams, whose windows are mapped from a file or drawn
+    by ``synth.generate``.
     """
 
     manifest: SessionManifest
@@ -180,42 +192,28 @@ def _check_depth_range(frames: np.ndarray, first: int) -> None:
             f"invalid depth sample in frame {first + int(over.argmax())}: value > {DEPTH_MAX}")
 
 
-def _check_rates(man: SessionManifest) -> None:
-    """Raise ``ManifestMismatchError`` when some video frames would have no audio."""
-    if man.audio_rate < man.video_rate:
-        raise ManifestMismatchError(
-            f"manifest mismatch: audio_rate {man.audio_rate} is below video_rate "
-            f"{man.video_rate}, so some video frames would have no audio")
+class _WindowedStore:
+    """Read-only frames of one stream, held one window of frames at a time.
 
-
-class _MappedFrames:
-    """Read-only frames of a raw stream, mapped one window of frames at a time.
-
-    The file must hold exactly ``count`` frames.  An integer index returns a
-    view into the window that holds the frame (a scalar for 0-d frames, such
-    as audio samples), and maps a new window, aligned to ``window_frames``,
+    ``fetch(start, n)`` returns frames ``start`` to ``start + n - 1`` of the
+    ``count`` frames the store holds, ``n >= 1``, as one read-only ndarray of
+    shape ``(n,) + frame_shape``: the window.  An integer index returns a view
+    into the window that holds the frame (a scalar for 0-d frames, such as
+    audio samples), and fetches a new window, aligned to ``window_frames``,
     only when the index falls outside the current one.  A contiguous slice
-    returns a view too, and maps a window that starts at the slice, and is
-    long enough for it, when the slice is not inside the current one.  A view
-    keeps its own window mapped, so nothing a caller holds is ever reused.
-    ``np.asarray`` reads the whole stream into memory.  ``check(frames,
-    start)``, if given, is called on each window as it is mapped, and on the
-    whole stream read by ``np.asarray``, before any of its frames is handed
-    out.
+    returns a view too, and fetches a window that starts at the slice, and
+    is long enough for it, when the slice is not inside the current one.  A
+    view keeps its own window alive, so nothing a caller holds is ever
+    reused.  ``np.asarray`` fetches the whole stream as one window without
+    keeping it, so the current window stays as it was.
     """
 
-    def __init__(self, path: Path, dtype: str, frame_shape: tuple, count: int, check=None):
-        self._path = path
-        self._dtype = np.dtype(dtype)
-        self._frame_shape = frame_shape
+    def __init__(self, fetch, count: int, frame_shape: tuple, dtype, window_frames: int):
+        self._fetch = fetch
         self._count = count
-        self._check = check
-        self._frame_bytes = self._dtype.itemsize * math.prod(frame_shape)
-        self.window_frames = max(1, WINDOW_BYTES // self._frame_bytes)
-        size = path.stat().st_size
-        if size != count * self._frame_bytes:
-            raise ManifestMismatchError(f"manifest mismatch: {path.name} holds {size} bytes, "
-                                        f"expected {count * self._frame_bytes}")
+        self._frame_shape = frame_shape
+        self._dtype = np.dtype(dtype)
+        self.window_frames = window_frames
         # (first frame, frames) of the current window, replaced as one value
         # so that a reader never pairs one window's start with another's frames.
         self._window = (0, ())
@@ -235,8 +233,8 @@ class _MappedFrames:
             window = (first - first % self.window_frames, self.window_frames)
         start, frames = self._window
         if not (start <= first and stop <= start + len(frames)):
-            # Let go of the old window first, so that it is not still resident
-            # while the new one is mapped and checked.
+            # Let go of the old window first, so that it is not still held
+            # while the new one is fetched.
             del frames
             self._window = (0, ())
             start, frames = window[0], self._frames_at(*window)
@@ -245,24 +243,43 @@ class _MappedFrames:
         return view if isinstance(key, slice) else view[0]
 
     def __array__(self, dtype=None, copy=None):
-        frames = np.fromfile(self._path, self._dtype).reshape((self._count,) + self._frame_shape)
-        if self._check is not None:
-            self._check(frames, 0)
-        return frames if dtype is None else frames.astype(dtype, copy=False)
+        # An empty stream fetches nothing: a file of no frames cannot be mapped.
+        frames = (self._frames_at(0, self._count) if self._count
+                  else np.empty((0,) + self._frame_shape, self._dtype))
+        return np.array(frames, dtype, copy=copy)
 
     def _frames_at(self, start: int, count: int) -> np.ndarray:
-        """Map and check up to ``count`` frames from frame ``start`` on, as one window.
+        """Fetch up to ``count`` frames from frame ``start`` on, as one window."""
+        return self._fetch(start, min(count, self._count - start))
 
-        The window is a plain ndarray view of the map, so arrays computed from
-        a frame are ndarrays too, not ``np.memmap`` instances.
-        """
-        count = min(count, self._count - start)
-        frames = np.memmap(self._path, dtype=self._dtype, mode="r",
-                           offset=start * self._frame_bytes,
-                           shape=(count,) + self._frame_shape).view(np.ndarray)
-        if self._check is not None:
-            self._check(frames, start)
+
+def _mapped_stream(path: Path, dtype: str, frame_shape: tuple, count: int,
+                   check=None) -> _WindowedStore:
+    """A store of the ``count`` frames of a raw stream file, mapped a window at a time.
+
+    The file must hold exactly ``count`` frames.  A window holds
+    ``WINDOW_BYTES`` of whole frames, at least one, and is a plain ndarray
+    view of a read-only map, so arrays computed from a frame are ndarrays
+    too, not ``np.memmap`` instances.  ``check(frames, start)``, if given, is
+    called on each window as it is mapped, before any of its frames is
+    handed out.
+    """
+    dtype = np.dtype(dtype)
+    frame_bytes = dtype.itemsize * math.prod(frame_shape)
+    size = path.stat().st_size
+    if size != count * frame_bytes:
+        raise ManifestMismatchError(f"manifest mismatch: {path.name} holds {size} bytes, "
+                                    f"expected {count * frame_bytes}")
+
+    def fetch(start, n):
+        frames = np.memmap(path, dtype=dtype, mode="r", offset=start * frame_bytes,
+                           shape=(n,) + frame_shape).view(np.ndarray)
+        if check is not None:
+            check(frames, start)
         return frames
+
+    return _WindowedStore(fetch, count, frame_shape, dtype,
+                          max(1, WINDOW_BYTES // frame_bytes))
 
 
 def crop_roi(frame: np.ndarray, roi: tuple[int, int, int, int]) -> np.ndarray:
@@ -394,7 +411,6 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
     """
     man = session.manifest
     n = man.frame_count
-    _check_rates(man)
     if len(session.depth) != n or len(session.color) != n:
         raise ManifestMismatchError(
             f"manifest mismatch: stream holds {len(session.depth)} depth / "
@@ -449,29 +465,27 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
 def load_session(path: str | os.PathLike) -> Session:
     """Load a session directory, verifying the manifest and the stream sizes.
 
-    The manifest is read by ``load_manifest``, and its audio rate must not be
-    below its video rate, so that every frame slot has audio.  Then only the
-    stream file sizes are checked; the depth and color frames and the audio
-    samples are mapped on demand, and a depth sample above
-    ``DEPTH_MAX`` raises ``InvalidDepthError`` when its window is first read
-    (see the module docstring).  A caller that needs only the manifest calls
+    The manifest is read by ``load_manifest``.  Then only the stream file
+    sizes are checked; the depth and color frames and the audio samples are
+    mapped on demand, and a depth sample above ``DEPTH_MAX`` raises
+    ``InvalidDepthError`` when its window is first read (see the module
+    docstring).  A caller that needs only the manifest calls
     ``load_manifest`` and pays for none of this.
     """
     root = Path(path)
     man = load_manifest(root)
-    _check_rates(man)
     for name in (man.depth_file, man.color_file, man.audio_file):
         if not (root / name).is_file():
             raise CorruptSessionError(f"corrupt session: missing stream file {name}")
 
-    depth = _MappedFrames(root / man.depth_file, "<u2", (man.depth_height, man.depth_width),
-                          man.frame_count, check=_check_depth_range)
-    color = _MappedFrames(root / man.color_file, "u1", (man.color_height, man.color_width, 3),
-                          man.frame_count)
+    depth = _mapped_stream(root / man.depth_file, "<u2", (man.depth_height, man.depth_width),
+                           man.frame_count, check=_check_depth_range)
+    color = _mapped_stream(root / man.color_file, "u1", (man.color_height, man.color_width, 3),
+                           man.frame_count)
     audio_size = (root / man.audio_file).stat().st_size
     if audio_size % 2 != 0 or audio_size // 2 < man.min_audio_samples:
         raise ManifestMismatchError(
             f"manifest mismatch: audio file holds {audio_size // 2} samples, "
             f"need at least {man.min_audio_samples}")
-    audio = _MappedFrames(root / man.audio_file, "<i2", (), audio_size // 2)
+    audio = _mapped_stream(root / man.audio_file, "<i2", (), audio_size // 2)
     return Session(manifest=man, depth=depth, color=color, audio=audio)

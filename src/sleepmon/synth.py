@@ -46,8 +46,9 @@ rules, each a ``ValueError`` (``generate`` prefixes "invalid timeline: "):
 
 - ``duration``, ``seed``, the frame size, the rates and the roi entries are
   integers; the duration is at least 1 s, the seed unsigned 64-bit, the
-  noise levels finite and >= 0, the geometry a valid ``SessionManifest``,
-  ``audio_rate >= video_rate`` and the roi at least 16x16;
+  noise levels finite and >= 0, the geometry and rates a valid
+  ``SessionManifest`` (so ``audio_rate >= video_rate``) and the roi at least
+  16x16;
 - an item has a known kind, integer times with
   ``0 <= start < end <= duration`` and a magnitude in [0, 1]; items are
   ordered by start time;
@@ -69,15 +70,17 @@ in ``tests/test_synth.py`` holds two accepted timelines the pipeline gets
 wrong (a light toggle missed after two on/off cycles, and an absence lost
 after repeated absences).
 
-Frame stores are lazy and draw one frame at a time: a frame is drawn into
-one float64 scratch plane per store, then rounded and cast into a fresh,
-read-only output array.  A store holds the current second's generator, the
-index of the next frame to draw, the last frame it handed out and the
-scratch plane, so hour-long sessions and 640x480 frames stay small in
-memory.  A store is not thread-safe: ``write_session`` and ``score_session``
-read each store from one thread only, in frame order, so two stores may be
-drawn on two threads at once.  The audio is lazy too: it is drawn one second
-at a time, when a slice asks for it, and the last second drawn is kept.
+The streams are ``session._WindowedStore`` stores whose windows are drawn
+on demand.  A frame window is one frame: it is drawn into one float64
+scratch plane per store, then rounded and cast into a fresh, read-only
+output array.  A frame store holds the current second's generator, the
+index of the next frame to draw, its current frame and the scratch plane,
+so hour-long sessions and 640x480 frames stay small in memory.  A store is
+not thread-safe: ``write_session`` and ``score_session`` read each store
+from one thread only, in frame order, so two stores may be drawn on two
+threads at once.  An audio window is one second long, from the first
+sample read on; it is drawn one second at a time, and the last second
+drawn is kept, so a sequential chunk read draws each second once.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ from .analysis import EpochClass, sleep_efficiency
 from .config import CHANNELS, Config
 from .events import Event, clip_range
 from .kvtext import from_pairs, read_pairs, to_pairs, write_pairs
-from .session import Session, SessionManifest, _span, frame_index
+from .session import Session, SessionManifest, _WindowedStore
 
 CALM = "calm"
 TINY_TWITCH = "tiny_twitch"
@@ -248,8 +251,6 @@ def _compile(scenario: Scenario) -> _Table:
                     color_width=scenario.frame_width, color_height=scenario.frame_height,
                     video_rate=scenario.video_rate, audio_rate=scenario.audio_rate,
                     roi=tuple(scenario.roi))
-    if scenario.audio_rate < scenario.video_rate:
-        raise ValueError("audio_rate must be >= video_rate so that every frame has audio")
     if scenario.roi[2] < 16 or scenario.roi[3] < 16:
         raise ValueError("roi must be at least 16x16 for the body geometry")
 
@@ -344,83 +345,38 @@ def _compile(scenario: Scenario) -> _Table:
     return table
 
 
-class _LazyFrames:
-    """Frame store drawing one frame at a time.
+class _LazyFrames(_WindowedStore):
+    """Frame store drawing one frame a window.
 
     ``start(sec, z)`` returns an iterator over the frames of second ``sec``:
     each step draws the next frame from that second's generator into the
     scratch plane ``z`` and yields it as a fresh array.  A sequential read
     draws each frame once; a read of an earlier frame, or of another second,
     restarts that second and redraws up to the frame.  A repeated read hands
-    out the last frame again, so frames are read-only, like loaded ones.
-    Indexing follows ``session.frame_index``, negatives counting from the end.
-    A store must not be read from two threads at once.
+    out the current frame again, so frames are read-only, like loaded ones.
     """
 
-    def __init__(self, n_frames: int, fps: int, plane_shape: tuple[int, int], start):
-        self._n = n_frames
+    def __init__(self, n_frames: int, fps: int, frame_shape: tuple, dtype, start):
+        super().__init__(self._draw, n_frames, frame_shape, dtype, 1)
         self._fps = fps
         self._start = start
-        self._z = np.empty(plane_shape)
+        self._z = np.empty(frame_shape[:2])
         self._sec, self._next, self._frames = -1, 0, None
-        self._last = (-1, None)
 
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i) -> np.ndarray:
-        i = frame_index(i, self._n)
-        if i != self._last[0]:
+    def _draw(self, first: int, count: int) -> np.ndarray:
+        """Frames ``first`` to ``first + count - 1``, drawn by resuming second generators."""
+        frames = []
+        for i in range(first, first + count):
             sec, j = divmod(i, self._fps)
             if sec != self._sec or j < self._next:
                 self._sec, self._next, self._frames = sec, 0, self._start(sec, self._z)
             while self._next <= j:
                 frame = next(self._frames)
                 self._next += 1
-            frame.flags.writeable = False
-            self._last = (i, frame)
-        return self._last[1]
-
-
-class _LazyAudio:
-    """Audio samples drawn one second at a time, on demand.
-
-    ``draw(sec)`` returns the ``rate`` int16 samples of second ``sec``.  A
-    contiguous slice returns a fresh array of the samples it covers, drawing
-    each second it touches; the last second drawn is kept, so reading chunk
-    after chunk draws each second once.  ``np.asarray`` gives the whole
-    stream.
-    """
-
-    def __init__(self, seconds: int, rate: int, draw):
-        self._n = seconds * rate
-        self._rate = rate
-        self._draw = draw
-        self._last = (-1, None)
-
-    def __len__(self) -> int:
-        return self._n
-
-    def _second(self, sec: int) -> np.ndarray:
-        if sec != self._last[0]:
-            self._last = (sec, self._draw(sec))
-        return self._last[1]
-
-    def __getitem__(self, key: slice) -> np.ndarray:
-        r = self._rate
-        start, stop = _span(key, self._n)
-        out = np.empty(stop - start, np.int16)
-        at = start
-        while at < stop:
-            sec = at // r
-            end = min(stop, (sec + 1) * r)
-            out[at - start:end - start] = self._second(sec)[at - sec * r:end - sec * r]
-            at = end
-        return out
-
-    def __array__(self, dtype=None, copy=None):
-        samples = self[0:self._n]
-        return samples if dtype is None else samples.astype(dtype, copy=False)
+            frames.append(frame)
+        frames = frames[0][np.newaxis] if count == 1 else np.stack(frames)
+        frames.flags.writeable = False
+        return frames
 
 
 def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
@@ -501,13 +457,29 @@ def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
         samples += table.talk[sec] * square
         return np.clip(np.rint(samples), -32768, 32767).astype(np.int16)
 
+    last = [-1, None]       # the last second drawn and its samples
+
+    def audio_samples(first: int, count: int) -> np.ndarray:
+        """Samples ``first`` to ``first + count - 1``, filled second by second."""
+        out = np.empty(count, np.int16)
+        at, stop = first, first + count
+        while at < stop:
+            sec = at // ar
+            if sec != last[0]:
+                last[:] = sec, audio_second(sec)
+            end = min(stop, (sec + 1) * ar)
+            out[at - first:end - first] = last[1][at - sec * ar:end - sec * ar]
+            at = end
+        out.flags.writeable = False
+        return out
+
     manifest = SessionManifest(
         depth_width=fw, depth_height=fh, color_width=fw, color_height=fh,
         video_rate=fps, audio_rate=ar, frame_count=dur * fps, roi=tuple(scenario.roi))
     session = Session(manifest=manifest,
-                      depth=_LazyFrames(dur * fps, fps, (fh, fw), depth_frames),
-                      color=_LazyFrames(dur * fps, fps, (fh, fw), color_frames),
-                      audio=_LazyAudio(dur, ar, audio_second))
+                      depth=_LazyFrames(dur * fps, fps, (fh, fw), np.uint16, depth_frames),
+                      color=_LazyFrames(dur * fps, fps, (fh, fw, 3), np.uint8, color_frames),
+                      audio=_WindowedStore(audio_samples, dur * ar, (), np.int16, ar))
     events = {ch: [Event(ch, s, e, peak, *clip_range(
                   ch, s, e, video_rate=fps, audio_rate=ar, frame_count=dur * fps,
                   audio_samples=dur * ar)) for s, e, peak in run]

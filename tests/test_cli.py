@@ -76,7 +76,8 @@ class TestGenerate:
         write_scenario(Scenario(duration=15, seed=3, audio_rate=audio_rate), path)
         out = tmp_path / "s"
         assert run("generate", "--scenario", path, "--out", out) == 1
-        assert "audio_rate must be >= video_rate" in capsys.readouterr().err
+        assert (f"invalid timeline: audio_rate {audio_rate} is below video_rate 30, so some "
+                "video frames would have no audio" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_unknown_preset_lists_valid_names(self, tmp_path, capsys):
@@ -149,7 +150,8 @@ class TestDetect:
         code = run("detect", "--session", session_dir, "--out", tmp_path / "det")
         assert code == 1
         err = capsys.readouterr().err
-        assert "manifest mismatch: audio_rate 20 is below video_rate 30" in err
+        assert ("corrupt session: invalid manifest (audio_rate 20 is below video_rate 30, "
+                "so some video frames would have no audio)" in err)
         assert "empty chunk" not in err
         assert not (tmp_path / "det").exists()
 
@@ -234,7 +236,7 @@ def write_detection(root, roi_w, roi_h, video_rate, counts, light=(), noise=()):
     sess.mkdir()
     det.mkdir()
     man = session.SessionManifest(depth_width=roi_w, depth_height=roi_h, color_width=roi_w,
-                                  color_height=roi_h, video_rate=video_rate, audio_rate=1,
+                                  color_height=roi_h, video_rate=video_rate, audio_rate=video_rate,
                                   frame_count=len(counts), roi=(0, 0, roi_w, roi_h))
     write_pairs(sess / session.MANIFEST_NAME, to_pairs(man))
     depth = np.asarray(counts) / (roi_w * roi_h)
@@ -295,6 +297,16 @@ class TestReportPath:
         (sess / "manifest.txt").unlink()
         assert run("report", "--session", sess, "--detect", det) == 1
         assert "corrupt session" in capsys.readouterr().err
+
+    def test_audio_rate_below_video_rate_exits_1(self, detected, capsys):
+        sess, det, _ = detected
+        manifest = sess / "manifest.txt"
+        text = manifest.read_text()
+        assert "audio_rate=16000\n" in text
+        manifest.write_text(text.replace("audio_rate=16000\n", "audio_rate=20\n"))
+        assert run("report", "--session", sess, "--detect", det) == 1
+        assert ("corrupt session: invalid manifest (audio_rate 20 is below video_rate 30"
+                in capsys.readouterr().err)
 
     def test_scores_row_count_must_equal_frame_count(self, detected, capsys):
         sess, det, _ = detected

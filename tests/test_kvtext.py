@@ -55,9 +55,10 @@ def manifests(draw):
     # Values may hold '=' and '#': only the first '=' splits, and only a
     # leading '#' starts a comment.
     name = st.text("abcXYZ019._-=#", min_size=1, max_size=12)
+    video_rate = draw(st.integers(1, 1000))
     return SessionManifest(
         depth_width=dw, depth_height=dh, color_width=cw, color_height=ch,
-        video_rate=draw(st.integers(1, 1000)), audio_rate=draw(st.integers(1, 192000)),
+        video_rate=video_rate, audio_rate=draw(st.integers(video_rate, 192000)),
         frame_count=draw(st.integers(0, 2 ** 40)), roi=(x, y, w, h),
         depth_file=draw(name), color_file=draw(name), audio_file=draw(name))
 

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from sleepmon import background
 from sleepmon.background import foreground_area
-from sleepmon.errors import AudioUnderrunError, ManifestMismatchError
-from sleepmon.events import run_detector
+from sleepmon.errors import AudioUnderrunError
 from sleepmon.scoring import (CHANNELS, audio_score, chunk_bounds,
                               exact_visual_scores, format_scores_csv, make_models,
                               parse_scores_csv, score_session)
@@ -192,10 +191,11 @@ class TestScoreSession:
             score_session(s, *models)
         assert s.depth.read == [] and s.color.read == []
 
-    def test_audio_rate_below_video_rate_is_a_manifest_mismatch(self):
-        s = build_session(frame_count=3, width=16, height=16, roi=(0, 0, 16, 16), audio_rate=20)
-        with pytest.raises(ManifestMismatchError, match="audio_rate 20 is below video_rate 30"):
-            run_detector(s)
+    def test_audio_rate_below_video_rate_is_rejected_before_scoring(self):
+        # The manifest rejects the rates, so no session with them reaches the detector.
+        with pytest.raises(ValueError, match="audio_rate 20 is below video_rate 30, so some "
+                                             "video frames would have no audio"):
+            build_session(frame_count=3, width=16, height=16, roi=(0, 0, 16, 16), audio_rate=20)
 
     def test_depth_series_ignores_color_stream(self):
         s1 = build_session(frame_count=45, width=12, height=10, roi=(1, 1, 8, 8), seed=5)

@@ -25,6 +25,7 @@ from sleepmon.session import (_THREAD_MIN_PX, DEPTH_MAX, MANIFEST_NAME, WINDOW_B
                               Session, SessionManifest, crop_roi, frame_index, load_manifest,
                               load_session, run_frame_loops, use_helper_thread,
                               write_session)
+from sleepmon.synth import Scenario, generate
 
 from conftest import ScriptedFrames, build_session, sessions_equal
 
@@ -171,18 +172,18 @@ class TestLoadErrors:
             load_session(tmp_path)
 
     @pytest.mark.parametrize("audio_rate", [1, 29])
-    def test_audio_rate_below_video_rate_is_manifest_mismatch(self, small_session, tmp_path,
-                                                              audio_rate):
+    def test_audio_rate_below_video_rate_is_corrupt(self, small_session, tmp_path, audio_rate):
         write_session(small_session, tmp_path)
         path = tmp_path / MANIFEST_NAME
         text = path.read_text()
         path.write_text(text.replace(f"audio_rate={small_session.manifest.audio_rate}\n",
                                      f"audio_rate={audio_rate}\n"))
-        assert load_manifest(tmp_path).audio_rate == audio_rate
         (tmp_path / "depth.raw").unlink()  # the rates are checked before any stream
-        with pytest.raises(ManifestMismatchError,
-                           match=f"audio_rate {audio_rate} is below video_rate 30"):
-            load_session(tmp_path)
+        want = (rf"corrupt session: invalid manifest \(audio_rate {audio_rate} is below "
+                rf"video_rate 30, so some video frames would have no audio\)")
+        for load in (load_session, load_manifest):
+            with pytest.raises(CorruptSessionError, match=want):
+                load(tmp_path)
 
     def test_unknown_manifest_key_is_corrupt(self, small_session, tmp_path):
         write_session(small_session, tmp_path)
@@ -261,13 +262,13 @@ class TestMappedLoad:
                                                                       monkeypatch):
         s, out = long_session
         mapped = []
-        frames_at = session._MappedFrames._frames_at
+        frames_at = session._WindowedStore._frames_at
 
         def spy(store, start, count):
             mapped.append((store, start))
             return frames_at(store, start, count)
 
-        monkeypatch.setattr(session._MappedFrames, "_frames_at", spy)
+        monkeypatch.setattr(session._WindowedStore, "_frames_at", spy)
         loaded = load_session(out)
         assert mapped == []
         run_detector(loaded)
@@ -281,13 +282,13 @@ class TestMappedLoad:
         loaded.depth_frame(0)
         old_window = weakref.ref(loaded.depth._window[1])
         alive = []
-        frames_at = session._MappedFrames._frames_at
+        frames_at = session._WindowedStore._frames_at
 
         def spy(store, start, count):
             alive.append(old_window() is not None)
             return frames_at(store, start, count)
 
-        monkeypatch.setattr(session._MappedFrames, "_frames_at", spy)
+        monkeypatch.setattr(session._WindowedStore, "_frames_at", spy)
         loaded.depth_frame(loaded.depth.window_frames)
         assert alive == [False]
 
@@ -354,7 +355,7 @@ class TestMappedAudio:
 
     def test_load_maps_no_window_and_reads_no_audio(self, audio_session, monkeypatch):
         mapped = []
-        monkeypatch.setattr(session._MappedFrames, "_frames_at",
+        monkeypatch.setattr(session._WindowedStore, "_frames_at",
                             lambda store, start, count: mapped.append(start))
 
         def no_read(*args, **kwargs):
@@ -401,6 +402,87 @@ class TestMappedAudio:
         assert np.array_equal(held, s.audio[0:100])
 
 
+STORE_SCENARIO = Scenario(duration=5, seed=5, frame_width=16, frame_height=16,
+                          roi=(0, 0, 16, 16), video_rate=5, audio_rate=1000)
+
+
+@pytest.fixture(params=["loaded depth", "synthesized depth", "loaded audio",
+                        "synthesized audio"])
+def stream(request, tmp_path, monkeypatch):
+    """A windowed store of four or more windows, and the stream its file holds.
+
+    A loaded store maps 2 kB windows (four depth frames, 1024 samples); a
+    synthesized one draws one frame or one second (1000 samples) a window.
+    """
+    kind, name = request.param.split()
+    monkeypatch.setattr(session, "WINDOW_BYTES", 1 << 11)
+    write_session(generate(STORE_SCENARIO)[0], tmp_path)
+    if name == "depth":
+        want = np.fromfile(tmp_path / "depth.raw", "<u2").reshape(-1, 16, 16)
+    else:
+        want = np.fromfile(tmp_path / "audio.raw", "<i2")
+    source = load_session(tmp_path) if kind == "loaded" else generate(STORE_SCENARIO)[0]
+    store = getattr(source, name)
+    assert len(store) == len(want) >= 4 * store.window_frames
+    return store, want
+
+
+class TestWindowedStore:
+    """The one store protocol, on loaded and on synthesized streams."""
+
+    def test_negative_index_counts_from_the_end(self, stream):
+        store, want = stream
+        assert np.array_equal(store[-1], want[-1])
+        assert np.array_equal(store[-len(want)], want[0])
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError, match="out of range"):
+                store[i]
+
+    def test_slices_across_a_window_edge(self, stream):
+        store, want = stream
+        edge = store.window_frames
+        for lo, hi in ((edge - min(edge, 3), edge + 3), (1, 3 * edge + 1), (-2, None),
+                       (0, None), (2, 2)):
+            assert np.array_equal(store[lo:hi], want[lo:hi]), (lo, hi)
+        assert store[2:2].shape == (0,) + want.shape[1:]
+
+    def test_step_other_than_one_raises(self, stream):
+        store, _ = stream
+        for key in (slice(None, None, 2), slice(None, None, -1)):
+            with pytest.raises(IndexError, match="contiguous"):
+                store[key]
+
+    def test_whole_stream_equals_the_file(self, stream):
+        store, want = stream
+        whole = np.asarray(store)
+        assert whole.dtype == want.dtype and np.array_equal(whole, want)
+
+    def test_frames_and_slices_are_read_only(self, stream):
+        store, want = stream
+        views = [store[0:2], store[-1:]]
+        if want.ndim > 1:       # an audio sample is a scalar
+            views.append(store[len(store) // 2])
+        for view in views:
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0] = 1
+
+    def test_old_window_is_let_go_before_the_next_is_fetched(self, stream, monkeypatch):
+        store, want = stream
+        store[0]
+        old_window = weakref.ref(store._window[1])
+        alive = []
+        frames_at = session._WindowedStore._frames_at
+
+        def spy(owner, start, count):
+            alive.append(old_window() is not None)
+            return frames_at(owner, start, count)
+
+        monkeypatch.setattr(session._WindowedStore, "_frames_at", spy)
+        assert np.array_equal(store[store.window_frames], want[store.window_frames])
+        assert alive == [False]
+
+
 class TestBoundedDetection:
     """Detection maps each window once and holds one window per stream."""
 
@@ -413,7 +495,7 @@ class TestBoundedDetection:
     def spy_windows(self, monkeypatch):
         """Record each map as ``(store, start, weak refs to the store's earlier windows)``."""
         mapped, windows = [], {}
-        frames_at = session._MappedFrames._frames_at
+        frames_at = session._WindowedStore._frames_at
 
         def spy(store, start, count):
             earlier = windows.setdefault(store, [])
@@ -422,7 +504,7 @@ class TestBoundedDetection:
             earlier.append(weakref.ref(frames))
             return frames
 
-        monkeypatch.setattr(session._MappedFrames, "_frames_at", spy)
+        monkeypatch.setattr(session._WindowedStore, "_frames_at", spy)
         return mapped
 
     def test_each_audio_window_is_mapped_once(self, small_windows, monkeypatch):
@@ -506,15 +588,17 @@ class TestWriteValidation:
                                         "audio_rate"])
     def test_cheap_checks_run_before_any_file_is_created(self, tmp_path, defect):
         s = self.session(frame_count=3)
+        if defect == "audio_rate":
+            # The manifest itself rejects the rates, so no session reaches the write.
+            with pytest.raises(ValueError, match="audio_rate 20 is below video_rate 30"):
+                replace(s.manifest, audio_rate=20)
+            return
         if defect == "frame_count":
             s.color = s.color[:2]
         elif defect == "audio_dtype":
             s.audio = s.audio.astype(np.int32)
-        elif defect == "audio_length":
-            s.audio = s.audio[:-1]
         else:
-            s.manifest = replace(s.manifest, audio_rate=20)
-            assert s.audio.size >= s.manifest.min_audio_samples
+            s.audio = s.audio[:-1]
         with pytest.raises(ManifestMismatchError, match="manifest mismatch"):
             write_session(s, tmp_path / "bad")
         assert not (tmp_path / "bad").exists()

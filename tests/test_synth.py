@@ -155,9 +155,10 @@ class TestValidation:
     def test_audio_rate_below_video_rate_rejected(self, audio_rate):
         # Some frame slots would get an empty audio chunk, which detect cannot score.
         bad = Scenario(duration=15, seed=3, audio_rate=audio_rate)
-        with pytest.raises(ValueError, match="audio_rate must be >= video_rate"):
+        want = f"audio_rate {audio_rate} is below video_rate 30, so some video frames"
+        with pytest.raises(ValueError, match=want):
             validate_scenario(bad)
-        with pytest.raises(ValueError, match="audio_rate must be >= video_rate"):
+        with pytest.raises(ValueError, match=f"invalid timeline: {want}"):
             generate(bad)
 
     def test_audio_rate_equal_to_video_rate_scores(self):
@@ -874,6 +875,19 @@ def count_draws(store):
     return draws
 
 
+def count_audio_draws(monkeypatch):
+    """Record which second each audio second drawn from now on is (random channel 2)."""
+    draws = []
+    default_rng = np.random.default_rng
+
+    def counting(key):
+        if key[1] == 2:
+            draws.append(key[2])
+        return default_rng(key)
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return draws
+
+
 class TestFrameAtATimeStore:
     @pytest.mark.parametrize("name", ["depth", "color"])
     def test_sequential_read_draws_each_frame_once(self, name):
@@ -940,16 +954,29 @@ class TestFrameAtATimeStore:
         assert generated < 1 << 19, generated
         assert peak < 1 << 20, peak
 
-    def test_audio_slices_agree_with_the_whole_stream(self, tmp_path):
+    def test_whole_audio_read_keeps_no_copy(self):
+        tracemalloc.start()
+        try:
+            session, _ = generate(Scenario(duration=300, seed=2))
+            whole = np.asarray(session.audio)
+            assert whole.nbytes == 9_600_000
+            del whole
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # The store keeps its current window and the last second drawn, not
+        # the whole stream it handed out.
+        assert held < 1 << 20, held
+
+    def test_audio_slices_agree_with_the_whole_stream(self, tmp_path, monkeypatch):
         gen = _short_session()
         rate = gen.manifest.audio_rate
         whole = np.asarray(gen.audio)
         assert whole.dtype == np.int16 and whole.shape == (4 * rate,)
         write_session(gen, tmp_path / "s")
         assert np.array_equal(np.fromfile(tmp_path / "s" / "audio.raw", "<i2"), whole)
-        draws = []
-        draw = gen.audio._draw
-        gen.audio._draw = lambda sec: draws.append(sec) or draw(sec)
+        gen = _short_session()
+        draws = count_audio_draws(monkeypatch)
         for start, stop in ((0, 5), (5, rate - 3), (rate - 3, 2 * rate + 7), (2 * rate + 7,
                             4 * rate), (-1, None), (3, 3)):
             assert np.array_equal(gen.audio[start:stop], whole[start:stop]), (start, stop)

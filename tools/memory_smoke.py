@@ -1,9 +1,9 @@
-"""Bounded-memory smoke check: peak RSS of ``generate`` and ``detect`` must not follow the night's length.
+"""Bounded-memory smoke check: peak RSS of ``generate``, ``detect`` and ``report`` must not follow the night's length.
 
-It runs ``python -m sleepmon generate`` and then ``detect`` on a 5-minute
-and on a 30-minute 48x48 scenario, each step in a fresh process, and reads
-each step's peak resident set size from ``wait4``.  A step fails when its
-30-minute peak exceeds its 5-minute peak by more than
+It runs ``python -m sleepmon generate``, then ``detect`` and then ``report``
+on a 5-minute and on a 30-minute 48x48 scenario, each step in a fresh
+process, and reads each step's peak resident set size from ``wait4``.  A
+step fails when its 30-minute peak exceeds its 5-minute peak by more than
 ``MAX_BYTES_PER_FRAME`` for each extra frame.  Run it from anywhere:
 
     python3 tools/memory_smoke.py [--workdir DIR]
@@ -64,6 +64,9 @@ def measure(workdir: Path) -> dict[tuple[str, int], int]:
         peaks["detect", minutes] = peak_rss(
             [py, "-m", "sleepmon", "detect", "--session", str(session),
              "--out", str(night / "detect")], env)
+        peaks["report", minutes] = peak_rss(
+            [py, "-m", "sleepmon", "report", "--session", str(session),
+             "--detect", str(night / "detect")], env)
         shutil.rmtree(session)
     return peaks
 
@@ -80,7 +83,7 @@ def main(argv=None) -> int:
     short, long = MINUTES
     extra_frames = 60 * (long - short) * VIDEO_RATE
     ok = True
-    for step in ("generate", "detect"):
+    for step in ("generate", "detect", "report"):
         growth = (peaks[step, long] - peaks[step, short]) / extra_frames
         within = growth <= MAX_BYTES_PER_FRAME
         ok &= within
