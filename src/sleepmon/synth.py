@@ -71,16 +71,18 @@ wrong (a light toggle missed after two on/off cycles, and an absence lost
 after repeated absences).
 
 The streams are ``session._WindowedStore`` stores whose windows are drawn
-on demand.  A frame window is one frame: it is drawn into one float64
-scratch plane per store, then rounded and cast into a fresh, read-only
-output array.  A frame store holds the current second's generator, the
-index of the next frame to draw, its current frame and the scratch plane,
-so hour-long sessions and 640x480 frames stay small in memory.  A store is
-not thread-safe: ``write_session`` and ``score_session`` read each store
-from one thread only, in frame order, so two stores may be drawn on two
-threads at once.  An audio window is one second long, from the first
-sample read on; it is drawn one second at a time, and the last second
-drawn is kept, so a sequential chunk read draws each second once.
+on demand.  A frame window is one frame, drawn a block of rows at a time
+into one float64 scratch block per store, each block rounded and cast into
+a fresh, read-only output array; its scene is a scalar level with
+rectangles painted over it in order.  A frame store holds the current
+second's generator, the index of the next frame to draw, its current frame
+and the scratch block, so hour-long sessions and 640x480 frames stay small
+in memory.  A store is not thread-safe: ``write_session`` and
+``score_session`` read each store from one thread only, in frame order, so
+two stores may be drawn on two threads at once.  An audio window is one
+second long, from the first sample read on; it is drawn one second at a
+time, and the last second drawn is kept, so a sequential chunk read draws
+each second once.
 """
 
 from __future__ import annotations
@@ -127,6 +129,9 @@ AMBIENT_LUMA = 40
 LIGHT_STEP = 120
 BLOB_LUMA_OFFSET = 3
 CHAOS_FRAMES = 20       # leading disturbed frames of leave/return items
+# Pixels of the float64 scratch block a frame store draws frames through, in
+# whole rows (at least one): 51 rows (261 kB) at 640 wide; 48x48 is one block.
+_BLOCK_PX = 1 << 15
 # Two seconds past the default model warm-up and the default out-of-view quiet run.
 EARLIEST_ITEM_START = Config.burn_in_seconds + 2
 MIN_ABSENCE_SECONDS = Config.class_min_absent_epochs + 2
@@ -349,18 +354,21 @@ class _LazyFrames(_WindowedStore):
     """Frame store drawing one frame a window.
 
     ``start(sec, z)`` returns an iterator over the frames of second ``sec``:
-    each step draws the next frame from that second's generator into the
-    scratch plane ``z`` and yields it as a fresh array.  A sequential read
-    draws each frame once; a read of an earlier frame, or of another second,
-    restarts that second and redraws up to the frame.  A repeated read hands
-    out the current frame again, so frames are read-only, like loaded ones.
+    each step draws the next frame from that second's generator through the
+    scratch block ``z`` of whole rows (bit-equal to a whole-frame draw, as the
+    Generator fills in C order) and yields it as a fresh array.  A sequential
+    read draws each frame once; a read of an earlier frame, or of another
+    second, restarts that second and redraws up to the frame.  A repeated
+    read hands out the current frame again, so frames are read-only, like
+    loaded ones.
     """
 
     def __init__(self, n_frames: int, fps: int, frame_shape: tuple, dtype, start):
         super().__init__(self._draw, n_frames, frame_shape, dtype, 1)
         self._fps = fps
         self._start = start
-        self._z = np.empty(frame_shape[:2])
+        h, w = frame_shape[:2]
+        self._z = np.empty((min(h, max(1, _BLOCK_PX // w)), w))
         self._sec, self._next, self._frames = -1, 0, None
 
     def _draw(self, first: int, count: int) -> np.ndarray:
@@ -390,62 +398,67 @@ def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
     fps = scenario.video_rate
     fh, fw = scenario.frame_height, scenario.frame_width
 
-    # The depth scene while the body is in bed; without it, the bed is flat.
-    body_plane = np.full((fh, fw), float(BED_DEPTH))
-    t, l, bh, bw = _body_rect(scenario.roi)
-    body_plane[t:t + bh, l:l + bw] = BODY_DEPTH
-
-    def disturbance(sec: int):
-        """(rect, per-frame chaos depth or None) for the depth item this second."""
+    def disturbance(sec: int) -> list:
+        """Per frame of second ``sec``: (rect, chaos depth) of its depth item, or None."""
         entry = table.depth[sec]
         if entry is None:
-            return None, [None] * fps
+            return [None] * fps
         item, rect = entry
         first = fps * (sec - item.start)
-        return rect, [_chaos_value(lf) if _chaos_active(item.kind, lf) else None
-                      for lf in range(first, first + fps)]
+        return [(rect, _chaos_value(lf)) if _chaos_active(item.kind, lf) else None
+                for lf in range(first, first + fps)]
 
-    def draw_frame(z, rng, sigma, base, rect, value):
-        """Next noisy frame of ``rng``'s stream, rounded, in place in ``z``.
+    def depth_scene(sec: int):
+        body = [(_body_rect(scenario.roi), BODY_DEPTH)] if table.body[sec] else []
+        return BED_DEPTH, [body + [d] if d else body for d in disturbance(sec)]
 
-        The scene is ``base`` with ``value`` (unless None) in ``rect``.  Bit-equal
-        to the rounded sum of the scene and this frame's share of
-        ``rng.normal(0, sigma, (fps, fh, fw))``: that draws ``0 + sigma * z`` in
-        the same order, and the sign of a zero it may differ in is lost when the
-        positive scene is added.
-        """
-        rng.standard_normal(out=z)
-        z *= sigma
-        if value is not None:
-            t, l, h, w = rect
-            patch = z[t:t + h, l:l + w] + value
-        z += base
-        if value is not None:
-            z[t:t + h, l:l + w] = patch
-        np.rint(z, out=z)
-
-    def depth_frames(sec: int, z: np.ndarray):
-        rng = np.random.default_rng([scenario.seed, 0, sec])
-        base = body_plane if table.body[sec] else float(BED_DEPTH)
-        rect, values = disturbance(sec)
-        for value in values:
-            draw_frame(z, rng, scenario.depth_noise, base, rect, value)
-            yield np.clip(z, 0, 2047, out=z).astype(np.uint16)
-
-    def color_frames(sec: int, z: np.ndarray):
-        rng = np.random.default_rng([scenario.seed, 1, sec])
+    def color_scene(sec: int):
         level = table.light[sec]
-        rect, values = disturbance(sec)
-        for value in values:
-            blob = None if value is None else level + BLOB_LUMA_OFFSET
-            draw_frame(z, rng, scenario.luma_noise, level, rect, blob)
-            np.clip(z, 0, 255, out=z)
-            # One cast per channel plane: a broadcast (H, W, 1) assignment
-            # loops over the 3 channels innermost and is about 5x slower.
-            frame = np.empty((fh, fw, 3), np.uint8)
-            for c in range(3):
-                frame[:, :, c] = z
-            yield frame
+        return level, [[(d[0], level + BLOB_LUMA_OFFSET)] if d else [] for d in disturbance(sec)]
+
+    def draw_frame(z, rng, sigma, level, patches, top, frame):
+        """Next noisy frame of ``rng``'s stream, rounded, clipped to ``[0, top]``, into ``frame``.
+
+        The scene is ``level`` with each ``(rect, value)`` of ``patches`` painted
+        over it in order; it is drawn ``len(z)`` rows at a time in the scratch
+        block ``z``, each patch taken before the level is added.  Bit-equal to
+        the rounded sum of the scene and this frame's share of
+        ``rng.normal(0, sigma, (fps, fh, fw))``: the Generator fills in C order,
+        so the block fills draw the values of one whole-frame fill; ``normal``
+        draws ``0 + sigma * z`` in the same order, and the sign of a zero it may
+        differ in is lost when the positive scene is added.
+        """
+        # One cast per channel plane: a broadcast (H, W, 1) assignment loops
+        # over the 3 channels innermost and is about 5x slower.
+        planes = [frame] if frame.ndim == 2 else [frame[:, :, c] for c in range(3)]
+        for r0 in range(0, fh, len(z)):
+            b = z[:fh - r0]
+            rng.standard_normal(out=b)
+            b *= sigma
+            cut = []
+            for (t, l, h, w), value in patches:
+                rows = slice(max(t - r0, 0), min(t + h - r0, len(b)))
+                if rows.start < rows.stop:
+                    cut.append((rows, slice(l, l + w), b[rows, l:l + w] + value))
+            b += level
+            for rows, cols, patch in cut:
+                b[rows, cols] = patch
+            np.rint(b, out=b)
+            np.clip(b, 0, top, out=b)
+            for plane in planes:
+                plane[r0:r0 + len(b)] = b
+        return frame
+
+    def frames(channel: int, sigma: float, top: int, shape: tuple, dtype, scene):
+        """A frame store whose second ``sec`` draws ``scene(sec)`` on noise stream ``channel``."""
+        def start(sec: int, z: np.ndarray):
+            rng = np.random.default_rng([scenario.seed, channel, sec])
+            level, per_frame = scene(sec)
+            # No name holds a yielded frame, so the reader's last reference
+            # frees it before the next frame is allocated.
+            for patches in per_frame:
+                yield draw_frame(z, rng, sigma, level, patches, top, np.empty(shape, dtype))
+        return _LazyFrames(dur * fps, fps, shape, dtype, start)
 
     ar = scenario.audio_rate
     # A 40-sample-period square wave, one second long at any audio rate.
@@ -477,8 +490,8 @@ def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
         depth_width=fw, depth_height=fh, color_width=fw, color_height=fh,
         video_rate=fps, audio_rate=ar, frame_count=dur * fps, roi=tuple(scenario.roi))
     session = Session(manifest=manifest,
-                      depth=_LazyFrames(dur * fps, fps, (fh, fw), np.uint16, depth_frames),
-                      color=_LazyFrames(dur * fps, fps, (fh, fw, 3), np.uint8, color_frames),
+                      depth=frames(0, scenario.depth_noise, 2047, (fh, fw), np.uint16, depth_scene),
+                      color=frames(1, scenario.luma_noise, 255, (fh, fw, 3), np.uint8, color_scene),
                       audio=_WindowedStore(audio_samples, dur * ar, (), np.int16, ar))
     events = {ch: [Event(ch, s, e, peak, *clip_range(
                   ch, s, e, video_rate=fps, audio_rate=ar, frame_count=dur * fps,

@@ -203,6 +203,28 @@ def test_stream_hashes(tmp_path, case):
     assert got == STREAM_GOLDEN[case]
 
 
+def _cut(rect, rows: int) -> bool:
+    """Whether a block edge every ``rows`` rows falls inside ``rect``."""
+    top, _, height, _ = rect
+    return top // rows != (top + height - 1) // rows
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10 ** 4], ids=["one_row", "cut", "whole_frame"])
+@pytest.mark.parametrize("case", sorted(STREAM_SCENARIOS))
+def test_stream_hashes_at_any_block_size(tmp_path, monkeypatch, case, rows):
+    # Frames are drawn a block of rows at a time; the block size must not
+    # change a byte, whether a block is one row, cuts through the body and a
+    # disturbance rectangle (7 rows), or holds the whole frame.
+    sc = STREAM_SCENARIOS[case]
+    if rows == 7:
+        blobs = [synth._blob_rect(item.kind, item.magnitude, sc.roi, i)
+                 for i, item in enumerate(sc.timeline)
+                 if item.kind in (synth.TINY_TWITCH, synth.LIMB_MOVE, synth.FULL_TURN)]
+        assert _cut(synth._body_rect(sc.roi), rows) and any(_cut(r, rows) for r in blobs)
+    monkeypatch.setattr(synth, "_BLOCK_PX", rows * sc.frame_width)
+    test_stream_hashes(tmp_path, case)
+
+
 TRUTH_CASES = {**{name: synth.preset(name) for name in synth.PRESETS}, **STREAM_SCENARIOS}
 
 # sha256 of groundtruth.log, then of the truth classes, one value per line.

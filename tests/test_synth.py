@@ -19,7 +19,7 @@ from sleepmon.synth import (AMBIENT_LUMA, BED_DEPTH, BLOB_LUMA_OFFSET, BODY_DEPT
                             EARLIEST_ITEM_START, FULL_TURN, KINDS, LEAVE_BED, LIGHT_OFF,
                             LIGHT_ON, LIGHT_STEP, LIMB_MOVE, MIN_ABSENCE_SECONDS, PRESETS,
                             RETURN_BED, TALK, TINY_TWITCH, GroundTruth, Scenario, TimelineItem,
-                            _blob_rect, _body_rect, _chaos_active, _chaos_value,
+                            _BLOCK_PX, _blob_rect, _body_rect, _chaos_active, _chaos_value,
                             generate, preset, read_scenario, validate_scenario, write_scenario)
 
 from conftest import sessions_equal
@@ -920,11 +920,12 @@ class TestFrameAtATimeStore:
 
     def test_write_session_peak_memory_is_a_few_frames(self, tmp_path):
         # 640x480 at 10 fps: one second of both streams is 15 MB, so the
-        # store's scratch planes and a few frames must fit far below it.
+        # stores' scratch blocks and a few frames must fit far below it.  A
+        # whole-frame float64 plane is 2.46 MB, so three of them break the bound.
         sc = Scenario(duration=3, seed=2, frame_width=640, frame_height=480,
                       roi=(160, 65, 320, 350), video_rate=10, audio_rate=1000)
         depth_frame, color_frame = 640 * 480 * 2, 640 * 480 * 3
-        plane = 640 * 480 * 8
+        block = (_BLOCK_PX // 640) * 640 * 8
         tracemalloc.start()
         try:
             session, _ = generate(sc)
@@ -933,8 +934,8 @@ class TestFrameAtATimeStore:
         finally:
             tracemalloc.stop()
         audio_bytes = 2 * sc.duration * sc.audio_rate
-        # body plane + one scratch plane per store, and a few frames of each stream
-        bound = 3 * plane + 4 * (depth_frame + color_frame) + 4 * audio_bytes
+        # one scratch block per store, and a few frames of each stream
+        bound = 2 * block + 4 * (depth_frame + color_frame) + 4 * audio_bytes
         assert peak < bound, (peak, bound)
 
     def test_generate_draws_the_audio_on_demand(self):

@@ -1,15 +1,18 @@
 """Bounded-memory smoke check: peak RSS of ``generate``, ``detect`` and ``report`` must not follow the night's length.
 
 It runs ``python -m sleepmon generate``, then ``detect`` and then ``report``
-on a 5-minute and on a 30-minute 48x48 scenario, each step in a fresh
-process, and reads each step's peak resident set size from ``wait4``.  A
-step fails when its 30-minute peak exceeds its 5-minute peak by more than
+on a short and a long night of each geometry, each step in a fresh process,
+and reads each step's peak resident set size from ``wait4``.  The nights are
+5 and 30 minutes of 48x48 frames at 30 fps, and 120 and 240 s of the
+sensor's 640x480 frames at 2 fps with the paper's 320x350 roi.  A step fails
+when its long-night peak exceeds its short-night peak by more than
 ``MAX_BYTES_PER_FRAME`` for each extra frame.  Run it from anywhere:
 
     python3 tools/memory_smoke.py [--workdir DIR]
 
 The sessions are written under ``--workdir`` (a temporary directory by
-default, removed at the end); the 30-minute one takes about 0.7 GB.  The
+default, removed at the end), and each is deleted before the next is
+written; the largest, the 240 s 640x480 night, takes about 0.74 GB.  The
 exit status is 0 when every step stays in bounds, 1 otherwise.  numpy is not
 imported here, so the runner's own RSS stays below the steps' peaks (a
 child's ``ru_maxrss`` starts at its parent's resident size at ``fork``).
@@ -26,14 +29,22 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-MINUTES = (5, 30)
-VIDEO_RATE = 30
+# geometry: (frame width, frame height, roi, video rate, short and long night in seconds)
+# Each night writes at least three full audio windows (``WINDOW_BYTES``, 32.8 s
+# of 16 kHz audio), since the audio write sets the 640x480 ``generate`` peak:
+# at 60 s the second window is partial, and that peak reads 0.1-0.2 MB lower
+# than at 100 s to 480 s, where it is flat.
+NIGHTS = {
+    "48x48": (48, 48, (8, 8, 32, 32), 30, (300, 1800)),
+    "640x480": (640, 480, (160, 65, 320, 350), 2, (120, 240)),
+}
 MAX_BYTES_PER_FRAME = 500
 WRITE_SCENARIO = (
     "import sys\n"
     "from sleepmon.synth import Scenario, write_scenario\n"
-    "write_scenario(Scenario(duration=int(sys.argv[1]), seed=1, frame_width=48,\n"
-    "                        frame_height=48, roi=(8, 8, 32, 32)), sys.argv[2])\n")
+    "duration, fw, fh, x, y, w, h, rate = map(int, sys.argv[1:9])\n"
+    "write_scenario(Scenario(duration=duration, seed=1, frame_width=fw, frame_height=fh,\n"
+    "                        roi=(x, y, w, h), video_rate=rate), sys.argv[9])\n")
 
 
 def peak_rss(cmd: list[str], env: dict) -> int:
@@ -46,28 +57,30 @@ def peak_rss(cmd: list[str], env: dict) -> int:
     return usage.ru_maxrss * 1024       # Linux reports kilobytes
 
 
-def measure(workdir: Path) -> dict[tuple[str, int], int]:
-    """Peak RSS in bytes of each (step, minutes)."""
+def measure(workdir: Path) -> dict[tuple[str, str, int], int]:
+    """Peak RSS in bytes of each (step, geometry, night length in seconds)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     py = sys.executable
     peaks = {}
-    for minutes in MINUTES:
-        night = workdir / f"{minutes}min"
-        night.mkdir(parents=True)
-        scenario, session = night / "scenario.txt", night / "session"
-        subprocess.run([py, "-c", WRITE_SCENARIO, str(60 * minutes), str(scenario)],
-                       env=env, check=True)
-        peaks["generate", minutes] = peak_rss(
-            [py, "-m", "sleepmon", "generate", "--scenario", str(scenario),
-             "--out", str(session)], env)
-        peaks["detect", minutes] = peak_rss(
-            [py, "-m", "sleepmon", "detect", "--session", str(session),
-             "--out", str(night / "detect")], env)
-        peaks["report", minutes] = peak_rss(
-            [py, "-m", "sleepmon", "report", "--session", str(session),
-             "--detect", str(night / "detect")], env)
-        shutil.rmtree(session)
+    for geometry, (fw, fh, roi, rate, seconds) in NIGHTS.items():
+        for duration in seconds:
+            night = workdir / f"{geometry}-{duration}s"
+            night.mkdir(parents=True)
+            scenario, session = night / "scenario.txt", night / "session"
+            subprocess.run([py, "-c", WRITE_SCENARIO,
+                            *map(str, (duration, fw, fh, *roi, rate)), str(scenario)],
+                           env=env, check=True)
+            peaks["generate", geometry, duration] = peak_rss(
+                [py, "-m", "sleepmon", "generate", "--scenario", str(scenario),
+                 "--out", str(session)], env)
+            peaks["detect", geometry, duration] = peak_rss(
+                [py, "-m", "sleepmon", "detect", "--session", str(session),
+                 "--out", str(night / "detect")], env)
+            peaks["report", geometry, duration] = peak_rss(
+                [py, "-m", "sleepmon", "report", "--session", str(session),
+                 "--detect", str(night / "detect")], env)
+            shutil.rmtree(session)
     return peaks
 
 
@@ -80,16 +93,17 @@ def main(argv=None) -> int:
     else:
         with tempfile.TemporaryDirectory(prefix="sleepmon-memory-") as tmp:
             peaks = measure(Path(tmp))
-    short, long = MINUTES
-    extra_frames = 60 * (long - short) * VIDEO_RATE
     ok = True
-    for step in ("generate", "detect", "report"):
-        growth = (peaks[step, long] - peaks[step, short]) / extra_frames
-        within = growth <= MAX_BYTES_PER_FRAME
-        ok &= within
-        print(f"{step}: peak RSS {peaks[step, short] / 1e6:.1f} MB at {short} min, "
-              f"{peaks[step, long] / 1e6:.1f} MB at {long} min: {growth:.0f} bytes per "
-              f"extra frame (limit {MAX_BYTES_PER_FRAME}) {'ok' if within else 'FAIL'}")
+    for geometry, (_, _, _, rate, (short, long)) in NIGHTS.items():
+        extra_frames = (long - short) * rate
+        for step in ("generate", "detect", "report"):
+            low, high = peaks[step, geometry, short], peaks[step, geometry, long]
+            growth = (high - low) / extra_frames
+            within = growth <= MAX_BYTES_PER_FRAME
+            ok &= within
+            print(f"{geometry} {step}: peak RSS {low / 1e6:.1f} MB at {short} s, "
+                  f"{high / 1e6:.1f} MB at {long} s: {growth:.0f} bytes per extra frame "
+                  f"(limit {MAX_BYTES_PER_FRAME}) {'ok' if within else 'FAIL'}")
     return 0 if ok else 1
 
 
