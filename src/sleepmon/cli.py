@@ -37,7 +37,6 @@ def cmd_generate(args) -> int:
             scenario = replace(scenario, seed=args.seed)
     session, truth = synth.generate(scenario)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_session(session, out)
     _write_text(out / GROUNDTRUTH_LOG, events.format_event_log(truth.events))
     n_items = len(scenario.timeline)
@@ -50,6 +49,8 @@ def cmd_generate(args) -> int:
 def cmd_detect(args) -> int:
     config = read_config(args.config) if args.config else Config()
     session = load_session(args.session)
+    roi = session.manifest.roi
+    scoring.check_roi_area(roi[2] * roi[3])
     result = events.run_detector(session, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -129,6 +129,17 @@ def format_scores_csv(scores: dict) -> str:
     return "\n".join(["frame," + ",".join(CHANNELS), *rows]) + "\n"
 
 
+def check_roi_area(roi_area: int) -> None:
+    """Raise ``ValueError`` unless ``exact_visual_scores`` holds for ``roi_area``: 0 < area < 10**6.
+
+    ``detect`` checks this before it reads a frame, so that it writes no
+    ``scores.csv`` that ``report`` cannot read back.
+    """
+    if not 0 < roi_area < 10 ** 6:
+        raise ValueError(f"roi area {roi_area} outside (0, 10**6): six-decimal visual "
+                         "scores no longer determine the foreground area")
+
+
 def exact_visual_scores(parsed: np.ndarray, roi_area: int) -> np.ndarray:
     """The float64 visual scores behind six-decimal values read from scores.csv.
 
@@ -136,11 +147,9 @@ def exact_visual_scores(parsed: np.ndarray, roi_area: int) -> np.ndarray:
     and ``format_scores_csv`` writes it within 5e-7, so ``parsed * roi_area``
     lies within ``roi_area * 5e-7`` of ``k``.  Below an area of 10**6 that is
     under 0.5, so ``rint`` gives back ``k`` and ``k / roi_area`` the value the
-    library computed, bit for bit.
+    library computed, bit for bit; ``check_roi_area`` rejects any other area.
     """
-    if not 0 < roi_area < 10 ** 6:
-        raise ValueError(f"roi area {roi_area} outside (0, 10**6): six-decimal visual "
-                         "scores no longer determine the foreground area")
+    check_roi_area(roi_area)
     return np.rint(np.asarray(parsed, np.float64) * roi_area) / roi_area
 
 

@@ -26,16 +26,20 @@ frame slot has a complete audio chunk.
 Frame stores only need ``len()`` and integer indexing, and the audio only
 ``len()``, contiguous slices and ``np.asarray``, so sessions may be backed by
 eager ndarrays or by windowed stores; observable behavior is identical
-either way.  A windowed store (``_WindowedStore``) is the one stream store:
-it holds one window of whole frames (for the audio, of samples) at a time,
-and a window source fills each window.  There are three sources:
-``load_session`` maps each stream from its file, ``WINDOW_BYTES`` of whole
-frames a window, so a loaded session holds about ``WINDOW_BYTES`` per
-stream in memory however long the recording is, and ``synth.generate``
-draws its audio one second a window and its frames one frame a window.  A
-frame or slice the caller holds keeps its own window alive, so later reads
-never overwrite it.  A store need not be thread-safe, so each store is read
-from one thread only.  Each depth window is checked for samples above
+either way.  A windowed store (``_WindowedStore``) is the one stream store,
+and it places windows by one rule: window ``k`` holds frames (for the
+audio, samples) ``k * window_frames`` up to the next multiple or the end,
+and a window source fetches whole windows only.  A read inside one window
+is a view of it; a slice across windows is a read-only copy filled one
+window at a time, and ``np.asarray`` is the whole-stream slice, so a store
+holds one window at a time.  There are three sources: ``load_session``
+maps each stream from its file, ``WINDOW_BYTES`` of whole frames a window,
+so a loaded session holds about ``WINDOW_BYTES`` per stream in memory
+however long the recording is, and ``synth.generate`` draws its audio one
+second a window and its frames one frame a window.  A frame or slice the
+caller holds keeps its own window alive, so later reads never overwrite
+it.  A store need not be thread-safe, so each store is read from one
+thread only.  Each depth window is checked for samples above
 ``DEPTH_MAX`` as it is mapped, so the depth stream is read once: an
 out-of-range sample raises ``InvalidDepthError`` at the first read of a
 frame in its window, not at load.  ``load_session`` reads no stream bytes;
@@ -195,17 +199,16 @@ def _check_depth_range(frames: np.ndarray, first: int) -> None:
 class _WindowedStore:
     """Read-only frames of one stream, held one window of frames at a time.
 
-    ``fetch(start, n)`` returns frames ``start`` to ``start + n - 1`` of the
-    ``count`` frames the store holds, ``n >= 1``, as one read-only ndarray of
-    shape ``(n,) + frame_shape``: the window.  An integer index returns a view
-    into the window that holds the frame (a scalar for 0-d frames, such as
-    audio samples), and fetches a new window, aligned to ``window_frames``,
-    only when the index falls outside the current one.  A contiguous slice
-    returns a view too, and fetches a window that starts at the slice, and
-    is long enough for it, when the slice is not inside the current one.  A
-    view keeps its own window alive, so nothing a caller holds is ever
-    reused.  ``np.asarray`` fetches the whole stream as one window without
-    keeping it, so the current window stays as it was.
+    Window ``k`` holds frames ``k * window_frames`` up to the next multiple of
+    ``window_frames`` or the end of the stream, and ``fetch(start, n)`` returns
+    it as one read-only ndarray of shape ``(n,) + frame_shape``: a source is
+    only ever asked for one whole window.  An integer index or a contiguous
+    slice inside one window returns a view into it (a scalar for 0-d frames,
+    such as audio samples), fetching the window unless it is the current
+    one.  A slice across windows returns a read-only copy filled one window
+    at a time, each let go before the next is fetched; ``np.asarray`` is the
+    whole-stream slice.  A view keeps its own window alive, so nothing a
+    caller holds is ever reused.
     """
 
     def __init__(self, fetch, count: int, frame_shape: tuple, dtype, window_frames: int):
@@ -216,7 +219,7 @@ class _WindowedStore:
         self.window_frames = window_frames
         # (first frame, frames) of the current window, replaced as one value
         # so that a reader never pairs one window's start with another's frames.
-        self._window = (0, ())
+        self._window = (None, None)
 
     def __len__(self) -> int:
         return self._count
@@ -226,27 +229,32 @@ class _WindowedStore:
             first, stop = _span(key, self._count)
             if first == stop:
                 return np.empty((0,) + self._frame_shape, self._dtype)
-            window = (first, max(self.window_frames, stop - first))
         else:
             first = frame_index(key, self._count)
             stop = first + 1
-            window = (first - first % self.window_frames, self.window_frames)
-        start, frames = self._window
-        if not (start <= first and stop <= start + len(frames)):
-            # Let go of the old window first, so that it is not still held
-            # while the new one is fetched.
-            del frames
-            self._window = (0, ())
-            start, frames = window[0], self._frames_at(*window)
-            self._window = (start, frames)
-        view = frames[first - start:stop - start]
-        return view if isinstance(key, slice) else view[0]
+        size = self.window_frames
+        start = first - first % size
+        if stop <= start + size:
+            view = self._window_at(start)[first - start:stop - start]
+            return view if isinstance(key, slice) else view[0]
+        out = np.empty((stop - first,) + self._frame_shape, self._dtype)
+        for start in range(start, stop, size):
+            lo, hi = max(first, start), min(stop, start + size)
+            out[lo - first:hi - first] = self._window_at(start)[lo - start:hi - start]
+        out.flags.writeable = False
+        return out
 
     def __array__(self, dtype=None, copy=None):
-        # An empty stream fetches nothing: a file of no frames cannot be mapped.
-        frames = (self._frames_at(0, self._count) if self._count
-                  else np.empty((0,) + self._frame_shape, self._dtype))
-        return np.array(frames, dtype, copy=copy)
+        return np.array(self[:], dtype, copy=copy)
+
+    def _window_at(self, start: int) -> np.ndarray:
+        """The window that begins at frame ``start``, fetched unless it is the current one."""
+        if self._window[0] != start:
+            # Let go of the old window first, so that it is not still held
+            # while the new one is fetched.
+            self._window = (None, None)
+            self._window = (start, self._frames_at(start, self.window_frames))
+        return self._window[1]
 
     def _frames_at(self, start: int, count: int) -> np.ndarray:
         """Fetch up to ``count`` frames from frame ``start`` on, as one window."""

@@ -70,19 +70,20 @@ in ``tests/test_synth.py`` holds two accepted timelines the pipeline gets
 wrong (a light toggle missed after two on/off cycles, and an absence lost
 after repeated absences).
 
-The streams are ``session._WindowedStore`` stores whose windows are drawn
-on demand.  A frame window is one frame, drawn a block of rows at a time
-into one float64 scratch block per store, each block rounded and cast into
-a fresh, read-only output array; its scene is a scalar level with
-rectangles painted over it in order.  A frame store holds the current
+The streams are ``session._WindowedStore`` stores, whose windows are drawn
+on demand: a store asks for whole aligned windows only, so each source
+draws exactly one window.  A frame window is one frame, drawn a block of
+rows at a time into one float64 scratch block per store, each block rounded
+and cast into a fresh, read-only output array; its scene is a scalar level
+with rectangles painted over it in order.  A frame store holds the current
 second's generator, the index of the next frame to draw, its current frame
 and the scratch block, so hour-long sessions and 640x480 frames stay small
 in memory.  A store is not thread-safe: ``write_session`` and
 ``score_session`` read each store from one thread only, in frame order, so
 two stores may be drawn on two threads at once.  An audio window is one
-second long, from the first sample read on; it is drawn one second at a
-time, and the last second drawn is kept, so a sequential chunk read draws
-each second once.
+second, ``audio_rate`` samples from a whole second on; a slice across
+seconds is filled by the store a second at a time, so a sequential chunk
+read draws each second once.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ from .analysis import EpochClass, sleep_efficiency
 from .config import CHANNELS, Config
 from .events import Event, clip_range
 from .kvtext import from_pairs, read_pairs, to_pairs, write_pairs
-from .session import Session, SessionManifest, _WindowedStore
+from .session import DEPTH_MAX, Session, SessionManifest, _WindowedStore
 
 CALM = "calm"
 TINY_TWITCH = "tiny_twitch"
@@ -356,11 +357,12 @@ class _LazyFrames(_WindowedStore):
     ``start(sec, z)`` returns an iterator over the frames of second ``sec``:
     each step draws the next frame from that second's generator through the
     scratch block ``z`` of whole rows (bit-equal to a whole-frame draw, as the
-    Generator fills in C order) and yields it as a fresh array.  A sequential
-    read draws each frame once; a read of an earlier frame, or of another
-    second, restarts that second and redraws up to the frame.  A repeated
-    read hands out the current frame again, so frames are read-only, like
-    loaded ones.
+    Generator fills in C order) and yields it as a fresh array.  The store
+    fetches one frame a window, so ``_draw`` resumes the generator up to that
+    frame: a sequential read draws each frame once, and a read of an earlier
+    frame, or of another second, restarts that second and redraws up to the
+    frame.  A repeated read hands out the current window's frame again, so
+    frames are read-only, like loaded ones.
     """
 
     def __init__(self, n_frames: int, fps: int, frame_shape: tuple, dtype, start):
@@ -371,20 +373,17 @@ class _LazyFrames(_WindowedStore):
         self._z = np.empty((min(h, max(1, _BLOCK_PX // w)), w))
         self._sec, self._next, self._frames = -1, 0, None
 
-    def _draw(self, first: int, count: int) -> np.ndarray:
-        """Frames ``first`` to ``first + count - 1``, drawn by resuming second generators."""
-        frames = []
-        for i in range(first, first + count):
-            sec, j = divmod(i, self._fps)
-            if sec != self._sec or j < self._next:
-                self._sec, self._next, self._frames = sec, 0, self._start(sec, self._z)
-            while self._next <= j:
-                frame = next(self._frames)
-                self._next += 1
-            frames.append(frame)
-        frames = frames[0][np.newaxis] if count == 1 else np.stack(frames)
-        frames.flags.writeable = False
-        return frames
+    def _draw(self, i: int, count: int) -> np.ndarray:
+        """Frame ``i`` as a window of ``count`` = 1 frame, resuming its second's generator."""
+        sec, j = divmod(i, self._fps)
+        if sec != self._sec or j < self._next:
+            self._sec, self._next, self._frames = sec, 0, self._start(sec, self._z)
+        while self._next <= j:
+            frame = next(self._frames)
+            self._next += 1
+        frame = frame[np.newaxis]
+        frame.flags.writeable = False
+        return frame
 
 
 def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
@@ -464,35 +463,24 @@ def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
     # A 40-sample-period square wave, one second long at any audio rate.
     square = np.where(np.arange(ar) % 40 < 20, 1.0, -1.0)
 
-    def audio_second(sec: int) -> np.ndarray:
+    def audio_second(start: int, count: int) -> np.ndarray:
+        """The audio second from sample ``start`` on, a window of ``count`` = ``ar`` samples."""
+        sec = start // ar
         samples = np.random.default_rng([scenario.seed, 2, sec]).normal(
             0.0, scenario.audio_noise * 32768.0, ar)
         samples += table.talk[sec] * square
-        return np.clip(np.rint(samples), -32768, 32767).astype(np.int16)
-
-    last = [-1, None]       # the last second drawn and its samples
-
-    def audio_samples(first: int, count: int) -> np.ndarray:
-        """Samples ``first`` to ``first + count - 1``, filled second by second."""
-        out = np.empty(count, np.int16)
-        at, stop = first, first + count
-        while at < stop:
-            sec = at // ar
-            if sec != last[0]:
-                last[:] = sec, audio_second(sec)
-            end = min(stop, (sec + 1) * ar)
-            out[at - first:end - first] = last[1][at - sec * ar:end - sec * ar]
-            at = end
-        out.flags.writeable = False
-        return out
+        samples = np.clip(np.rint(samples), -32768, 32767).astype(np.int16)
+        samples.flags.writeable = False
+        return samples
 
     manifest = SessionManifest(
         depth_width=fw, depth_height=fh, color_width=fw, color_height=fh,
         video_rate=fps, audio_rate=ar, frame_count=dur * fps, roi=tuple(scenario.roi))
     session = Session(manifest=manifest,
-                      depth=frames(0, scenario.depth_noise, 2047, (fh, fw), np.uint16, depth_scene),
+                      depth=frames(0, scenario.depth_noise, DEPTH_MAX, (fh, fw), np.uint16,
+                                   depth_scene),
                       color=frames(1, scenario.luma_noise, 255, (fh, fw, 3), np.uint8, color_scene),
-                      audio=_WindowedStore(audio_samples, dur * ar, (), np.int16, ar))
+                      audio=_WindowedStore(audio_second, dur * ar, (), np.int16, ar))
     events = {ch: [Event(ch, s, e, peak, *clip_range(
                   ch, s, e, video_rate=fps, audio_rate=ar, frame_count=dur * fps,
                   audio_samples=dur * ar)) for s, e, peak in run]

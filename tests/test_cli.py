@@ -225,6 +225,38 @@ class TestReport:
 STREAMS = ("depth.raw", "color.raw", "audio.raw")
 
 
+class TestRoiAreaLimit:
+    """A roi of 10**6 pixels or more fails ``detect`` before any frame and ``report`` alike."""
+
+    MESSAGE = ("roi area 1000000 outside (0, 10**6): six-decimal visual scores no longer "
+               "determine the foreground area")
+
+    @pytest.fixture(scope="class")
+    def megapixel_session(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("megapixel")
+        write_scenario(Scenario(duration=2, seed=3, frame_width=1000, frame_height=1000,
+                                roi=(0, 0, 1000, 1000), video_rate=1), root / "scenario.txt")
+        assert run("generate", "--scenario", root / "scenario.txt", "--out", root / "sess") == 0
+        return root / "sess"
+
+    def test_detect_exits_1_before_reading_a_frame(self, tmp_path, megapixel_session,
+                                                   capsys, monkeypatch):
+        fetched = []
+        monkeypatch.setattr(session._WindowedStore, "_frames_at",
+                            lambda store, start, count: fetched.append(start))
+        out = tmp_path / "det"
+        assert run("detect", "--session", megapixel_session, "--out", out) == 1
+        assert self.MESSAGE in capsys.readouterr().err
+        assert fetched == []
+        assert not out.exists()
+
+    def test_report_exits_1_with_the_same_message(self, tmp_path, capsys):
+        sess, det, _ = write_detection(tmp_path, 1000, 1000, 1, [0, 0])
+        assert run("report", "--session", sess, "--detect", det) == 1
+        assert self.MESSAGE in capsys.readouterr().err
+        assert not (det / "report.txt").exists()
+
+
 def library_report(depth, light, noise, video_rate):
     """report.txt as the library path computes it from the raw depth scores."""
     return analysis.format_report(analysis.sleep_report(depth, light, noise, video_rate))

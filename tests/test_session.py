@@ -373,22 +373,37 @@ class TestMappedAudio:
         assert len(loaded.audio) == len(audio_session[0].audio)
         assert peak < 64 << 10, peak
 
-    def test_slices_and_whole_stream_equal_the_file(self, audio_session):
+    def test_slices_and_whole_stream_equal_the_file(self, audio_session, monkeypatch):
         s, out = audio_session
         want = np.fromfile(out / "audio.raw", "<i2")
         assert np.array_equal(want, s.audio)
         loaded = load_session(out)
         edge = loaded.audio.window_frames
+        mapped = []
+        frames_at = session._WindowedStore._frames_at
+
+        def spy(store, start, count):
+            frames = frames_at(store, start, count)
+            mapped.append((start, len(frames)))
+            return frames
+
+        monkeypatch.setattr(session._WindowedStore, "_frames_at", spy)
+        windows = [(start, min(edge, len(want) - start)) for start in range(0, len(want), edge)]
+        assert len(windows) == 3
         assert np.array_equal(loaded.audio[5:9], want[5:9])
-        # Not inside the first window: a window is mapped from the slice on.
+        # Across an edge: a copy filled from the window before it and the one after.
         across = loaded.audio[edge - 100:edge + 100]
         assert np.array_equal(across, want[edge - 100:edge + 100])
-        assert loaded.audio._window[0] == edge - 100
+        assert loaded.audio._window[0] == edge
         assert int(loaded.audio[-1]) == int(want[-1])
+        # Each window is mapped once, at a multiple of the window length.
+        assert mapped == windows
+        mapped.clear()
         assert np.array_equal(loaded.audio[:], want)        # longer than a window
-        assert loaded.audio[7:7].shape == (0,)
         whole = np.asarray(loaded.audio)
         assert whole.dtype == np.int16 and np.array_equal(whole, want)
+        assert mapped == 2 * windows
+        assert loaded.audio[7:7].shape == (0,)
         with pytest.raises(IndexError, match="contiguous"):
             loaded.audio[::2]
 
@@ -482,6 +497,49 @@ class TestWindowedStore:
         assert np.array_equal(store[store.window_frames], want[store.window_frames])
         assert alive == [False]
 
+    @staticmethod
+    def spy_fetches(monkeypatch):
+        """Record each fetch as ``(start, frames fetched, earlier windows still alive)``."""
+        fetches, earlier = [], []
+        frames_at = session._WindowedStore._frames_at
+
+        def spy(owner, start, count):
+            alive = sum(w() is not None for w in earlier)
+            frames = frames_at(owner, start, count)
+            fetches.append((start, len(frames), alive))
+            earlier.append(weakref.ref(frames))
+            return frames
+
+        monkeypatch.setattr(session._WindowedStore, "_frames_at", spy)
+        return fetches
+
+    def test_every_fetch_is_one_whole_aligned_window(self, stream, monkeypatch):
+        store, want = stream
+        fetches = self.spy_fetches(monkeypatch)
+        size, n = store.window_frames, len(want)
+        for i in (0, size - 1, size, n - 1, -1, 2 * size + 1):
+            assert np.array_equal(store[i], want[i]), i
+        for lo, hi in ((size - 1, size + 1), (1, 3 * size + 1), (size, 2 * size), (-size - 1, n)):
+            assert np.array_equal(store[lo:hi], want[lo:hi]), (lo, hi)
+        assert np.array_equal(np.asarray(store), want)
+        assert len(fetches) >= 10
+        for start, count, _ in fetches:
+            assert start % size == 0 and count == min(size, n - start), (start, count)
+
+    def test_slice_over_several_windows_is_a_read_only_copy(self, stream, monkeypatch):
+        store, want = stream
+        size = store.window_frames
+        fetches = self.spy_fetches(monkeypatch)
+        lo, hi = size // 2, 3 * size + size // 2 + 1
+        part = store[lo:hi]
+        assert np.array_equal(part, want[lo:hi])
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0] = 1
+        assert [start for start, _, _ in fetches] == [0, size, 2 * size, 3 * size]
+        # Each window is let go before the next is fetched.
+        assert [alive for _, _, alive in fetches] == [0, 0, 0, 0]
+
 
 class TestBoundedDetection:
     """Detection maps each window once and holds one window per stream."""
@@ -515,15 +573,10 @@ class TestBoundedDetection:
         starts = [start for store, start, _ in mapped if store is loaded.audio]
         window = loaded.audio.window_frames
         assert window == 2048
-        # A window is mapped from a chunk's first sample when the chunk does
-        # not fit in the current one.
-        man, want, end = s.manifest, [], 0
-        for i in range(man.frame_count):
-            lo, hi = i * man.audio_rate // man.video_rate, (i + 1) * man.audio_rate // man.video_rate
-            if hi > end:
-                want.append(lo)
-                end = lo + window
-        assert starts == want and len(want) >= 10
+        # The 533-sample chunks cross window edges, yet each window is mapped
+        # once, at a multiple of the window length.
+        assert starts == list(range(0, len(s.audio), window))
+        assert len(starts) >= 10 and len(s.audio) % window != 0
 
     def test_never_holds_two_windows_of_one_stream(self, small_windows, monkeypatch):
         mapped = self.spy_windows(monkeypatch)

@@ -30,10 +30,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # geometry: (frame width, frame height, roi, video rate, short and long night in seconds)
-# Each night writes at least three full audio windows (``WINDOW_BYTES``, 32.8 s
-# of 16 kHz audio), since the audio write sets the 640x480 ``generate`` peak:
-# at 60 s the second window is partial, and that peak reads 0.1-0.2 MB lower
-# than at 100 s to 480 s, where it is flat.
+# Each night writes at least three full audio blocks (``write_session`` writes
+# the audio ``WINDOW_BYTES``, 32.8 s of 16 kHz audio, at a time; a generated
+# store copies each block from one-second windows), since the audio write sets
+# the 640x480 ``generate`` peak: at 60 s the second block is partial, and that
+# peak reads 0.1-0.2 MB lower than at 100 s to 480 s, where it is flat.
 NIGHTS = {
     "48x48": (48, 48, (8, 8, 32, 32), 30, (300, 1800)),
     "640x480": (640, 480, (160, 65, 320, 350), 2, (120, 240)),
