@@ -72,8 +72,7 @@ def luma(color_frame: np.ndarray) -> np.ndarray:
 class BackgroundModel:
     """Per-pixel Gaussian mixture over one single-valued channel."""
 
-    def __init__(self, config: Config, first_frame: np.ndarray,
-                 channel: str = "depth"):
+    def __init__(self, config: Config, first_frame: np.ndarray, channel: str):
         if channel not in ("depth", "luma"):
             raise ValueError(f"unknown channel kind {channel!r}")
         if first_frame.ndim != 2:

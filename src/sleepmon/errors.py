@@ -19,7 +19,3 @@ class InvalidDepthError(PipelineError):
 
 class RoiBoundsError(PipelineError):
     """A region of interest does not fit inside the frame."""
-
-
-class AudioUnderrunError(PipelineError):
-    """The audio stream is too short for the requested number of chunks."""

@@ -25,7 +25,6 @@ import numpy as np
 
 from .background import BackgroundModel, foreground_area, luma, morph_smooth
 from .config import CHANNELS, Config
-from .errors import AudioUnderrunError
 from .session import Session, crop_roi, run_frame_loops, use_helper_thread
 
 PCM_FULL_SCALE = 32768.0
@@ -58,19 +57,14 @@ def _score_audio(session: Session) -> np.ndarray:
     """``audio_score`` of each frame slot's chunk, read one chunk at a time.
 
     Chunk i covers samples ``chunk_bounds(...)[i]`` up to ``[i + 1]``; the
-    chunks are gapless and non-overlapping.  Each chunk is let go before the
-    next is read, so a mapped stream keeps about one window in memory.  Audio
-    too short for the last chunk raises ``AudioUnderrunError`` before any is
-    scored.
+    chunks are gapless and non-overlapping, and the last ends at
+    ``min_audio_samples``, which a ``Session`` holds by construction.  Each
+    chunk is let go before the next is read, so a mapped stream keeps about
+    one window in memory.
     """
     man = session.manifest
     audio = session.audio
     bounds = chunk_bounds(man.audio_rate, man.video_rate, man.frame_count)
-    if man.frame_count and len(audio) < bounds[-1]:
-        first_bad = int(np.searchsorted(bounds[1:], len(audio), side="right"))
-        raise AudioUnderrunError(
-            f"audio underrun at chunk {first_bad}: stream holds {len(audio)} samples, "
-            f"chunk needs samples up to {int(bounds[first_bad + 1]) - 1}")
     scores = np.empty(man.frame_count, np.float64)
     for i in range(man.frame_count):
         scores[i] = audio_score(audio[bounds[i]:bounds[i + 1]])
@@ -93,9 +87,9 @@ def score_session(session: Session, depth_model: BackgroundModel,
                   color_model: BackgroundModel) -> dict[str, np.ndarray]:
     """Run both background models over the session and score all channels.
 
-    Returns one float64 array per score channel.  Audio is scored first, so
-    audio too short for the frame count raises ``AudioUnderrunError`` before
-    any frame is read.  The depth and the color frames are then scored by
+    Returns one float64 array per score channel.  A ``Session`` agrees with
+    its manifest once built, so the audio covers every frame slot.  Audio is
+    scored first, then the depth and the color frames by
     ``session.run_frame_loops``: the color model on a helper thread when
     ``session.use_helper_thread`` holds for the roi area, otherwise on the
     caller after the depth model.  Both give bitwise-identical scores and

@@ -21,7 +21,9 @@ Streams are fixed-rate: frame ``i`` is at ``i / video_rate`` seconds and
 sample ``j`` at ``j / audio_rate`` seconds; there are no per-frame
 timestamps.  The audio stream must hold at least
 ``floor(frame_count * audio_rate / video_rate)`` samples so that every video
-frame slot has a complete audio chunk.
+frame slot has a complete audio chunk.  That is one of the stream rules a
+``Session`` checks once, when it is built: a session whose stores disagree
+with its manifest cannot exist, so no reader checks the counts again.
 
 Frame stores only need ``len()`` and integer indexing, and the audio only
 ``len()``, contiguous slices and ``np.asarray``, so sessions may be backed by
@@ -138,9 +140,9 @@ class SessionManifest:
         return self.frame_count * self.audio_rate // self.video_rate
 
 
-@dataclass
+@dataclass(frozen=True)
 class Session:
-    """One loaded or generated session.
+    """One loaded or generated session, whose streams agree with its manifest.
 
     ``depth`` indexes to ``(depth_height, depth_width)`` uint16 frames and
     ``color`` to ``(color_height, color_width, 3)`` uint8 frames.  ``audio``
@@ -148,12 +150,33 @@ class Session:
     gives 1-D int16 samples.  Loaded and generated sessions hold
     ``_WindowedStore`` streams, whose windows are mapped from a file or drawn
     by ``synth.generate``.
+
+    A session is checked once, when it is built (``dataclasses.replace``
+    included), and it is frozen: the depth and color stores hold exactly
+    ``frame_count`` frames, the audio is 1-D int16 (read off the empty head
+    slice ``audio[0:0]``, which reads no stream bytes) and holds at least
+    ``min_audio_samples``; otherwise ``ManifestMismatchError`` is raised.
+    Each frame's shape and depth range are checked as it is read.
     """
 
     manifest: SessionManifest
     depth: object
     color: object
     audio: object
+
+    def __post_init__(self):
+        n = self.manifest.frame_count
+        if len(self.depth) != n or len(self.color) != n:
+            raise ManifestMismatchError(
+                f"manifest mismatch: stream holds {len(self.depth)} depth / "
+                f"{len(self.color)} color frames, manifest declares {n}")
+        head = np.asarray(self.audio[0:0])
+        if head.ndim != 1 or head.dtype != np.int16:
+            raise ManifestMismatchError("manifest mismatch: audio must be 1-D int16")
+        if len(self.audio) < self.manifest.min_audio_samples:
+            raise ManifestMismatchError(
+                f"manifest mismatch: audio holds {len(self.audio)} samples, "
+                f"need at least {self.manifest.min_audio_samples}")
 
     def depth_frame(self, i: int) -> np.ndarray:
         return self.depth[i]
@@ -402,7 +425,9 @@ def run_frame_loops(n: int, depth_step, color_step, threaded: bool) -> None:
 def write_session(session: Session, path: str | os.PathLike) -> None:
     """Write manifest and streams, checking each frame as it is written.
 
-    The audio is read and written a window of ``WINDOW_BYTES`` at a time.
+    The frame counts and the audio were checked when ``session`` was built.
+    The audio is read and written one second (``audio_rate`` samples) at a
+    time: a window of a generated store, a slice of a loaded one.
 
     An invalid session leaves no file behind: the streams are written to
     ``<name>.partial`` files, renamed into place once every frame has passed,
@@ -419,23 +444,6 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
     """
     man = session.manifest
     n = man.frame_count
-    if len(session.depth) != n or len(session.color) != n:
-        raise ManifestMismatchError(
-            f"manifest mismatch: stream holds {len(session.depth)} depth / "
-            f"{len(session.color)} color frames, manifest declares {n}")
-    audio = session.audio
-
-    def audio_window(start, stop):
-        window = np.asarray(audio[start:stop])
-        if window.ndim != 1 or window.dtype != np.int16:
-            raise ManifestMismatchError("manifest mismatch: audio must be 1-D int16")
-        return window
-
-    audio_window(0, 0)
-    if len(audio) < man.min_audio_samples:
-        raise ManifestMismatchError(
-            f"manifest mismatch: audio holds {len(audio)} samples, "
-            f"need at least {man.min_audio_samples}")
 
     def check_depth(i, d):
         if d.shape != (man.depth_height, man.depth_width):
@@ -458,9 +466,9 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
                             lambda i: fc.write(check_color(i, session.color_frame(i))),
                             use_helper_thread(man.color_width * man.color_height))
         with open(partials[2], "wb") as fa:
-            step = WINDOW_BYTES // 2
+            audio, step = session.audio, man.audio_rate
             for start in range(0, len(audio), step):
-                fa.write(np.ascontiguousarray(audio_window(start, start + step), dtype="<i2"))
+                fa.write(np.ascontiguousarray(audio[start:start + step], dtype="<i2"))
         for partial, name in zip(partials, names):
             os.replace(partial, out / name)
     except BaseException:
@@ -474,10 +482,12 @@ def load_session(path: str | os.PathLike) -> Session:
     """Load a session directory, verifying the manifest and the stream sizes.
 
     The manifest is read by ``load_manifest``.  Then only the stream file
-    sizes are checked; the depth and color frames and the audio samples are
-    mapped on demand, and a depth sample above ``DEPTH_MAX`` raises
-    ``InvalidDepthError`` when its window is first read (see the module
-    docstring).  A caller that needs only the manifest calls
+    sizes are checked: each file holds whole frames (or samples), the depth
+    and color files exactly ``frame_count``, and ``Session`` checks the
+    audio length, as it does for any session.  The frames and the audio
+    samples are mapped on demand, and a depth sample above ``DEPTH_MAX``
+    raises ``InvalidDepthError`` when its window is first read (see the
+    module docstring).  A caller that needs only the manifest calls
     ``load_manifest`` and pays for none of this.
     """
     root = Path(path)
@@ -490,10 +500,6 @@ def load_session(path: str | os.PathLike) -> Session:
                            man.frame_count, check=_check_depth_range)
     color = _mapped_stream(root / man.color_file, "u1", (man.color_height, man.color_width, 3),
                            man.frame_count)
-    audio_size = (root / man.audio_file).stat().st_size
-    if audio_size % 2 != 0 or audio_size // 2 < man.min_audio_samples:
-        raise ManifestMismatchError(
-            f"manifest mismatch: audio file holds {audio_size // 2} samples, "
-            f"need at least {man.min_audio_samples}")
-    audio = _mapped_stream(root / man.audio_file, "<i2", (), audio_size // 2)
+    audio = _mapped_stream(root / man.audio_file, "<i2", (),
+                           (root / man.audio_file).stat().st_size // 2)
     return Session(manifest=man, depth=depth, color=color, audio=audio)

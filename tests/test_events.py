@@ -1,6 +1,7 @@
 """Epoch aggregation, the three-point event rule (with oracle), clips."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sleepmon.config import Config
+from sleepmon.errors import ManifestMismatchError
 from sleepmon.events import (EVENT_LOG_HEADER, Event, clip_range,
                              detect_events, epochize, epoch_peaks, format_epochs_csv,
                              format_event_log, parse_event_log, run_detector)
@@ -141,14 +143,19 @@ class TestRunDetector:
     def _static(self, seconds=12):
         n = seconds * 30
         s = build_session(frame_count=n, width=12, height=10, roi=(1, 1, 8, 8))
-        s.depth = np.full((n, 10, 12), 900, np.uint16)
-        s.color = np.full((n, 10, 12, 3), 40, np.uint8)
-        s.audio = np.zeros(s.manifest.min_audio_samples, np.int16)
-        return s
+        return replace(s, depth=np.full((n, 10, 12), 900, np.uint16),
+                       color=np.full((n, 10, 12, 3), 40, np.uint8),
+                       audio=np.zeros(s.manifest.min_audio_samples, np.int16))
 
     def test_static_session_has_no_events(self):
         res = run_detector(self._static())
         assert all(len(v) == 0 for v in res.events.values())
+
+    @pytest.mark.parametrize("stream", ["depth", "color"])
+    def test_store_one_frame_short_never_reaches_the_detector(self, stream):
+        s = self._static(1)
+        with pytest.raises(ManifestMismatchError, match="manifest declares 30"):
+            run_detector(replace(s, **{stream: getattr(s, stream)[:-1]}))
 
     def test_empty_session(self):
         s = build_session(frame_count=0)
@@ -161,7 +168,7 @@ class TestRunDetector:
         s2 = self._static(14)
         burst = np.zeros(s2.manifest.min_audio_samples, np.int16)
         burst[12 * 16000:13 * 16000] = 20000
-        s2.audio = burst
+        s2 = replace(s2, audio=burst)
         r1, r2 = run_detector(s1), run_detector(s2)
         assert len(r2.events["noise"]) == 1
         assert r1.events["motion"] == r2.events["motion"]
@@ -173,7 +180,7 @@ class TestRunDetector:
         # loud audio during the burn-in window only
         loud = np.zeros(s.manifest.min_audio_samples, np.int16)
         loud[: 5 * 16000] = 20000
-        s.audio = loud
+        s = replace(s, audio=loud)
         res = run_detector(s)
         assert len(res.events["noise"]) == 0
         assert np.all(res.epochs["audio"][:10] == 0)
@@ -182,7 +189,7 @@ class TestRunDetector:
         s = self._static(12)
         loud = np.zeros(s.manifest.min_audio_samples, np.int16)
         loud[: 5 * 16000] = 20000
-        s.audio = loud
+        s = replace(s, audio=loud)
         config = Config(burn_in_seconds=0)
         res = run_detector(s, config)
         assert res.config is config

@@ -1,6 +1,7 @@
 """Score normalization, audio chunking, and whole-session scoring."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from sleepmon import background
 from sleepmon.background import foreground_area
-from sleepmon.errors import AudioUnderrunError
+from sleepmon.errors import ManifestMismatchError
 from sleepmon.scoring import (CHANNELS, audio_score, chunk_bounds,
                               exact_visual_scores, format_scores_csv, make_models,
                               parse_scores_csv, score_session)
@@ -54,11 +55,12 @@ class TestChunkAudio:
         assert np.all(np.diff(bounds) > 0)
 
     def test_underrun_names_first_incomplete_chunk(self):
-        s = build_session(frame_count=30, width=12, height=10, roi=(1, 1, 8, 8),
+        # Audio one sample short of the last chunk is rejected as the session
+        # is built, so no chunk is ever scored short.
+        with pytest.raises(ManifestMismatchError, match="^manifest mismatch: audio holds "
+                           "15999 samples, need at least 16000$"):
+            build_session(frame_count=30, width=12, height=10, roi=(1, 1, 8, 8),
                           audio=np.zeros(15999, np.int16))
-        with pytest.raises(AudioUnderrunError, match="audio underrun at chunk 29: stream "
-                           "holds 15999 samples, chunk needs samples up to 15999"):
-            score_session(s, *make_models(s))
 
     @settings(max_examples=100, deadline=None)
     @given(audio_rate=st.integers(1, 48000), video_rate=st.integers(1, 60),
@@ -96,10 +98,9 @@ def _static_session(seconds=12, value=900, luma_value=50):
     n = seconds * 30
     man_kw = dict(frame_count=n, width=12, height=10, roi=(1, 1, 8, 8))
     s = build_session(**man_kw)
-    s.depth = np.full((n, 10, 12), value, np.uint16)
-    s.color = np.full((n, 10, 12, 3), luma_value, np.uint8)
-    s.audio = np.zeros(s.manifest.min_audio_samples, np.int16)
-    return s
+    return replace(s, depth=np.full((n, 10, 12), value, np.uint16),
+                   color=np.full((n, 10, 12, 3), luma_value, np.uint8),
+                   audio=np.zeros(s.manifest.min_audio_samples, np.int16))
 
 
 class TestScoreSession:
@@ -133,12 +134,13 @@ class TestScoreSession:
         rng = np.random.default_rng(4)
         s = build_session(frame_count=40, width=150, height=140, roi=(5, 5, 140, 130))
         assert 140 * 130 >= _THREAD_MIN_PX
-        s.depth = (1000 + rng.integers(-3, 4, s.depth.shape)).astype(np.uint16)
-        s.depth[10:20, 30:90, 40:100] += 300
-        s.depth[:, 8:30, 20:60] = 0                 # roi rows 3-24, from frame 0
-        s.depth[rng.random(s.depth.shape) < 0.05] = 0
-        s.color = (100 + rng.integers(-2, 3, s.color.shape)).astype(np.uint8)
-        s.color[15:25] += 120
+        depth = (1000 + rng.integers(-3, 4, s.depth.shape)).astype(np.uint16)
+        depth[10:20, 30:90, 40:100] += 300
+        depth[:, 8:30, 20:60] = 0                   # roi rows 3-24, from frame 0
+        depth[rng.random(depth.shape) < 0.05] = 0
+        color = (100 + rng.integers(-2, 3, s.color.shape)).astype(np.uint8)
+        color[15:25] += 120
+        s = replace(s, depth=depth, color=color)
         out = {}
         for threaded in (False, True):
             force_helper_thread(monkeypatch, threaded)
@@ -164,7 +166,8 @@ class TestScoreSession:
         models = make_models(s)
         for ch, fail in (("depth", depth_fail), ("color", color_fail)):
             at, exc = fail or (None, None)
-            setattr(s, ch, ScriptedFrames(getattr(s, ch), at=at, exc=exc and exc(f"{ch} {at}")))
+            s = replace(s, **{ch: ScriptedFrames(getattr(s, ch), at=at,
+                                                 exc=exc and exc(f"{ch} {at}"))})
         threads = threading.active_count()
         with pytest.raises((RuntimeError, KeyboardInterrupt), match=want):
             score_session(s, *models)
@@ -176,20 +179,20 @@ class TestScoreSession:
         s = build_session(frame_count=40, width=12, height=10, roi=(1, 1, 8, 8), seed=7)
         models = make_models(s)
         other = "color" if failing == "depth" else "depth"
-        setattr(s, failing, ScriptedFrames(getattr(s, failing), at=1, exc=RuntimeError("stop")))
-        setattr(s, other, ScriptedFrames(getattr(s, other), delay=0.01))
+        s = replace(s, **{failing: ScriptedFrames(getattr(s, failing), at=1,
+                                                  exc=RuntimeError("stop")),
+                          other: ScriptedFrames(getattr(s, other), delay=0.01)})
         with pytest.raises(RuntimeError, match="stop"):
             score_session(s, *models)
         assert getattr(s, other).read[:2] == [0, 1] and len(getattr(s, other).read) < 10
 
     def test_audio_underrun_raises_before_any_frame_is_read(self):
         s = build_session(frame_count=30, width=12, height=10, roi=(1, 1, 8, 8), seed=8)
-        models = make_models(s)
-        s.audio = s.audio[:-1]
-        s.depth, s.color = ScriptedFrames(s.depth), ScriptedFrames(s.color)
-        with pytest.raises(AudioUnderrunError, match="audio underrun at chunk 29"):
-            score_session(s, *models)
-        assert s.depth.read == [] and s.color.read == []
+        depth, color = ScriptedFrames(s.depth), ScriptedFrames(s.color)
+        # The short audio is rejected as the session is built, before scoring.
+        with pytest.raises(ManifestMismatchError, match="audio holds 15999 samples"):
+            replace(s, audio=s.audio[:-1], depth=depth, color=color)
+        assert depth.read == [] and color.read == []
 
     def test_audio_rate_below_video_rate_is_rejected_before_scoring(self):
         # The manifest rejects the rates, so no session with them reaches the detector.
@@ -200,7 +203,7 @@ class TestScoreSession:
     def test_depth_series_ignores_color_stream(self):
         s1 = build_session(frame_count=45, width=12, height=10, roi=(1, 1, 8, 8), seed=5)
         s2 = build_session(frame_count=45, width=12, height=10, roi=(1, 1, 8, 8), seed=5)
-        s2.color = np.clip(s2.color.astype(np.int32) * 2, 0, 255).astype(np.uint8)
+        s2 = replace(s2, color=np.clip(s2.color.astype(np.int32) * 2, 0, 255).astype(np.uint8))
         d1 = score_session(s1, *make_models(s1))["depth"]
         d2 = score_session(s2, *make_models(s2))["depth"]
         assert np.array_equal(d1, d2)

@@ -8,7 +8,7 @@ import threading
 import time
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -101,6 +101,45 @@ class TestManifest:
     def test_min_audio_samples_uses_floor(self):
         man = SessionManifest(frame_count=30)
         assert man.min_audio_samples == 30 * 16000 // 30
+
+
+class TestSessionRule:
+    """A session agrees with its manifest once it is built, however it is built."""
+
+    @pytest.mark.parametrize("defect, message", [
+        ("short depth", "stream holds 2 depth / 3 color frames, manifest declares 3"),
+        ("short color", "stream holds 3 depth / 2 color frames, manifest declares 3"),
+        ("long color", "stream holds 3 depth / 4 color frames, manifest declares 3"),
+        ("short audio", "audio holds 1599 samples, need at least 1600"),
+        ("int32 audio", "audio must be 1-D int16"),
+        ("2-D audio", "audio must be 1-D int16"),
+    ])
+    def test_streams_that_disagree_with_the_manifest_are_rejected(self, defect, message):
+        s = build_session(frame_count=3)
+        change = {"short depth": {"depth": s.depth[:2]},
+                  "short color": {"color": s.color[:2]},
+                  "long color": {"color": np.concatenate([s.color, s.color[:1]])},
+                  "short audio": {"audio": s.audio[:-1]},
+                  "int32 audio": {"audio": s.audio.astype(np.int32)},
+                  "2-D audio": {"audio": s.audio.reshape(-1, 1)}}[defect]
+        fields = dict(manifest=s.manifest, depth=s.depth, color=s.color, audio=s.audio) | change
+        want = f"^manifest mismatch: {message}$"
+        with pytest.raises(ManifestMismatchError, match=want):
+            Session(**fields)
+        with pytest.raises(ManifestMismatchError, match=want):
+            replace(s, **change)
+
+    def test_a_built_session_is_frozen(self, small_session):
+        with pytest.raises(FrozenInstanceError):
+            small_session.depth = small_session.depth[:2]
+
+    def test_odd_sized_audio_file_is_manifest_mismatch(self, small_session, tmp_path):
+        write_session(small_session, tmp_path)
+        with open(tmp_path / "audio.raw", "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(ManifestMismatchError, match="audio.raw holds 3201 bytes, "
+                                                        "expected 3200"):
+            load_session(tmp_path)
 
 
 class TestRoundTrip:
@@ -315,8 +354,8 @@ def write_long_audio_session(out, frame_count, audio_samples, width=16, height=1
     """Write a small-frame session whose audio holds ``audio_samples`` random samples."""
     s = build_session(frame_count=frame_count, width=width, height=height,
                       roi=(0, 0, width, height), seed=frame_count)
-    s.audio = np.random.default_rng(audio_samples).integers(
-        -32768, 32768, audio_samples, dtype=np.int16)
+    s = replace(s, audio=np.random.default_rng(audio_samples).integers(
+        -32768, 32768, audio_samples, dtype=np.int16))
     write_session(s, out)
     return s
 
@@ -631,11 +670,10 @@ class TestWriteValidation:
             write_session(s, out)
         assert not (out / "depth.raw").exists()
 
-    def test_frame_count_mismatch_rejected(self, tmp_path):
+    def test_frame_count_mismatch_rejected(self):
         s = self.session(frame_count=3)
-        s.depth = s.depth[:2]
         with pytest.raises(ManifestMismatchError, match="manifest mismatch"):
-            write_session(s, tmp_path / "bad")
+            replace(s, depth=s.depth[:2])
 
     @pytest.mark.parametrize("defect", ["frame_count", "audio_dtype", "audio_length",
                                         "audio_rate"])
@@ -646,14 +684,12 @@ class TestWriteValidation:
             with pytest.raises(ValueError, match="audio_rate 20 is below video_rate 30"):
                 replace(s.manifest, audio_rate=20)
             return
-        if defect == "frame_count":
-            s.color = s.color[:2]
-        elif defect == "audio_dtype":
-            s.audio = s.audio.astype(np.int32)
-        else:
-            s.audio = s.audio[:-1]
+        change = {"frame_count": {"color": s.color[:2]},
+                  "audio_dtype": {"audio": s.audio.astype(np.int32)},
+                  "audio_length": {"audio": s.audio[:-1]}}[defect]
+        # The session is rejected as it is built, so no write can begin.
         with pytest.raises(ManifestMismatchError, match="manifest mismatch"):
-            write_session(s, tmp_path / "bad")
+            replace(s, **change)
         assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize("defect, error", [("depth_range", InvalidDepthError),
@@ -663,8 +699,9 @@ class TestWriteValidation:
         if defect == "depth_range":
             s.depth[-1, 0, 0] = DEPTH_MAX + 1
         else:
-            s.color = list(s.color)
-            s.color[-1] = s.color[-1][:, :-1]
+            color = list(s.color)
+            color[-1] = color[-1][:, :-1]
+            s = replace(s, color=color)
         out = tmp_path / "bad"
         with pytest.raises(error, match="frame 2"):
             write_session(s, out)
@@ -676,24 +713,24 @@ class TestWriteValidation:
         color = list(s.color)
         color[2] = color[2][:, :-1]
         # Color lags, so on two threads the depth error is usually met first.
-        s.color = ScriptedFrames(color, delay=0.02)
+        s = replace(s, color=ScriptedFrames(color, delay=0.02))
         with pytest.raises(ManifestMismatchError, match="color frame 2 "):
             write_session(s, tmp_path / "bad")
 
     def test_depth_error_beats_color_error_in_the_same_frame(self, tmp_path):
         s = self.session(frame_count=6)
         s.depth[2, 0, 0] = DEPTH_MAX + 1
+        color = list(s.color)
+        color[2] = color[2][:, :-1]
         # Depth lags, so on two threads the color error is usually met first.
-        s.depth = ScriptedFrames(s.depth, delay=0.02)
-        s.color = list(s.color)
-        s.color[2] = s.color[2][:, :-1]
+        s = replace(s, depth=ScriptedFrames(s.depth, delay=0.02), color=color)
         with pytest.raises(InvalidDepthError, match="frame 2:"):
             write_session(s, tmp_path / "bad")
 
     def test_a_failure_stops_the_other_stream(self, tmp_path):
         s = self.session(frame_count=40)
         s.depth[1, 0, 0] = DEPTH_MAX + 1
-        s.color = ScriptedFrames(s.color, delay=0.01)
+        s = replace(s, color=ScriptedFrames(s.color, delay=0.01))
         with pytest.raises(InvalidDepthError, match="frame 1:"):
             write_session(s, tmp_path / "bad")
         assert s.color.read[:2] == [0, 1] and len(s.color.read) < 10
@@ -701,7 +738,8 @@ class TestWriteValidation:
     @pytest.mark.parametrize("stream", ["depth", "color"])
     def test_interrupt_propagates_and_leaves_nothing(self, tmp_path, stream):
         s = self.session(frame_count=6)
-        setattr(s, stream, ScriptedFrames(getattr(s, stream), at=3, exc=KeyboardInterrupt))
+        s = replace(s, **{stream: ScriptedFrames(getattr(s, stream), at=3,
+                                                 exc=KeyboardInterrupt)})
         threads = threading.active_count()
         out = tmp_path / "out"
         with pytest.raises(KeyboardInterrupt):

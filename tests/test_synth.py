@@ -938,6 +938,27 @@ class TestFrameAtATimeStore:
         bound = 2 * block + 4 * (depth_frame + color_frame) + 4 * audio_bytes
         assert peak < bound, (peak, bound)
 
+    def test_write_session_peak_memory_holds_a_few_seconds_of_audio(self, tmp_path):
+        # 16x16 frames at 1 fps, so the audio is most of what is written: a
+        # 120 s night holds 3.84 MB of it.  Writing it must not hold more
+        # audio than a few seconds as the night grows, so a 1 MiB block (32.8 s)
+        # breaks the bound.  The first night also traces the import of
+        # numpy.random (about 0.75 MB), so the short night is run twice.
+        peaks = []
+        for duration in (8, 8, 120):
+            sc = Scenario(duration=duration, seed=2, frame_width=16, frame_height=16,
+                          roi=(0, 0, 16, 16), video_rate=1)
+            tracemalloc.start()
+            try:
+                session, _ = generate(sc)
+                write_session(session, tmp_path / str(len(peaks)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del session
+        audio_second = 2 * sc.audio_rate
+        assert peaks[2] - peaks[1] < 4 * audio_second, peaks
+
     def test_generate_draws_the_audio_on_demand(self):
         tracemalloc.start()
         try:
@@ -965,8 +986,8 @@ class TestFrameAtATimeStore:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # The store keeps its current window and the last second drawn, not
-        # the whole stream it handed out.
+        # The store keeps only its current window, the last second drawn
+        # (32 kB), not the whole stream it handed out.
         assert held < 1 << 20, held
 
     def test_audio_slices_agree_with_the_whole_stream(self, tmp_path, monkeypatch):
