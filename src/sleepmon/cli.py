@@ -11,7 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, events, scoring, synth
-from .config import Config, read_config, write_config
+from .config import CHANNELS, Config, read_config, write_config
 from .errors import ManifestMismatchError, PipelineError
 from .session import load_manifest, load_session, write_session
 
@@ -111,11 +111,22 @@ def _match_spans(detected, truth, tolerance: int) -> tuple[int, int, int]:
     return matched, len(detected), len(truth)
 
 
+def _tolerance(text: str) -> int:
+    """The ``compare --tolerance`` value: a whole number of epochs, at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a whole number of epochs >= 0, not {text!r}")
+    return value
+
+
 def cmd_compare(args) -> int:
     detected = events.parse_event_log(Path(args.events).read_text(encoding="utf-8"))
     truth = events.parse_event_log(Path(args.truth).read_text(encoding="utf-8"))
     all_ok = True
-    for ch in scoring.CHANNELS.values():
+    for ch in CHANNELS.values():
         matched, n_det, n_truth = _match_spans(detected[ch], truth[ch], args.tolerance)
         precision = matched / n_det if n_det else 1.0
         recall = matched / n_truth if n_truth else 1.0
@@ -152,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="precision/recall of an event log vs ground truth")
     cmp_.add_argument("--events", required=True)
     cmp_.add_argument("--truth", required=True)
-    cmp_.add_argument("--tolerance", type=int, default=2)
+    cmp_.add_argument("--tolerance", type=_tolerance, default=2)
     cmp_.set_defaults(func=cmd_compare)
     return parser
 

@@ -116,7 +116,6 @@ class DetectionResult:
     scores: dict
     epochs: dict
     events: dict
-    config: Config
 
 
 def run_detector(session: Session, config: Config | None = None) -> DetectionResult:
@@ -132,8 +131,7 @@ def run_detector(session: Session, config: Config | None = None) -> DetectionRes
     if man.frame_count == 0:
         return DetectionResult(scores={ch: np.empty(0, np.float64) for ch in CHANNELS},
                                epochs={ch: np.empty(0, np.int64) for ch in CHANNELS},
-                               events={ev: [] for ev in CHANNELS.values()},
-                               config=config)
+                               events={ev: [] for ev in CHANNELS.values()})
     depth_model, color_model = make_models(session, config)
     scores = score_session(session, depth_model, color_model)
     fpe = man.video_rate
@@ -152,7 +150,7 @@ def run_detector(session: Session, config: Config | None = None) -> DetectionRes
             peak = float(peaks[start:end + 1].max())
             evs.append(Event(ev_channel, start, end, peak, clip[0], clip[1]))
         events[ev_channel] = evs
-    return DetectionResult(scores=scores, epochs=epochs, events=events, config=config)
+    return DetectionResult(scores=scores, epochs=epochs, events=events)
 
 
 EVENT_LOG_HEADER = "channel,start_epoch,end_epoch,peak_score,clip_start,clip_end"

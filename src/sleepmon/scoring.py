@@ -5,10 +5,10 @@ audio scores the RMS of the chunk aligned to each video frame slot, divided
 by PCM full scale (32768).  Fixed denominators keep scores deterministic and
 comparable across channels; nothing depends on future data.
 
-Channel naming lives in one table, ``CHANNELS`` (defined in ``config`` and
-the same object here): its keys name the score channels (the ``scores.csv``
-and ``epochs.csv`` columns, in file order) and its values the event channel
-each one feeds (the ``events.log`` channels).  Scores are plain float64 arrays
+Channel naming follows the one table ``config.CHANNELS``: its keys name the
+score channels (the ``scores.csv`` and ``epochs.csv`` columns, in file order)
+and its values the event channel each one feeds (the ``events.log``
+channels).  Scores are plain float64 arrays
 keyed by score channel.
 
 The two models share no state, so ``score_session`` folds the depth and the

@@ -7,46 +7,42 @@ A session is a directory containing a manifest plus three raw stream files:
     keys, in field order, its ``roi`` written as the four keys ``roi_x``,
     ``roi_y``, ``roi_w``, ``roi_h`` (see ``kvtext``).
 
-depth stream
-    Raw little-endian unsigned 16-bit values, row-major, frame after frame.
-    Valid samples are 0..2047; 0 is reserved for "no reading".
-
-color stream
-    Raw ``r, g, b`` bytes, row-major, frame after frame.
-
-audio stream
-    Raw little-endian signed 16-bit PCM, mono.
+depth, color and audio streams
+    Raw items, row-major, one after another, each stream in the file, dtype
+    and item shape that ``SessionManifest.layout`` declares, the one place
+    they are written down: little-endian uint16 depth frames (valid samples
+    0..2047, 0 reserved for "no reading"), ``r, g, b`` byte color frames,
+    and little-endian int16 mono PCM samples.
 
 Streams are fixed-rate: frame ``i`` is at ``i / video_rate`` seconds and
 sample ``j`` at ``j / audio_rate`` seconds; there are no per-frame
-timestamps.  The audio stream must hold at least
-``floor(frame_count * audio_rate / video_rate)`` samples so that every video
-frame slot has a complete audio chunk.  That is one of the stream rules a
-``Session`` checks once, when it is built: a session whose stores disagree
-with its manifest cannot exist, so no reader checks the counts again.
+timestamps.  A ``Session`` checks its stores against the layout, and that
+the audio covers every frame slot, once, when it is built, so no reader or
+writer checks a frame's shape or a stream's length again; only the depth
+range is checked per frame.
 
-Frame stores only need ``len()`` and integer indexing, and the audio only
-``len()``, contiguous slices and ``np.asarray``, so sessions may be backed by
-eager ndarrays or by windowed stores; observable behavior is identical
+Every store answers one protocol: ``len()``, integer indexing and
+contiguous slices, the empty one included.  Sessions may be backed by eager
+ndarrays or by windowed stores, and observable behavior is identical
 either way.  A windowed store (``_WindowedStore``) is the one stream store,
-and it places windows by one rule: window ``k`` holds frames (for the
-audio, samples) ``k * window_frames`` up to the next multiple or the end,
-and a window source fetches whole windows only.  A read inside one window
-is a view of it; a slice across windows is a read-only copy filled one
-window at a time, and ``np.asarray`` is the whole-stream slice, so a store
-holds one window at a time.  There are three sources: ``load_session``
-maps each stream from its file, ``WINDOW_BYTES`` of whole frames a window,
-so a loaded session holds about ``WINDOW_BYTES`` per stream in memory
-however long the recording is, and ``synth.generate`` draws its audio one
-second a window and its frames one frame a window.  A frame or slice the
-caller holds keeps its own window alive, so later reads never overwrite
-it.  A store need not be thread-safe, so each store is read from one
-thread only.  Each depth window is checked for samples above
-``DEPTH_MAX`` as it is mapped, so the depth stream is read once: an
-out-of-range sample raises ``InvalidDepthError`` at the first read of a
-frame in its window, not at load.  ``load_session`` reads no stream bytes;
-code that needs only the geometry and rates (the report) calls
-``load_manifest``, which opens nothing but ``manifest.txt``.
+and it places windows by one rule: window ``k`` holds items
+``k * window_frames`` up to the next multiple or the end, and a window
+source fetches whole windows only.  A read inside one window is a view of
+it; a slice across windows is a read-only copy filled one window at a time,
+and ``np.asarray`` is the whole-stream slice, so a store holds one window
+at a time.  There are three sources: ``load_session`` maps each stream
+from its file, ``WINDOW_BYTES`` of whole items a window, so a loaded
+session holds about ``WINDOW_BYTES`` per stream in memory however long the
+recording is, and ``synth.generate`` draws its audio one second a window
+and its frames one frame a window.  A frame or slice the caller holds keeps
+its own window alive, so later reads never overwrite it.  A store need not
+be thread-safe, so each store is read from one thread only.  Each depth
+window is checked for samples above ``DEPTH_MAX`` as it is mapped, so the
+depth stream is read once: an out-of-range sample raises
+``InvalidDepthError`` at the first read of a frame in its window, not at
+load.  ``load_session`` reads no stream bytes; code that needs only the
+geometry and rates (the report) calls ``load_manifest``, which opens
+nothing but ``manifest.txt``.
 
 The thread policy lives here too.  ``write_session`` and
 ``scoring.score_session`` each run one loop over the depth frames and one
@@ -139,24 +135,31 @@ class SessionManifest:
         """Samples needed so every frame slot has a complete audio chunk."""
         return self.frame_count * self.audio_rate // self.video_rate
 
+    @property
+    def layout(self) -> dict:
+        """``(file name, dtype, item shape)`` of each stream, keyed by stream, in file order.
+
+        An item is a depth or color frame or an audio sample, in its file's dtype.
+        """
+        return {"depth": (self.depth_file, np.dtype("<u2"),
+                          (self.depth_height, self.depth_width)),
+                "color": (self.color_file, np.dtype("u1"),
+                          (self.color_height, self.color_width, 3)),
+                "audio": (self.audio_file, np.dtype("<i2"), ())}
+
 
 @dataclass(frozen=True)
 class Session:
     """One loaded or generated session, whose streams agree with its manifest.
 
-    ``depth`` indexes to ``(depth_height, depth_width)`` uint16 frames and
-    ``color`` to ``(color_height, color_width, 3)`` uint8 frames.  ``audio``
-    is anything with ``len()``, contiguous slices and ``np.asarray`` that
-    gives 1-D int16 samples.  Loaded and generated sessions hold
-    ``_WindowedStore`` streams, whose windows are mapped from a file or drawn
-    by ``synth.generate``.
-
-    A session is checked once, when it is built (``dataclasses.replace``
-    included), and it is frozen: the depth and color stores hold exactly
-    ``frame_count`` frames, the audio is 1-D int16 (read off the empty head
-    slice ``audio[0:0]``, which reads no stream bytes) and holds at least
+    Each stream is a store (see the module docstring) of the items
+    ``manifest.layout`` declares.  A session is checked once, when it is
+    built (``dataclasses.replace`` included), and it is frozen: each store's
+    empty head slice ``store[0:0]``, which reads no stream bytes, has the
+    layout's item shape and dtype (up to byte order), the depth and color
+    stores hold exactly ``frame_count`` frames and the audio at least
     ``min_audio_samples``; otherwise ``ManifestMismatchError`` is raised.
-    Each frame's shape and depth range are checked as it is read.
+    Only the depth range is left to be checked as each frame is read.
     """
 
     manifest: SessionManifest
@@ -165,14 +168,17 @@ class Session:
     audio: object
 
     def __post_init__(self):
+        for name, (_, dtype, shape) in self.manifest.layout.items():
+            head = np.asarray(getattr(self, name)[0:0])
+            if head.shape != (0,) + shape or head.dtype.newbyteorder("<") != dtype:
+                raise ManifestMismatchError(
+                    f"manifest mismatch: {name} store holds {head.dtype} items of shape "
+                    f"{head.shape[1:]}, manifest declares {dtype} items of shape {shape}")
         n = self.manifest.frame_count
         if len(self.depth) != n or len(self.color) != n:
             raise ManifestMismatchError(
                 f"manifest mismatch: stream holds {len(self.depth)} depth / "
                 f"{len(self.color)} color frames, manifest declares {n}")
-        head = np.asarray(self.audio[0:0])
-        if head.ndim != 1 or head.dtype != np.int16:
-            raise ManifestMismatchError("manifest mismatch: audio must be 1-D int16")
         if len(self.audio) < self.manifest.min_audio_samples:
             raise ManifestMismatchError(
                 f"manifest mismatch: audio holds {len(self.audio)} samples, "
@@ -284,33 +290,32 @@ class _WindowedStore:
         return self._fetch(start, min(count, self._count - start))
 
 
-def _mapped_stream(path: Path, dtype: str, frame_shape: tuple, count: int,
-                   check=None) -> _WindowedStore:
-    """A store of the ``count`` frames of a raw stream file, mapped a window at a time.
+def _mapped_stream(path: Path, dtype: np.dtype, item_shape: tuple, check=None) -> _WindowedStore:
+    """A store of the whole items of a raw stream file, mapped a window at a time.
 
-    The file must hold exactly ``count`` frames.  A window holds
-    ``WINDOW_BYTES`` of whole frames, at least one, and is a plain ndarray
-    view of a read-only map, so arrays computed from a frame are ndarrays
-    too, not ``np.memmap`` instances.  ``check(frames, start)``, if given, is
-    called on each window as it is mapped, before any of its frames is
-    handed out.
+    The file must hold whole items: a partial one at its end raises
+    ``ManifestMismatchError``.  How many items it must hold is the rule of
+    ``Session``.  A window holds ``WINDOW_BYTES`` of whole items, at least
+    one, and is a plain ndarray view of a read-only map, so arrays computed
+    from a frame are ndarrays too, not ``np.memmap`` instances.
+    ``check(frames, start)``, if given, is called on each window as it is
+    mapped, before any of its items is handed out.
     """
-    dtype = np.dtype(dtype)
-    frame_bytes = dtype.itemsize * math.prod(frame_shape)
+    item_bytes = dtype.itemsize * math.prod(item_shape)
     size = path.stat().st_size
-    if size != count * frame_bytes:
+    count, partial = divmod(size, item_bytes)
+    if partial:
         raise ManifestMismatchError(f"manifest mismatch: {path.name} holds {size} bytes, "
-                                    f"expected {count * frame_bytes}")
+                                    f"not whole {item_bytes}-byte items")
 
     def fetch(start, n):
-        frames = np.memmap(path, dtype=dtype, mode="r", offset=start * frame_bytes,
-                           shape=(n,) + frame_shape).view(np.ndarray)
+        items = np.memmap(path, dtype=dtype, mode="r", offset=start * item_bytes,
+                          shape=(n,) + item_shape).view(np.ndarray)
         if check is not None:
-            check(frames, start)
-        return frames
+            check(items, start)
+        return items
 
-    return _WindowedStore(fetch, count, frame_shape, dtype,
-                          max(1, WINDOW_BYTES // frame_bytes))
+    return _WindowedStore(fetch, count, item_shape, dtype, max(1, WINDOW_BYTES // item_bytes))
 
 
 def crop_roi(frame: np.ndarray, roi: tuple[int, int, int, int]) -> np.ndarray:
@@ -423,19 +428,22 @@ def run_frame_loops(n: int, depth_step, color_step, threaded: bool) -> None:
 
 
 def write_session(session: Session, path: str | os.PathLike) -> None:
-    """Write manifest and streams, checking each frame as it is written.
+    """Write manifest and streams, checking each depth frame's range as it is written.
 
-    The frame counts and the audio were checked when ``session`` was built.
-    The audio is read and written one second (``audio_rate`` samples) at a
-    time: a window of a generated store, a slice of a loaded one.
+    The layout, the frame counts and the audio length were checked when
+    ``session`` was built, so each stream is written in its
+    ``manifest.layout`` dtype to its layout file.  Frames are read through
+    ``Session.depth_frame`` and ``Session.color_frame``.  The audio is read
+    and written one second (``audio_rate`` samples) at a time: a window of a
+    generated store, a slice of a loaded one.
 
     An invalid session leaves no file behind: the streams are written to
     ``<name>.partial`` files, renamed into place once every frame has passed,
     and the manifest is written last.  Two writes of the same session produce
     byte-identical files.
 
-    The depth and color streams each have their own check-and-write loop,
-    run by ``run_frame_loops``: the color loop is on a helper thread when
+    The depth and color streams each have their own write loop, run by
+    ``run_frame_loops``: the color loop is on a helper thread when
     ``use_helper_thread`` holds for the color frame size.  Each store is
     read at most once per frame, in frame order and from one thread only.
     The error raised is that of the failing frame with the lowest index, its
@@ -443,32 +451,26 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
     return or raise.
     """
     man = session.manifest
-    n = man.frame_count
-
-    def check_depth(i, d):
-        if d.shape != (man.depth_height, man.depth_width):
-            raise ManifestMismatchError(f"manifest mismatch: depth frame {i} has shape {d.shape}")
-        _check_depth_range(d[np.newaxis], i)
-        return np.ascontiguousarray(d, dtype="<u2")
-
-    def check_color(i, c):
-        if c.shape != (man.color_height, man.color_width, 3):
-            raise ManifestMismatchError(f"manifest mismatch: color frame {i} has shape {c.shape}")
-        return np.ascontiguousarray(c, dtype=np.uint8)
-
+    names, dtypes, _ = zip(*man.layout.values())
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    names = (man.depth_file, man.color_file, man.audio_file)
     partials = [out / (name + ".partial") for name in names]
+
+    def write_depth(fd, i):
+        d = session.depth_frame(i)
+        _check_depth_range(d[np.newaxis], i)
+        fd.write(np.ascontiguousarray(d, dtypes[0]))
+
     try:
         with open(partials[0], "wb") as fd, open(partials[1], "wb") as fc:
-            run_frame_loops(n, lambda i: fd.write(check_depth(i, session.depth_frame(i))),
-                            lambda i: fc.write(check_color(i, session.color_frame(i))),
-                            use_helper_thread(man.color_width * man.color_height))
+            run_frame_loops(
+                man.frame_count, lambda i: write_depth(fd, i),
+                lambda i: fc.write(np.ascontiguousarray(session.color_frame(i), dtypes[1])),
+                use_helper_thread(man.color_width * man.color_height))
         with open(partials[2], "wb") as fa:
             audio, step = session.audio, man.audio_rate
             for start in range(0, len(audio), step):
-                fa.write(np.ascontiguousarray(audio[start:start + step], dtype="<i2"))
+                fa.write(np.ascontiguousarray(audio[start:start + step], dtypes[2]))
         for partial, name in zip(partials, names):
             os.replace(partial, out / name)
     except BaseException:
@@ -479,12 +481,11 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
 
 
 def load_session(path: str | os.PathLike) -> Session:
-    """Load a session directory, verifying the manifest and the stream sizes.
+    """Load a session directory, mapping each stream file of ``manifest.layout``.
 
-    The manifest is read by ``load_manifest``.  Then only the stream file
-    sizes are checked: each file holds whole frames (or samples), the depth
-    and color files exactly ``frame_count``, and ``Session`` checks the
-    audio length, as it does for any session.  The frames and the audio
+    The manifest is read by ``load_manifest``.  Each stream file must exist
+    and hold whole items (see ``_mapped_stream``); ``Session`` then checks
+    the counts, as it does for any session.  The frames and the audio
     samples are mapped on demand, and a depth sample above ``DEPTH_MAX``
     raises ``InvalidDepthError`` when its window is first read (see the
     module docstring).  A caller that needs only the manifest calls
@@ -492,14 +493,10 @@ def load_session(path: str | os.PathLike) -> Session:
     """
     root = Path(path)
     man = load_manifest(root)
-    for name in (man.depth_file, man.color_file, man.audio_file):
+    stores = {}
+    for stream, (name, dtype, shape) in man.layout.items():
         if not (root / name).is_file():
             raise CorruptSessionError(f"corrupt session: missing stream file {name}")
-
-    depth = _mapped_stream(root / man.depth_file, "<u2", (man.depth_height, man.depth_width),
-                           man.frame_count, check=_check_depth_range)
-    color = _mapped_stream(root / man.color_file, "u1", (man.color_height, man.color_width, 3),
-                           man.frame_count)
-    audio = _mapped_stream(root / man.audio_file, "<i2", (),
-                           (root / man.audio_file).stat().st_size // 2)
-    return Session(manifest=man, depth=depth, color=color, audio=audio)
+        stores[stream] = _mapped_stream(root / name, dtype, shape,
+                                        _check_depth_range if stream == "depth" else None)
+    return Session(manifest=man, **stores)

@@ -70,15 +70,16 @@ in ``tests/test_synth.py`` holds two accepted timelines the pipeline gets
 wrong (a light toggle missed after two on/off cycles, and an absence lost
 after repeated absences).
 
-The streams are ``session._WindowedStore`` stores, whose windows are drawn
-on demand: a store asks for whole aligned windows only, so each source
-draws exactly one window.  A frame window is one frame, drawn a block of
-rows at a time into one float64 scratch block per store, each block rounded
-and cast into a fresh, read-only output array; its scene is a scalar level
-with rectangles painted over it in order.  A frame store holds the current
-second's generator, the index of the next frame to draw, its current frame
-and the scratch block, so hour-long sessions and 640x480 frames stay small
-in memory.  A store is not thread-safe: ``write_session`` and
+The streams are ``session._WindowedStore`` stores of the items the
+manifest's ``layout`` declares, drawn on demand: a store asks for whole
+aligned windows only, so each source draws exactly one window.  A frame
+window is one frame, drawn a block of rows at a time into one float64
+scratch block per store, each block rounded and cast into a fresh,
+read-only output array; its scene is a scalar level with rectangles
+painted over it in order.  A frame store holds the current second's
+generator, the index of the next frame to draw, its current frame and the
+scratch block, so hour-long sessions and 640x480 frames stay small in
+memory.  A store is not thread-safe: ``write_session`` and
 ``score_session`` read each store from one thread only, in frame order, so
 two stores may be drawn on two threads at once.  An audio window is one
 second, ``audio_rate`` samples from a whole second on; a slice across
@@ -394,8 +395,11 @@ def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
         raise ValueError(f"invalid timeline: {exc}") from exc
 
     dur = scenario.duration
-    fps = scenario.video_rate
+    fps, ar = scenario.video_rate, scenario.audio_rate
     fh, fw = scenario.frame_height, scenario.frame_width
+    manifest = SessionManifest(
+        depth_width=fw, depth_height=fh, color_width=fw, color_height=fh,
+        video_rate=fps, audio_rate=ar, frame_count=dur * fps, roi=tuple(scenario.roi))
 
     def disturbance(sec: int) -> list:
         """Per frame of second ``sec``: (rect, chaos depth) of its depth item, or None."""
@@ -448,8 +452,10 @@ def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
                 plane[r0:r0 + len(b)] = b
         return frame
 
-    def frames(channel: int, sigma: float, top: int, shape: tuple, dtype, scene):
-        """A frame store whose second ``sec`` draws ``scene(sec)`` on noise stream ``channel``."""
+    def frames(stream: str, channel: int, sigma: float, top: int, scene):
+        """The ``stream`` store: second ``sec`` draws ``scene(sec)`` on noise stream ``channel``."""
+        _, dtype, shape = manifest.layout[stream]
+
         def start(sec: int, z: np.ndarray):
             rng = np.random.default_rng([scenario.seed, channel, sec])
             level, per_frame = scene(sec)
@@ -459,7 +465,7 @@ def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
                 yield draw_frame(z, rng, sigma, level, patches, top, np.empty(shape, dtype))
         return _LazyFrames(dur * fps, fps, shape, dtype, start)
 
-    ar = scenario.audio_rate
+    _, audio_dtype, audio_shape = manifest.layout["audio"]
     # A 40-sample-period square wave, one second long at any audio rate.
     square = np.where(np.arange(ar) % 40 < 20, 1.0, -1.0)
 
@@ -469,18 +475,14 @@ def generate(scenario: Scenario) -> tuple[Session, GroundTruth]:
         samples = np.random.default_rng([scenario.seed, 2, sec]).normal(
             0.0, scenario.audio_noise * 32768.0, ar)
         samples += table.talk[sec] * square
-        samples = np.clip(np.rint(samples), -32768, 32767).astype(np.int16)
+        samples = np.clip(np.rint(samples), -32768, 32767).astype(audio_dtype)
         samples.flags.writeable = False
         return samples
 
-    manifest = SessionManifest(
-        depth_width=fw, depth_height=fh, color_width=fw, color_height=fh,
-        video_rate=fps, audio_rate=ar, frame_count=dur * fps, roi=tuple(scenario.roi))
     session = Session(manifest=manifest,
-                      depth=frames(0, scenario.depth_noise, DEPTH_MAX, (fh, fw), np.uint16,
-                                   depth_scene),
-                      color=frames(1, scenario.luma_noise, 255, (fh, fw, 3), np.uint8, color_scene),
-                      audio=_WindowedStore(audio_second, dur * ar, (), np.int16, ar))
+                      depth=frames("depth", 0, scenario.depth_noise, DEPTH_MAX, depth_scene),
+                      color=frames("color", 1, scenario.luma_noise, 255, color_scene),
+                      audio=_WindowedStore(audio_second, dur * ar, audio_shape, audio_dtype, ar))
     events = {ch: [Event(ch, s, e, peak, *clip_range(
                   ch, s, e, video_rate=fps, audio_rate=ar, frame_count=dur * fps,
                   audio_samples=dur * ar)) for s, e, peak in run]

@@ -33,10 +33,12 @@ def sessions_equal(a: Session, b: Session) -> bool:
 
 
 class ScriptedFrames:
-    """Frame store over ``frames`` whose read of frame ``at`` raises ``exc``.
+    """Frame store over the ndarray ``frames`` whose read of frame ``at`` raises ``exc``.
 
-    Each other read first sleeps ``delay`` seconds; ``read`` lists the indices
-    read, in order.
+    Each other frame read first sleeps ``delay`` seconds; ``read`` lists the
+    indices read, in order.  A contiguous slice, such as the empty head slice
+    a ``Session`` checks when it is built, is answered from ``frames`` and is
+    not logged as a read.
     """
 
     def __init__(self, frames, at=None, exc=None, delay=0.0):
@@ -47,6 +49,8 @@ class ScriptedFrames:
         return len(self.frames)
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.frames[i]
         self.read.append(i)
         if i == self.at:
             raise self.exc

@@ -155,6 +155,18 @@ class TestDetect:
         assert "empty chunk" not in err
         assert not (tmp_path / "det").exists()
 
+    def test_depth_file_a_whole_frame_short_exits_1_and_writes_nothing(self, tmp_path,
+                                                                      capsys):
+        path = tmp_path / "sess"
+        session.write_session(build_session(frame_count=3), path)
+        raw = (path / "depth.raw").read_bytes()
+        (path / "depth.raw").write_bytes(raw[:len(raw) * 2 // 3])
+        out = tmp_path / "det"
+        assert run("detect", "--session", path, "--out", out) == 1
+        assert ("manifest mismatch: stream holds 2 depth / 3 color frames, manifest declares 3"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_out_of_range_depth_in_last_frame_exits_1_and_writes_nothing(self, tmp_path,
                                                                          capsys):
         # 320x240 depth frames: the stream spans three windows and one frame.
@@ -496,6 +508,17 @@ class TestCompare:
         assert run("compare", "--events", det, "--truth", truth) == 1
         assert run("compare", "--events", truth, "--truth", det) == 1
         assert "not sorted and disjoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerance", ["-3", "-1", "two"])
+    def test_tolerance_below_zero_is_usage_error(self, tmp_path, capsys, tolerance):
+        log = tmp_path / "e.log"
+        self._log(log, ["motion,5,7,0.200000,120,269"])
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--events", str(log), "--truth", str(log),
+                  "--tolerance", tolerance])
+        assert exc.value.code == 2
+        assert (f"argument --tolerance: must be a whole number of epochs >= 0, not "
+                f"'{tolerance}'" in capsys.readouterr().err)
 
     def test_malformed_log_fails(self, tmp_path, capsys):
         det, truth = tmp_path / "d.log", tmp_path / "t.log"

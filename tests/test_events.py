@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sleepmon.config import Config
+from sleepmon.config import CHANNELS, Config
 from sleepmon.errors import ManifestMismatchError
 from sleepmon.events import (EVENT_LOG_HEADER, Event, clip_range,
                              detect_events, epochize, epoch_peaks, format_epochs_csv,
                              format_event_log, parse_event_log, run_detector)
-from sleepmon.scoring import CHANNELS, format_scores_csv, make_models, score_session
+from sleepmon.scoring import format_scores_csv, make_models, score_session
 
 from conftest import build_session
 
@@ -136,7 +136,13 @@ class TestDetectorConfig:
         cfg = Config()
         assert [cfg.threshold(ch) for ch in CHANNELS] == [0.02, 0.05, 0.10]
         assert cfg.burn_in_seconds == 10
-        assert run_detector(build_session(frame_count=0)).config == cfg
+        s = build_session(frame_count=360, width=12, height=10, roi=(1, 1, 8, 8), seed=3)
+        default, explicit = run_detector(s), run_detector(s, cfg)
+        assert sum(map(len, default.events.values())) > 0
+        for ch in CHANNELS:
+            assert np.array_equal(default.scores[ch], explicit.scores[ch])
+            assert np.array_equal(default.epochs[ch], explicit.epochs[ch])
+        assert default.events == explicit.events
 
 
 class TestRunDetector:
@@ -156,6 +162,14 @@ class TestRunDetector:
         s = self._static(1)
         with pytest.raises(ManifestMismatchError, match="manifest declares 30"):
             run_detector(replace(s, **{stream: getattr(s, stream)[:-1]}))
+
+    @pytest.mark.parametrize("shape", [(8, 6), (10, 10)])
+    def test_store_of_wrong_frames_never_reaches_the_detector(self, shape):
+        s = build_session(frame_count=60)
+        depth = np.full((60,) + shape, 900, np.uint16)
+        with pytest.raises(ManifestMismatchError, match=f"depth store holds uint16 items of "
+                                                        fr"shape \({shape[0]}, {shape[1]}\)"):
+            run_detector(replace(s, depth=depth))
 
     def test_empty_session(self):
         s = build_session(frame_count=0)
@@ -192,7 +206,6 @@ class TestRunDetector:
         s = replace(s, audio=loud)
         config = Config(burn_in_seconds=0)
         res = run_detector(s, config)
-        assert res.config is config
         assert [(e.start_epoch, e.end_epoch) for e in res.events["noise"]] == [(0, 4)]
         quiet = run_detector(s, Config(burn_in_seconds=0, audio_threshold=0.99))
         assert quiet.events["noise"] == []
@@ -261,7 +274,7 @@ class TestEventLog:
 
 
 class TestChannelTable:
-    """``scoring.CHANNELS`` names the file columns and the event channels, in order."""
+    """``config.CHANNELS`` names the file columns and the event channels, in order."""
 
     def test_keys_are_the_csv_columns(self):
         n = np.zeros(1)

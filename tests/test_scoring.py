@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from sleepmon import background
 from sleepmon.background import foreground_area
+from sleepmon.config import CHANNELS
 from sleepmon.errors import ManifestMismatchError
-from sleepmon.scoring import (CHANNELS, audio_score, chunk_bounds,
-                              exact_visual_scores, format_scores_csv, make_models,
-                              parse_scores_csv, score_session)
+from sleepmon.scoring import (audio_score, chunk_bounds, exact_visual_scores, format_scores_csv,
+                              make_models, parse_scores_csv, score_session)
 from sleepmon.session import _THREAD_MIN_PX
 
 from conftest import ScriptedFrames, build_session, force_helper_thread

@@ -2,6 +2,7 @@
 
 import gc
 import os
+import re
 import signal
 import sys
 import threading
@@ -31,9 +32,11 @@ from conftest import ScriptedFrames, build_session, sessions_equal
 
 
 class GeneratedFrames:
-    """Frame store that builds frame ``i`` from ``i`` and logs each read.
+    """Frame store that builds frame ``i`` from ``i`` and logs each frame read.
 
-    ``log`` holds one ``(thread ident, index)`` pair per read, in read order.
+    ``log`` holds one ``(thread ident, index)`` pair per frame read, in read
+    order.  A contiguous slice, such as the empty head slice a ``Session``
+    checks when it is built, is built the same way and is not logged.
     """
 
     def __init__(self, count, shape, dtype):
@@ -44,6 +47,9 @@ class GeneratedFrames:
         return self.count
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            frames = [self.frame(j) for j in range(*i.indices(self.count))]
+            return np.array(frames, self.dtype).reshape((-1,) + self.shape)
         self.log.append((threading.get_ident(), i))
         return self.frame(i)
 
@@ -111,8 +117,18 @@ class TestSessionRule:
         ("short color", "stream holds 3 depth / 2 color frames, manifest declares 3"),
         ("long color", "stream holds 3 depth / 4 color frames, manifest declares 3"),
         ("short audio", "audio holds 1599 samples, need at least 1600"),
-        ("int32 audio", "audio must be 1-D int16"),
-        ("2-D audio", "audio must be 1-D int16"),
+        ("int32 audio", "audio store holds int32 items of shape (), "
+                        "manifest declares int16 items of shape ()"),
+        ("2-D audio", "audio store holds int16 items of shape (1,), "
+                      "manifest declares int16 items of shape ()"),
+        ("int64 depth", "depth store holds int64 items of shape (6, 8), "
+                        "manifest declares uint16 items of shape (6, 8)"),
+        ("transposed depth", "depth store holds uint16 items of shape (8, 6), "
+                             "manifest declares uint16 items of shape (6, 8)"),
+        ("RGBA color", "color store holds uint8 items of shape (6, 8, 4), "
+                       "manifest declares uint8 items of shape (6, 8, 3)"),
+        ("list of color frames", "color store holds float64 items of shape (), "
+                                 "manifest declares uint8 items of shape (6, 8, 3)"),
     ])
     def test_streams_that_disagree_with_the_manifest_are_rejected(self, defect, message):
         s = build_session(frame_count=3)
@@ -121,9 +137,13 @@ class TestSessionRule:
                   "long color": {"color": np.concatenate([s.color, s.color[:1]])},
                   "short audio": {"audio": s.audio[:-1]},
                   "int32 audio": {"audio": s.audio.astype(np.int32)},
-                  "2-D audio": {"audio": s.audio.reshape(-1, 1)}}[defect]
+                  "2-D audio": {"audio": s.audio.reshape(-1, 1)},
+                  "int64 depth": {"depth": s.depth.astype(np.int64)},
+                  "transposed depth": {"depth": s.depth.transpose(0, 2, 1)},
+                  "RGBA color": {"color": np.concatenate([s.color, s.color[..., :1]], -1)},
+                  "list of color frames": {"color": list(s.color)}}[defect]
         fields = dict(manifest=s.manifest, depth=s.depth, color=s.color, audio=s.audio) | change
-        want = f"^manifest mismatch: {message}$"
+        want = f"^manifest mismatch: {re.escape(message)}$"
         with pytest.raises(ManifestMismatchError, match=want):
             Session(**fields)
         with pytest.raises(ManifestMismatchError, match=want):
@@ -138,7 +158,18 @@ class TestSessionRule:
         with open(tmp_path / "audio.raw", "ab") as fh:
             fh.write(b"\0")
         with pytest.raises(ManifestMismatchError, match="audio.raw holds 3201 bytes, "
-                                                        "expected 3200"):
+                                                        "not whole 2-byte items"):
+            load_session(tmp_path)
+
+    @pytest.mark.parametrize("name, counts", [("depth.raw", "2 depth / 3 color"),
+                                              ("color.raw", "3 depth / 2 color")])
+    def test_file_a_whole_frame_short_fails_the_count_rule(self, small_session, tmp_path,
+                                                          name, counts):
+        write_session(small_session, tmp_path)
+        raw = (tmp_path / name).read_bytes()
+        (tmp_path / name).write_bytes(raw[:len(raw) * 2 // 3])
+        with pytest.raises(ManifestMismatchError, match=f"^manifest mismatch: stream holds "
+                                                        f"{counts} frames, manifest declares 3$"):
             load_session(tmp_path)
 
 
@@ -676,7 +707,7 @@ class TestWriteValidation:
             replace(s, depth=s.depth[:2])
 
     @pytest.mark.parametrize("defect", ["frame_count", "audio_dtype", "audio_length",
-                                        "audio_rate"])
+                                        "audio_rate", "depth_dtype"])
     def test_cheap_checks_run_before_any_file_is_created(self, tmp_path, defect):
         s = self.session(frame_count=3)
         if defect == "audio_rate":
@@ -684,9 +715,12 @@ class TestWriteValidation:
             with pytest.raises(ValueError, match="audio_rate 20 is below video_rate 30"):
                 replace(s.manifest, audio_rate=20)
             return
+        negative = s.depth.astype(np.int64)
+        negative[1, 0, 0] = -5      # a "<u2" cast would write it as 65531
         change = {"frame_count": {"color": s.color[:2]},
                   "audio_dtype": {"audio": s.audio.astype(np.int32)},
-                  "audio_length": {"audio": s.audio[:-1]}}[defect]
+                  "audio_length": {"audio": s.audio[:-1]},
+                  "depth_dtype": {"depth": negative}}[defect]
         # The session is rejected as it is built, so no write can begin.
         with pytest.raises(ManifestMismatchError, match="manifest mismatch"):
             replace(s, **change)
@@ -696,12 +730,14 @@ class TestWriteValidation:
                                                ("color_shape", ManifestMismatchError)])
     def test_invalid_last_frame_leaves_no_file(self, tmp_path, defect, error):
         s = self.session(frame_count=3)
-        if defect == "depth_range":
-            s.depth[-1, 0, 0] = DEPTH_MAX + 1
-        else:
+        if defect == "color_shape":
             color = list(s.color)
             color[-1] = color[-1][:, :-1]
-            s = replace(s, color=color)
+            # A ragged list of frames is no store: the session is never built.
+            with pytest.raises(error, match="^manifest mismatch: color store holds"):
+                replace(s, color=color)
+            return
+        s.depth[-1, 0, 0] = DEPTH_MAX + 1
         out = tmp_path / "bad"
         with pytest.raises(error, match="frame 2"):
             write_session(s, out)
@@ -710,20 +746,18 @@ class TestWriteValidation:
     def test_earlier_color_error_beats_later_depth_error(self, tmp_path):
         s = self.session(frame_count=6)
         s.depth[4, 0, 0] = DEPTH_MAX + 1
-        color = list(s.color)
-        color[2] = color[2][:, :-1]
         # Color lags, so on two threads the depth error is usually met first.
-        s = replace(s, color=ScriptedFrames(color, delay=0.02))
-        with pytest.raises(ManifestMismatchError, match="color frame 2 "):
+        s = replace(s, color=ScriptedFrames(s.color, at=2, exc=RuntimeError("color frame 2"),
+                                            delay=0.02))
+        with pytest.raises(RuntimeError, match="color frame 2"):
             write_session(s, tmp_path / "bad")
 
     def test_depth_error_beats_color_error_in_the_same_frame(self, tmp_path):
         s = self.session(frame_count=6)
         s.depth[2, 0, 0] = DEPTH_MAX + 1
-        color = list(s.color)
-        color[2] = color[2][:, :-1]
         # Depth lags, so on two threads the color error is usually met first.
-        s = replace(s, depth=ScriptedFrames(s.depth, delay=0.02), color=color)
+        s = replace(s, depth=ScriptedFrames(s.depth, delay=0.02),
+                    color=ScriptedFrames(s.color, at=2, exc=RuntimeError("color frame 2")))
         with pytest.raises(InvalidDepthError, match="frame 2:"):
             write_session(s, tmp_path / "bad")
 
