@@ -43,6 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import Config
+from .events import per_epoch
 
 COLE_SCALE = 0.001
 COLE_WEIGHTS = (106.0, 54.0, 58.0, 76.0, 230.0, 74.0, 67.0)  # offsets -4..+2
@@ -60,15 +61,11 @@ def counts_from_scores(depth_scores, video_rate: int,
     count[m] = round(1000 * sum over the minute of max(score - threshold, 0));
     a final partial minute is dropped.
     """
-    values = np.asarray(depth_scores)
-    frames_per_minute = 60 * video_rate
-    minutes = len(values) // frames_per_minute
-    if minutes == 0:
+    minutes = per_epoch(depth_scores, 60 * video_rate)
+    if len(minutes) == 0:
         raise ValueError("session shorter than one minute; cannot derive activity counts")
-    excess = np.maximum(np.asarray(values[:minutes * frames_per_minute], np.float64)
-                        - tiny_threshold, 0.0)
-    sums = excess.reshape(minutes, frames_per_minute).sum(axis=1)
-    return np.rint(1000.0 * sums).astype(np.int64)
+    excess = np.maximum(np.asarray(minutes, np.float64) - tiny_threshold, 0.0)
+    return np.rint(1000.0 * excess.sum(axis=1)).astype(np.int64)
 
 
 def cole_sleep_wake(counts) -> np.ndarray:

@@ -26,6 +26,7 @@ back from ``scores.csv``; ``format_report`` writes ``report.txt``.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,16 +55,11 @@ def classify_epochs(peaks, config: Config | None = None) -> list[EpochClass]:
     c = config if config is not None else Config()
     p = np.asarray(peaks, np.float64)
     n = len(p)
-    classes = []
-    for v in p:
-        if v < c.class_tiny:
-            classes.append(EpochClass.CALMNESS)
-        elif v < c.class_limb:
-            classes.append(EpochClass.TINY_MOVEMENT)
-        elif v < c.class_full:
-            classes.append(EpochClass.LIMB_MOVEMENT)
-        else:
-            classes.append(EpochClass.FULL_POSTURE_CHANGE)
+    # The baseline band: the number of increasing thresholds at or below the peak.
+    bands = (EpochClass.CALMNESS, EpochClass.TINY_MOVEMENT, EpochClass.LIMB_MOVEMENT,
+             EpochClass.FULL_POSTURE_CHANGE)
+    classes = [bands[b] for b in np.searchsorted((c.class_tiny, c.class_limb, c.class_full),
+                                                 p, side="right")]
 
     # Out-of-view overlay: an exit spike whose next min_absent_epochs epochs
     # are all sub-absent marks the subject as gone from the first sub-absent
@@ -138,9 +134,7 @@ def build_report(classes, light_events, noise_events) -> SleepReport:
     n = len(classes)
     if n == 0:
         raise ValueError("cannot build a report from zero epochs")
-    count = {c: 0 for c in EpochClass}
-    for c in classes:
-        count[c] += 1
+    count = Counter(classes)
     pct = {c: 100.0 * count[c] / n for c in EpochClass}
     return SleepReport(
         full_pct=pct[EpochClass.FULL_POSTURE_CHANGE],

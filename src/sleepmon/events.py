@@ -1,13 +1,16 @@
 """Epoch aggregation and per-channel event detection.
 
-Scores are folded into one-second epochs by counting the frame slots whose
-score exceeds the channel's frame threshold.  Events are then read off the
-count sequence with a three-point comparison: outside an event, a rise from
-the previous epoch starts one; inside an event, it continues while the next
-epoch's count is at least as large, and ends (inclusively) at the epoch where
-the count drops.  Virtual zero-count epochs surround the sequence so the
-rule is well defined at both ends; an isolated one-epoch spike is a valid
-length-1 event.
+``per_epoch`` is the one fold of a frame series into whole epochs: an
+``(epochs, frames)`` view that drops a final partial epoch.  The per-minute
+``actigraphy`` counts reduce it too.  Scores are folded into one-second epochs
+by counting the frame slots whose score exceeds the channel's frame threshold;
+the per-second peaks are the maxima of the same view.  Events are then read
+off the count sequence with a three-point comparison: outside an event, a
+rise from the previous epoch starts one; inside an event, it continues while
+the next epoch's count is at least as large, and ends (inclusively) at the
+epoch where the count drops.  Virtual zero-count epochs surround the sequence
+so the rule is well defined at both ends; an isolated one-epoch spike is a
+valid length-1 event.
 
 Channel naming follows the one table ``config.CHANNELS``: depth activity
 yields ``motion`` events, luma (``color``) activity ``light`` events, and audio
@@ -40,16 +43,19 @@ class Event:
     clip_end: int
 
 
-def epochize(series, threshold: float, frames_per_epoch: int) -> np.ndarray:
-    """Per-second counts of frame slots scoring above the threshold.
+def per_epoch(series, frames_per_epoch: int) -> np.ndarray:
+    """The whole epochs of a series, as an ``(epochs, frames_per_epoch)`` view.
 
-    A final partial second is dropped.
+    A final partial epoch is dropped; every per-epoch reduction reads this view.
     """
     values = np.asarray(series)
     n_epochs = len(values) // frames_per_epoch
-    trimmed = values[:n_epochs * frames_per_epoch]
-    above = trimmed > threshold
-    return above.reshape(n_epochs, frames_per_epoch).sum(axis=1).astype(np.int64)
+    return values[:n_epochs * frames_per_epoch].reshape(n_epochs, frames_per_epoch)
+
+
+def epochize(series, threshold: float, frames_per_epoch: int) -> np.ndarray:
+    """Per-second counts of frame slots scoring above the threshold."""
+    return (per_epoch(series, frames_per_epoch) > threshold).sum(axis=1).astype(np.int64)
 
 
 def detect_events(counts) -> list[tuple[int, int]]:
@@ -80,13 +86,9 @@ def detect_events(counts) -> list[tuple[int, int]]:
 
 
 def epoch_peaks(series, frames_per_epoch: int) -> np.ndarray:
-    """Per-second maximum frame score (used for classification and events)."""
-    values = np.asarray(series)
-    n_epochs = len(values) // frames_per_epoch
-    trimmed = values[:n_epochs * frames_per_epoch]
-    if n_epochs == 0:
-        return np.empty(0, np.float64)
-    return trimmed.reshape(n_epochs, frames_per_epoch).max(axis=1)
+    """Per-second maximum frame score (used for classification and events); float64 if empty."""
+    epochs = per_epoch(series, frames_per_epoch)
+    return epochs.max(axis=1) if len(epochs) else np.empty(0, np.float64)
 
 
 def clip_range(channel: str, start_epoch: int, end_epoch: int, *, video_rate: int,
@@ -125,31 +127,22 @@ def run_detector(session: Session, config: Config | None = None) -> DetectionRes
     without a config file.  Epochs inside the burn-in interval are forced to
     zero counts before detection so model warm-up cannot fabricate events.
     """
-    if config is None:
-        config = Config()
+    config = config if config is not None else Config()
     man = session.manifest
-    if man.frame_count == 0:
-        return DetectionResult(scores={ch: np.empty(0, np.float64) for ch in CHANNELS},
-                               epochs={ch: np.empty(0, np.int64) for ch in CHANNELS},
-                               events={ev: [] for ev in CHANNELS.values()})
-    depth_model, color_model = make_models(session, config)
-    scores = score_session(session, depth_model, color_model)
-    fpe = man.video_rate
-    epochs = {}
-    events = {}
+    scores = (score_session(session, *make_models(session, config)) if man.frame_count
+              else {ch: np.empty(0, np.float64) for ch in CHANNELS})
+    epochs, events = {}, {}
     for ch, ev_channel in CHANNELS.items():
-        counts = epochize(scores[ch], config.threshold(ch), fpe)
+        counts = epochize(scores[ch], config.threshold(ch), man.video_rate)
         counts[:config.burn_in_seconds] = 0
         epochs[ch] = counts
-        peaks = epoch_peaks(scores[ch], fpe)
-        evs = []
-        for start, end in detect_events(counts):
-            clip = clip_range(ev_channel, start, end, video_rate=man.video_rate,
+        peaks = epoch_peaks(scores[ch], man.video_rate)
+        events[ev_channel] = [
+            Event(ev_channel, start, end, float(peaks[start:end + 1].max()),
+                  *clip_range(ev_channel, start, end, video_rate=man.video_rate,
                               audio_rate=man.audio_rate, frame_count=man.frame_count,
-                              audio_samples=len(session.audio))
-            peak = float(peaks[start:end + 1].max())
-            evs.append(Event(ev_channel, start, end, peak, clip[0], clip[1]))
-        events[ev_channel] = evs
+                              audio_samples=len(session.audio)))
+            for start, end in detect_events(counts)]
     return DetectionResult(scores=scores, epochs=epochs, events=events)
 
 
@@ -158,12 +151,10 @@ EVENT_LOG_HEADER = "channel,start_epoch,end_epoch,peak_score,clip_start,clip_end
 
 def format_event_log(events_by_channel: dict) -> str:
     """One record per line, stable field order, peak score to six decimals."""
-    lines = [EVENT_LOG_HEADER]
-    for ch in CHANNELS.values():
-        for ev in events_by_channel.get(ch, []):
-            lines.append(f"{ev.channel},{ev.start_epoch},{ev.end_epoch},"
-                         f"{ev.peak_score:.6f},{ev.clip_start},{ev.clip_end}")
-    return "\n".join(lines) + "\n"
+    rows = map("%s,%d,%d,%.6f,%d,%d".__mod__,
+               ((ev.channel, ev.start_epoch, ev.end_epoch, ev.peak_score, ev.clip_start,
+                 ev.clip_end) for ch in CHANNELS.values() for ev in events_by_channel.get(ch, [])))
+    return "\n".join([EVENT_LOG_HEADER, *rows]) + "\n"
 
 
 def parse_event_log(text: str) -> dict[str, list[Event]]:
@@ -193,8 +184,8 @@ def parse_event_log(text: str) -> dict[str, list[Event]]:
 
 def format_epochs_csv(epochs: dict) -> str:
     """CSV export: header ``epoch,depth,color,audio``, one row per second."""
-    d, c, a = (epochs[ch] for ch in CHANNELS)
-    lines = ["epoch," + ",".join(CHANNELS)]
-    for i in range(len(d)):
-        lines.append(f"{i},{d[i]},{c[i]},{a[i]}")
-    return "\n".join(lines) + "\n"
+    d, c, a = (np.asarray(epochs[ch]).tolist() for ch in CHANNELS)
+    if not len(d) == len(c) == len(a):
+        raise ValueError("epoch series lengths differ")
+    rows = map("%d,%d,%d,%d".__mod__, zip(range(len(d)), d, c, a))
+    return "\n".join(["epoch," + ",".join(CHANNELS), *rows]) + "\n"

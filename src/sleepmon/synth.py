@@ -22,9 +22,13 @@ talk             adds a square-wave audio burst of amplitude >= 0.2 full
 ===============  ===========================================================
 
 Magnitude in [0, 1] picks the disturbance fraction inside each band.
-Disturbed rectangles cycle through three well-separated depth values per
-frame, so they stay foreground for the whole item and the background model
-re-converges instantly afterwards; luma sees the same rectangles at low
+A disturbed rectangle is painted on every third frame of its item, counted
+from the item's start, cycling through three well-separated depth values, and
+the background model re-converges instantly afterwards.  Every second of an
+item then holds the same number of disturbed frames only when ``video_rate``
+is a multiple of 3: at 10 fps a 4 s turn counts 4, 3, 3, 4 disturbed frames
+a second and can split into two motion events, and at 2 fps some seconds of
+an item hold none (ROADMAP item 10).  Luma sees the same rectangles at low
 contrast (below its match radius) so movements never fabricate light events.
 All randomness is sensor noise drawn from streams keyed by (seed, channel,
 second): the same seed always yields bit-identical sessions, and depth

@@ -5,6 +5,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sleepmon.actigraphy import cole_sleep_wake, counts_from_scores, sadeh_sleep_wake
 from sleepmon.analysis import sleep_report
@@ -46,6 +48,13 @@ def sadeh_ref(counts):
     return wake
 
 
+def counts_ref(scores, video_rate, threshold):
+    """Per-minute activity counts, one whole minute at a time (oracle)."""
+    per_minute = 60 * video_rate
+    return [round(1000.0 * sum(max(v - threshold, 0.0) for v in scores[m:m + per_minute]))
+            for m in range(0, len(scores) - per_minute + 1, per_minute)]
+
+
 class TestCountsFromScores:
     def test_all_zero_scores(self):
         assert np.array_equal(counts_from_scores(np.zeros(3600), 30), np.zeros(2, np.int64))
@@ -64,6 +73,24 @@ class TestCountsFromScores:
 
     def test_partial_minute_dropped(self):
         assert len(counts_from_scores(np.zeros(1800 + 900), 30)) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(video_rate=st.integers(1, 60), minutes=st.integers(0, 3),
+           tail=st.integers(0, 3599), seed=st.integers(0, 2 ** 32 - 1),
+           threshold=st.integers(0, 1024))
+    def test_matches_per_minute_loop(self, video_rate, minutes, tail, seed, threshold):
+        # Scores and threshold on a grid of 1/1024: every sum is exact in any order,
+        # and a count can land on a half, which both sides round to even.
+        per_minute = 60 * video_rate
+        scores = np.random.default_rng(seed).integers(
+            0, 1025, minutes * per_minute + tail % per_minute) / 1024
+        want = counts_ref(scores.tolist(), video_rate, threshold / 1024)
+        if not want:
+            with pytest.raises(ValueError, match="shorter than one minute"):
+                counts_from_scores(scores, video_rate, threshold / 1024)
+            return
+        got = counts_from_scores(scores, video_rate, threshold / 1024)
+        assert got.dtype == np.int64 and got.tolist() == want
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sleepmon.analysis import (WAKE_CLASSES, EpochClass, build_report, classify_epochs,
                                format_report, sleep_efficiency, sleep_report)
@@ -11,6 +13,34 @@ from sleepmon.config import Config
 from sleepmon.events import Event
 
 C = EpochClass
+
+
+def baseline_ref(peaks, c):
+    """The per-epoch if-chain of the four baseline classes (oracle)."""
+    classes = []
+    for v in peaks:
+        if v < c.class_tiny:
+            classes.append(C.CALMNESS)
+        elif v < c.class_limb:
+            classes.append(C.TINY_MOVEMENT)
+        elif v < c.class_full:
+            classes.append(C.LIMB_MOVEMENT)
+        else:
+            classes.append(C.FULL_POSTURE_CHANGE)
+    return classes
+
+
+@st.composite
+def class_configs(draw):
+    """``Config()`` or a random valid set of ``class_*`` fields."""
+    if draw(st.booleans()):
+        return Config()
+    tiny, limb, full, top = sorted(draw(st.lists(st.floats(1e-6, 1.0), min_size=4,
+                                                 max_size=4, unique=True)))
+    return Config(class_tiny=tiny, class_limb=limb, class_full=full,
+                  class_exit=draw(st.sampled_from([full, top])),
+                  class_absent=tiny * draw(st.floats(0.0, 0.99)),
+                  class_min_absent_epochs=draw(st.integers(1, 5)))
 
 
 class TestClassifyEpochs:
@@ -27,6 +57,20 @@ class TestClassifyEpochs:
         bounds = [cfg.class_tiny, cfg.class_limb, cfg.class_full]
         got = classify_epochs([b - 1e-9 for b in bounds], cfg)
         assert got == [C.CALMNESS, C.TINY_MOVEMENT, C.LIMB_MOVEMENT]
+
+    @settings(max_examples=80, deadline=None)
+    @given(config=class_configs(), data=st.data())
+    def test_bands_match_the_if_chain(self, config, data):
+        bounds = [config.class_tiny, config.class_limb, config.class_full, config.class_exit]
+        near = [x for b in bounds for x in (np.nextafter(b, -1.0), b, np.nextafter(b, 2.0))]
+        peaks = data.draw(st.lists(st.sampled_from([0.0, 1.0] + near)
+                                   | st.floats(0.0, 1.0), max_size=40))
+        got, want = classify_epochs(peaks, config), baseline_ref(peaks, config)
+        assert len(got) == len(want)
+        # The out-of-view overlay re-labels epochs; every other one keeps its band.
+        assert all(g in (w, C.OUT_OF_VIEW) for g, w in zip(got, want))
+        if config.class_min_absent_epochs > len(peaks) - 1:
+            assert got == want
 
     def test_out_of_view_span_between_spikes(self):
         cfg = Config(class_exit=0.3, class_absent=0.003, class_min_absent_epochs=10)

@@ -6,9 +6,10 @@ A refactor that folds or renames one of those functions silently drops a
 per-layer metric, and one that imports a traced function by name hides its
 calls from the wrapper; these checks make both fail here instead.  The
 module is loaded read-only, and its tracer is installed only in a child
-interpreter that runs ``sleepmon report``.
+interpreter that runs ``sleepmon detect`` and then ``sleepmon report``.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -23,16 +24,17 @@ from sleepmon.scoring import make_models
 from sleepmon.synth import FULL_TURN, LIGHT_ON, TALK, Scenario, TimelineItem, write_scenario
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+RUN_PY = SPANS_PY.with_name("run.py")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Every span the bench reads off ``sleepmon report``, Cole and Sadeh included.
-REPORT_SPANS = ("events.epoch_peaks", "analysis.classify_epochs", "analysis.build_report",
-                "actigraphy.counts_from_scores", "actigraphy.cole_sleep_wake",
-                "actigraphy.sadeh_sleep_wake", "scoring.parse_scores_csv",
-                "events.parse_event_log")
+# The spans of the bench's detect workload that only ``sleepmon report``
+# reaches, besides the Cole and Sadeh ones; ``detect`` reaches all the others.
+REPORT_ONLY_SPANS = {"cli.report", "scoring.parse_scores_csv", "events.parse_event_log",
+                     "analysis.classify_epochs", "analysis.build_report"}
 
-# Runs ``sleepmon report`` under the bench's tracer and prints the calls per span.
-TRACED_REPORT = """
+# Runs ``sleepmon detect`` and then ``sleepmon report`` under the bench's
+# tracer and prints the calls per span of each command.
+TRACED_DETECT_REPORT = """
 import json, sys, types
 from pathlib import Path
 spans_py, session, detect = sys.argv[1:]
@@ -41,8 +43,11 @@ exec(compile(Path(spans_py).read_text(), spans_py, "exec"), spans.__dict__)
 tracer = spans.Tracer()
 tracer.install()
 from sleepmon import cli
+assert cli.main(["detect", "--session", session, "--out", detect]) == 0
+after_detect = {name: st[0] for name, st in tracer.spans.items()}
 assert cli.main(["report", "--session", session, "--detect", detect]) == 0
-print(json.dumps({name: st[0] for name, st in tracer.spans.items()}))
+report = {name: st[0] - after_detect.get(name, 0) for name, st in tracer.spans.items()}
+print(json.dumps({"detect": after_detect, "report": report}))
 """
 
 # Sites the bench still lists but the program no longer has; the next
@@ -55,6 +60,15 @@ def _load_spans():
     module = types.ModuleType("bench_spans")
     exec(compile(SPANS_PY.read_text(), str(SPANS_PY), "exec"), module.__dict__)
     return module
+
+
+def _bench_spans(name):
+    """The span set that ``bench/run.py`` assigns to ``name``, read without running it."""
+    for node in ast.parse(RUN_PY.read_text()).body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == name
+                                                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"bench/run.py assigns no {name}")
 
 
 def _resolves(module_name, path):
@@ -87,18 +101,29 @@ def test_models_name_the_per_channel_update_spans():
 
 
 def test_report_reaches_every_report_span(tmp_path):
+    """``detect`` and ``report`` together reach every span the bench requires of them.
+
+    Each command is held to its own share, so a detector that stopped calling
+    a traced function fails here even when ``report`` still calls it.
+    """
     scenario = tmp_path / "scenario.txt"
     write_scenario(Scenario(duration=61, seed=14, timeline=(
         TimelineItem(15, 18, FULL_TURN, 0.5), TimelineItem(25, 26, LIGHT_ON, 0.5),
         TimelineItem(30, 33, TALK, 0.5))), scenario)
     sess, det = tmp_path / "sess", tmp_path / "det"
     assert main(["generate", "--scenario", str(scenario), "--out", str(sess)]) == 0
-    assert main(["detect", "--session", str(sess), "--out", str(det)]) == 0
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]),
         PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-c", TRACED_REPORT, str(SPANS_PY), str(sess),
-                           str(det)], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", TRACED_DETECT_REPORT, str(SPANS_PY),
+                           str(sess), str(det)], env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(proc.stdout.splitlines()[-1])
-    assert [name for name in REPORT_SPANS if not calls.get(name)] == []
+    actigraphy = _bench_spans("ACTIGRAPHY_SPANS")
+    required = _bench_spans("DETECT_SPANS") | actigraphy
+    report_spans = REPORT_ONLY_SPANS | actigraphy | {"events.epoch_peaks"}
+    assert REPORT_ONLY_SPANS <= required
+    assert sorted(n for n in required - REPORT_ONLY_SPANS - actigraphy
+                  if not calls["detect"].get(n)) == []
+    assert sorted(n for n in report_spans if not calls["report"].get(n)) == []

@@ -34,6 +34,16 @@ def detect_ref(counts):
     return sorted(set(maximal))
 
 
+def epoch_loops(series, threshold, frames_per_epoch):
+    """Per-second counts above the threshold and peaks, one whole second at a time (oracle)."""
+    counts, peaks = [], []
+    for start in range(0, len(series) - frames_per_epoch + 1, frames_per_epoch):
+        second = series[start:start + frames_per_epoch]
+        counts.append(sum(1 for v in second if v > threshold))
+        peaks.append(max(second))
+    return counts, peaks
+
+
 class TestEpochize:
     def test_all_zero(self):
         series = np.zeros(90)
@@ -61,6 +71,19 @@ class TestEpochize:
         lo = epochize(series, 0.2, 30)
         hi = epochize(series, 0.6, 30)
         assert np.all(hi <= lo)
+
+    @settings(max_examples=80, deadline=None)
+    @given(fpe=st.integers(1, 60), n_epochs=st.integers(0, 12), tail=st.integers(0, 59),
+           seed=st.integers(0, 2 ** 32 - 1),
+           threshold=st.floats(-0.5, 1.5) | st.integers(0, 8).map(lambda k: k / 8))
+    def test_counts_and_peaks_match_per_second_loops(self, fpe, n_epochs, tail, seed,
+                                                     threshold):
+        # Scores on a grid of eighths, so frames hit a grid threshold exactly.
+        series = np.random.default_rng(seed).integers(0, 9, n_epochs * fpe + tail % fpe) / 8
+        counts, peaks = epoch_loops(series.tolist(), threshold, fpe)
+        got_counts, got_peaks = epochize(series, threshold, fpe), epoch_peaks(series, fpe)
+        assert got_counts.dtype == np.int64 and got_counts.tolist() == counts
+        assert got_peaks.dtype == np.float64 and got_peaks.tolist() == peaks
 
 
 class TestDetectEvents:
@@ -228,6 +251,8 @@ class TestEpochPeaks:
         values[40] = 0.2
         peaks = epoch_peaks(values, 30)
         assert np.array_equal(peaks, [0.5, 0.2])
+        for short in (np.zeros(0, np.int64), np.zeros(29, np.uint8), []):
+            assert epoch_peaks(short, 30).dtype == np.float64
 
 
 class TestEventLog:
@@ -271,6 +296,9 @@ class TestEventLog:
                   "audio": np.array([30, 2])}
         assert format_epochs_csv(epochs).splitlines() == [
             "epoch,depth,color,audio", "0,0,1,30", "1,3,0,2"]
+        for ch in CHANNELS:
+            with pytest.raises(ValueError, match="epoch series lengths differ"):
+                format_epochs_csv(dict(epochs, **{ch: epochs[ch][:1]}))
 
 
 class TestChannelTable:
