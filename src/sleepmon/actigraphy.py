@@ -59,11 +59,10 @@ def counts_from_scores(depth_scores, video_rate: int,
     """Per-minute activity counts from the depth score series.
 
     count[m] = round(1000 * sum over the minute of max(score - threshold, 0));
-    a final partial minute is dropped.
+    a final partial minute is dropped, so a series shorter than one minute
+    has no counts: the result is then an empty int64 array.
     """
     minutes = per_epoch(depth_scores, 60 * video_rate)
-    if len(minutes) == 0:
-        raise ValueError("session shorter than one minute; cannot derive activity counts")
     excess = np.maximum(np.asarray(minutes, np.float64) - tiny_threshold, 0.0)
     return np.rint(1000.0 * excess.sum(axis=1)).astype(np.int64)
 

@@ -17,9 +17,9 @@ The thresholds and the overlay's quiet-run length are the ``class_*`` fields
 of ``config.Config``.
 
 ``sleep_report`` is the one path from a depth score series to the report:
-per-second peaks, classes, class and event-coverage percentages, and, on
-recordings of at least a minute, the Cole and Sadeh efficiencies of the
-``actigraphy`` counts.  ``sleepmon report`` calls it on the scores it reads
+per-second peaks, classes, class and event-coverage percentages, and the
+Cole and Sadeh efficiencies of the ``actigraphy`` per-minute counts, when a
+recording has any.  ``sleepmon report`` calls it on the scores it reads
 back from ``scores.csv``; ``format_report`` writes ``report.txt``.
 """
 
@@ -47,19 +47,18 @@ WAKE_CLASSES = frozenset({EpochClass.FULL_POSTURE_CHANGE, EpochClass.LIMB_MOVEME
                           EpochClass.OUT_OF_VIEW})
 
 
-def classify_epochs(peaks, config: Config | None = None) -> list[EpochClass]:
+def classify_epochs(peaks, config: Config = Config()) -> list[EpochClass]:
     """Classify per-epoch peak depth scores into the five motion classes.
 
-    The boundaries are the ``class_*`` fields of ``config`` (default ``Config()``).
+    The boundaries are the ``class_*`` fields of ``config``.
     """
-    c = config if config is not None else Config()
     p = np.asarray(peaks, np.float64)
     n = len(p)
     # The baseline band: the number of increasing thresholds at or below the peak.
     bands = (EpochClass.CALMNESS, EpochClass.TINY_MOVEMENT, EpochClass.LIMB_MOVEMENT,
              EpochClass.FULL_POSTURE_CHANGE)
-    classes = [bands[b] for b in np.searchsorted((c.class_tiny, c.class_limb, c.class_full),
-                                                 p, side="right")]
+    thresholds = (config.class_tiny, config.class_limb, config.class_full)
+    classes = [bands[b] for b in np.searchsorted(thresholds, p, side="right")]
 
     # Out-of-view overlay: an exit spike whose next min_absent_epochs epochs
     # are all sub-absent marks the subject as gone from the first sub-absent
@@ -68,20 +67,20 @@ def classify_epochs(peaks, config: Config | None = None) -> list[EpochClass]:
     # a return must not read as a fresh departure.
     i = 0
     while i < n:
-        if p[i] >= c.class_exit:
+        if p[i] >= config.class_exit:
             j = i + 1
             run = 0
-            while (run < c.class_min_absent_epochs and j + run < n
-                   and p[j + run] < c.class_absent):
+            while (run < config.class_min_absent_epochs and j + run < n
+                   and p[j + run] < config.class_absent):
                 run += 1
-            if run >= c.class_min_absent_epochs:
+            if run >= config.class_min_absent_epochs:
                 e = j
-                while e < n and p[e] < c.class_exit:
+                while e < n and p[e] < config.class_exit:
                     e += 1
                 for t in range(j, e):
                     classes[t] = EpochClass.OUT_OF_VIEW
                 i = e
-                while i < n and p[i] >= c.class_exit:
+                while i < n and p[i] >= config.class_exit:
                     i += 1
                 continue
         i += 1
@@ -105,7 +104,7 @@ class SleepReport:
     """Component breakdown, event coverage, and sleep efficiencies.
 
     ``cole_efficiency`` and ``sadeh_efficiency`` are None on recordings
-    shorter than one minute.
+    with no whole minute of activity counts.
     """
 
     full_pct: float
@@ -152,19 +151,19 @@ def build_report(classes, light_events, noise_events) -> SleepReport:
 
 
 def sleep_report(depth_scores, light_events, noise_events, video_rate: int,
-                 config: Config | None = None) -> SleepReport:
+                 config: Config = Config()) -> SleepReport:
     """The sleep report of a depth score series and its light and noise events.
 
     Epochs are ``video_rate`` frames long and are classified with the
-    ``class_*`` fields of ``config`` (default ``Config()``); recordings of at
-    least one minute also get the Cole and Sadeh efficiencies of the
-    per-minute activity counts above ``class_tiny``.
+    ``class_*`` fields of ``config``.  The Cole and Sadeh efficiencies are
+    those of the ``actigraphy`` per-minute activity counts above
+    ``class_tiny``, and stay None when there are no counts, that is on
+    recordings with no whole minute.
     """
-    c = config if config is not None else Config()
-    classes = classify_epochs(events.epoch_peaks(depth_scores, video_rate), c)
+    classes = classify_epochs(events.epoch_peaks(depth_scores, video_rate), config)
     report = build_report(classes, light_events, noise_events)
-    if len(depth_scores) >= 60 * video_rate:
-        counts = actigraphy.counts_from_scores(depth_scores, video_rate, c.class_tiny)
+    counts = actigraphy.counts_from_scores(depth_scores, video_rate, config.class_tiny)
+    if len(counts):
         report.cole_efficiency = _sleep_fraction(actigraphy.cole_sleep_wake(counts))
         report.sadeh_efficiency = _sleep_fraction(actigraphy.sadeh_sleep_wake(counts))
     return report

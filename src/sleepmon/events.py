@@ -120,14 +120,13 @@ class DetectionResult:
     events: dict
 
 
-def run_detector(session: Session, config: Config | None = None) -> DetectionResult:
+def run_detector(session: Session, config: Config = Config()) -> DetectionResult:
     """Score the session, epoch-aggregate, and detect events on all channels.
 
-    ``config`` defaults to ``Config()``, the values ``sleepmon detect`` applies
+    The default ``Config()`` holds the values ``sleepmon detect`` applies
     without a config file.  Epochs inside the burn-in interval are forced to
     zero counts before detection so model warm-up cannot fabricate events.
     """
-    config = config if config is not None else Config()
     man = session.manifest
     scores = (score_session(session, *make_models(session, config)) if man.frame_count
               else {ch: np.empty(0, np.float64) for ch in CHANNELS})

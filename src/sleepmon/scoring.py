@@ -71,14 +71,10 @@ def _score_audio(session: Session) -> np.ndarray:
     return scores
 
 
-def make_models(session: Session, config: Config | None = None):
-    """Seed the depth and the luma model from frame 0 of the session.
-
-    ``config`` defaults to ``Config()``.
-    """
+def make_models(session: Session, config: Config = Config()):
+    """Seed the depth and the luma model from frame 0 of the session."""
     if session.manifest.frame_count == 0:
         raise ValueError("cannot initialize models on an empty session")
-    config = config if config is not None else Config()
     return tuple(BackgroundModel(config, _model_input(session, ch, 0), ch)
                  for ch in ("depth", "luma"))
 

@@ -21,28 +21,28 @@ the audio covers every frame slot, once, when it is built, so no reader or
 writer checks a frame's shape or a stream's length again; only the depth
 range is checked per frame.
 
-Every store answers one protocol: ``len()``, integer indexing and
-contiguous slices, the empty one included.  Sessions may be backed by eager
-ndarrays or by windowed stores, and observable behavior is identical
-either way.  A windowed store (``_WindowedStore``) is the one stream store,
-and it places windows by one rule: window ``k`` holds items
-``k * window_frames`` up to the next multiple or the end, and a window
-source fetches whole windows only.  A read inside one window is a view of
-it; a slice across windows is a read-only copy filled one window at a time,
-and ``np.asarray`` is the whole-stream slice, so a store holds one window
-at a time.  There are three sources: ``load_session`` maps each stream
-from its file, ``WINDOW_BYTES`` of whole items a window, so a loaded
-session holds about ``WINDOW_BYTES`` per stream in memory however long the
-recording is, and ``synth.generate`` draws its audio one second a window
-and its frames one frame a window.  A frame or slice the caller holds keeps
-its own window alive, so later reads never overwrite it.  A store need not
-be thread-safe, so each store is read from one thread only.  Each depth
-window is checked for samples above ``DEPTH_MAX`` as it is mapped, so the
-depth stream is read once: an out-of-range sample raises
-``InvalidDepthError`` at the first read of a frame in its window, not at
-load.  ``load_session`` reads no stream bytes; code that needs only the
-geometry and rates (the report) calls ``load_manifest``, which opens
-nothing but ``manifest.txt``.
+Every store answers one protocol: ``len()``, and a key picks items as it
+picks from ``range(len())``: an integer, or a slice of step 1, the empty one
+included.  Sessions may be backed by eager ndarrays or by windowed stores,
+and observable behavior is identical either way.  A windowed store
+(``_WindowedStore``) is the one stream store, and it places windows by one
+rule: window ``k`` holds items ``k * window_frames`` up to the next multiple
+or the end, and a window source fetches whole windows only.  A read inside
+one window is a view of it; a slice across windows is a read-only copy
+filled one window at a time, and ``np.asarray`` is the whole-stream slice,
+so a store holds one window at a time.  There are three sources:
+``load_session`` maps each stream from its file, ``WINDOW_BYTES`` of whole
+items a window, so a loaded session holds about ``WINDOW_BYTES`` per stream
+in memory however long the recording is, and ``synth.generate`` draws its
+audio one second a window and its frames one frame a window.  A frame or
+slice the caller holds keeps its own window alive, so later reads never
+overwrite it.  A store need not be thread-safe, so each store is read from
+one thread only.  Each depth window is checked for samples above
+``DEPTH_MAX`` as it is mapped, so the depth stream is read once: an
+out-of-range sample raises ``InvalidDepthError`` at the first read of a
+frame in its window, not at load.  ``load_session`` reads no stream bytes;
+code that needs only the geometry and rates (the report) calls
+``load_manifest``, which opens nothing but ``manifest.txt``.
 
 The thread policy lives here too.  ``write_session`` and
 ``scoring.score_session`` each run one loop over the depth frames and one
@@ -57,7 +57,6 @@ depth-then-color order.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -191,29 +190,6 @@ class Session:
         return self.color[i]
 
 
-def frame_index(i, count: int) -> int:
-    """Frame ``i`` of a store of ``count`` frames as an index in ``range(count)``.
-
-    ``i`` is anything ``operator.index`` accepts, negatives counting from the
-    end; an index outside ``[-count, count)`` raises ``IndexError``.
-    """
-    i = operator.index(i)
-    if not -count <= i < count:
-        raise IndexError(f"frame index out of range: {i}")
-    return i % count
-
-
-def _span(key: slice, count: int) -> tuple[int, int]:
-    """``(start, stop)`` of a contiguous slice of a store of ``count`` items, ``start <= stop``.
-
-    A slice with a step other than 1 raises ``IndexError``.
-    """
-    start, stop, step = key.indices(count)
-    if step != 1:
-        raise IndexError(f"only contiguous slices are supported, not step {step}")
-    return start, max(start, stop)
-
-
 def _check_depth_range(frames: np.ndarray, first: int) -> None:
     """Raise ``InvalidDepthError`` at the first frame holding a sample above ``DEPTH_MAX``.
 
@@ -231,11 +207,13 @@ class _WindowedStore:
     Window ``k`` holds frames ``k * window_frames`` up to the next multiple of
     ``window_frames`` or the end of the stream, and ``fetch(start, n)`` returns
     it as one read-only ndarray of shape ``(n,) + frame_shape``: a source is
-    only ever asked for one whole window.  An integer index or a contiguous
-    slice inside one window returns a view into it (a scalar for 0-d frames,
-    such as audio samples), fetching the window unless it is the current
-    one.  A slice across windows returns a read-only copy filled one window
-    at a time, each let go before the next is fetched; ``np.asarray`` is the
+    only ever asked for one whole window.  A key picks frames as it picks
+    from ``range(len(store))``; an index out of range, or a slice whose step
+    is not 1, raises ``IndexError``.  A frame or a slice inside one window is
+    a view into it (a scalar for 0-d frames, such as audio samples), fetching
+    the window unless it is the current one; an empty slice fetches nothing.
+    A slice across windows returns a read-only copy filled one window at a
+    time, each let go before the next is fetched; ``np.asarray`` is the
     whole-stream slice.  A view keeps its own window alive, so nothing a
     caller holds is ever reused.
     """
@@ -254,18 +232,25 @@ class _WindowedStore:
         return self._count
 
     def __getitem__(self, key):
-        if isinstance(key, slice):
-            first, stop = _span(key, self._count)
-            if first == stop:
-                return np.empty((0,) + self._frame_shape, self._dtype)
-        else:
-            first = frame_index(key, self._count)
-            stop = first + 1
+        try:
+            span = range(self._count)[key]
+        except IndexError:
+            raise IndexError(f"frame index out of range: {key}") from None
+        sliced = isinstance(span, range)
+        if not sliced:
+            span = range(span, span + 1)
+        elif span.step != 1:
+            raise IndexError(f"only contiguous slices are supported, not step {span.step}")
+        elif not span:
+            out = np.empty((0,) + self._frame_shape, self._dtype)
+            out.flags.writeable = False
+            return out
+        first, stop = span.start, span.stop
         size = self.window_frames
         start = first - first % size
         if stop <= start + size:
             view = self._window_at(start)[first - start:stop - start]
-            return view if isinstance(key, slice) else view[0]
+            return view if sliced else view[0]
         out = np.empty((stop - first,) + self._frame_shape, self._dtype)
         for start in range(start, stop, size):
             lo, hi = max(first, start), min(stop, start + size)

@@ -224,6 +224,8 @@ class TestSleepReport:
         short = sleep_report(np.zeros(59 * 30), [], [], 30)
         assert (short.cole_efficiency, short.sadeh_efficiency) == (None, None)
         assert short.duration_seconds == 59
+        one_short = sleep_report(np.zeros(60 * 30 - 1), [], [], 30)
+        assert (one_short.cole_efficiency, one_short.sadeh_efficiency) == (None, None)
         full = sleep_report(np.zeros(60 * 30), [], [], 30)
         assert (full.efficiency, full.cole_efficiency, full.sadeh_efficiency) == (1.0, 1.0, 1.0)
 

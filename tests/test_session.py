@@ -23,7 +23,7 @@ from sleepmon.events import run_detector
 from sleepmon.kvtext import to_pairs, write_pairs
 from sleepmon.scoring import make_models, score_session
 from sleepmon.session import (_THREAD_MIN_PX, DEPTH_MAX, MANIFEST_NAME, WINDOW_BYTES,
-                              Session, SessionManifest, crop_roi, frame_index, load_manifest,
+                              Session, SessionManifest, crop_roi, load_manifest,
                               load_session, run_frame_loops, use_helper_thread,
                               write_session)
 from sleepmon.synth import Scenario, generate
@@ -894,21 +894,63 @@ class TestHelperThreadRule:
         assert use_helper_thread(_THREAD_MIN_PX) is want
 
 
+def arange_store(count, window_frames, log=None):
+    """A windowed store of the items of ``np.arange(count)``, ``window_frames`` a window.
+
+    Each window fetched appends its first item to ``log``, when given.
+    """
+    items = np.arange(count)
+    items.flags.writeable = False
+
+    def fetch(start, n):
+        if log is not None:
+            log.append(start)
+        return items[start:start + n]
+
+    return session._WindowedStore(fetch, count, (), items.dtype, window_frames)
+
+
 class TestFrameIndex:
+    """A store picks its items as ``range(len(store))`` picks indices."""
+
     @pytest.mark.parametrize("i, want", [(0, 0), (2, 2), (-1, 2), (-3, 0), (np.int64(1), 1),
                                          (True, 1)])
     def test_wraps_negatives_and_accepts_integer_types(self, i, want):
-        got = frame_index(i, 3)
-        assert got == want and type(got) is int
+        assert arange_store(3, 2)[i] == want
 
     @pytest.mark.parametrize("i, count", [(3, 3), (-4, 3), (0, 0), (-1, 0)])
     def test_out_of_range(self, i, count):
         with pytest.raises(IndexError, match=f"frame index out of range: {i}$"):
-            frame_index(i, count)
+            arange_store(count, 2)[i]
 
     def test_float_rejected(self):
         with pytest.raises(TypeError):
-            frame_index(1.0, 3)
+            arange_store(3, 2)[1.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(count=st.integers(0, 20), window_frames=st.integers(1, 7), data=st.data())
+    def test_indexes_as_the_ndarray_does(self, count, window_frames, data):
+        # Several keys in turn on one store, so reads also start from whichever
+        # window the last one left current.  An empty slice fetches nothing.
+        bound = st.none() | st.integers(-25, 25)
+        keys = data.draw(st.lists(st.integers(-25, 25) | st.builds(
+            slice, bound, bound, st.sampled_from([None, 1, 2, -1])), min_size=1, max_size=20))
+        fetched = []
+        store, want = arange_store(count, window_frames, fetched), np.arange(count)
+        for key in keys:
+            if isinstance(key, slice) and key.step not in (None, 1):
+                with pytest.raises(IndexError, match=rf"^only contiguous slices are supported, "
+                                                     rf"not step {key.step}$"):
+                    store[key]
+            elif isinstance(key, int) and not -count <= key < count:
+                with pytest.raises(IndexError, match=rf"^frame index out of range: {key}$"):
+                    store[key]
+            else:
+                before = len(fetched)
+                got = store[key]
+                assert np.shape(got) == want[key].shape and np.array_equal(got, want[key]), key
+                assert got.dtype == want.dtype and not got.flags.writeable
+                assert got.size or len(fetched) == before, key
 
 
 class TestCropRoi:
